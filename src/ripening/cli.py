@@ -41,6 +41,8 @@ from .return_map import return_point_for_ratio, solve_return_point
 
 __all__ = ["main"]
 
+MAX_COUNT = 1_000_000  # largest --count: rows are all kept before writing
+
 
 def _g17(x) -> str:
     return format(float(x), ".17g")
@@ -93,7 +95,7 @@ def _add_grid_flags(parser, value_flag: str, value_help: str):
     parser.add_argument("--min", type=float, default=None, help="grid start")
     parser.add_argument("--max", type=float, default=None, help="grid end")
     parser.add_argument(
-        "--count", type=int, default=None, help="number of grid points"
+        "--count", type=int, default=None, help=f"grid points, <= {MAX_COUNT}"
     )
     parser.add_argument(
         "--log",
@@ -116,6 +118,8 @@ def _resolve_grid(args, parser, explicit, default=None):
         parser.error("--min, --max and --count must be given together")
     if args.count < 1:
         parser.error("--count must be >= 1")
+    if args.count > MAX_COUNT:
+        parser.error(f"--count must be <= {MAX_COUNT}")
     if args.count == 1:
         if args.min != args.max:
             parser.error("--count 1 requires --min == --max")

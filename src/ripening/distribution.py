@@ -26,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_QUAD_TOL, Tolerance, integrate
 from .regime import Regime
 
 __all__ = ["density", "SizeDistribution", "size_distribution"]
@@ -37,6 +36,8 @@ _LOG_24 = math.log(24.0)
 # exp() underflows to subnormal/zero around -745; below this the density is
 # zero to double precision anyway.
 _LOG_FLOOR = -740.0
+# 7-point Gauss-Legendre abscissae and weights on [-1, 1]
+_GX, _GW = np.polynomial.legendre.leggauss(7)
 
 
 def _log_density_dl(z, cut):
@@ -87,11 +88,10 @@ def density(regime: Regime, z):
 
 
 class SizeDistribution:
-    """Moments, CDF and inverse-CDF sampling for one regime's density.
-
-    Immutable after construction: the moment cache only ever gains entries
-    and the CDF table is built once, lazily.  Use :func:`size_distribution`
-    to share instances.
+    """Moments, CDF and inverse-CDF sampling for one regime's density, all
+    read from one table: the cumulative moments M_k(z) = int_0^z h x^k dx on
+    a fixed Gauss-Legendre grid.  Each M_k is built once, lazily; the CDF is
+    M_0 / M_0(z_max).  Use :func:`size_distribution` to share instances.
     """
 
     #: number of nodes in the tabulated CDF
@@ -99,69 +99,76 @@ class SizeDistribution:
 
     def __init__(self, regime: Regime):
         self.regime = regime
-        self._moments: dict[int, float] = {}
+        # Chebyshev-style cosine spacing: nodes cluster at both endpoints,
+        # where the density is flattest and steepest respectively.
+        theta = np.linspace(0.0, math.pi, self.CDF_POINTS)
+        self._grid = 0.5 * regime.z_max * (1.0 - np.cos(theta))
+        self._moments: dict[int, np.ndarray] = {}  # k -> M_k at the nodes
         self._cdf: tuple[np.ndarray, np.ndarray] | None = None
 
     def density(self, z):
         return density(self.regime, z)
 
-    def moment(self, k: int, tol: Tolerance = DEFAULT_QUAD_TOL) -> float:
-        """k-th moment of the density over its full support, cached for the
-        default tolerance."""
+    def _panels(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # 7-point Gauss-Legendre integral of h x^k on each panel [a, b]
+        # (exact to ~1e-15 for these smooth panels at this resolution).
+        mid = 0.5 * (b + a)
+        half = 0.5 * (b - a)
+        x = mid[:, None] + half[:, None] * _GX[None, :]
+        return (density(self.regime, x) * x**k * _GW[None, :]).sum(axis=1) * half
+
+    def _cumulative(self, k: int) -> np.ndarray:
         k = int(k)
         if k < 0:
             raise DomainError(f"moment order must be >= 0, got {k!r}")
-        default = tol is DEFAULT_QUAD_TOL
-        if default and k in self._moments:
-            return self._moments[k]
-        f = lambda z: density(self.regime, z) * z**k
-        # Split at the mode region: the integrand is glassy-flat at both
-        # ends and adaptive Simpson starts from a better first panel this way.
-        zm = self.regime.z_max
-        value = integrate(f, 0.0, 1.0, tol) + integrate(f, 1.0, zm, tol)
-        if default:
-            self._moments[k] = value
-        return value
+        if k not in self._moments:
+            mass = self._panels(k, self._grid[:-1], self._grid[1:])
+            self._moments[k] = np.concatenate(([0.0], np.cumsum(mass)))
+        return self._moments[k]
+
+    def moment(self, k: int) -> float:
+        """k-th moment of the density over its full support."""
+        return float(self._cumulative(k)[-1])
+
+    def cumulative_moment(self, k: int, z: float) -> float:
+        """M_k(z): the table at the node below z plus one panel up to z.
+
+        Nondecreasing in z, 0 at z = 0 and ``moment(k)`` from z_max on.
+        """
+        table = self._cumulative(k)
+        z = float(z)
+        if not z >= 0.0:
+            raise DomainError(f"scaled size must be >= 0, got {z!r}")
+        i = int(np.searchsorted(self._grid, z, side="right")) - 1
+        if i >= self._grid.size - 1:
+            return float(table[-1])
+        part = self._panels(k, self._grid[i : i + 1], np.array([z]))[0]
+        # The partial panel may round past the whole one by an ulp.
+        return float(min(table[i] + part, table[i + 1]))
 
     @property
     def cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Strictly increasing table (z, H(z)) with H(0) = 0, H(z_max) = 1."""
-        if self._cdf is None:
-            self._cdf = self._build_cdf_table()
-        return self._cdf
-
-    def _build_cdf_table(self):
-        zm = self.regime.z_max
-        n = self.CDF_POINTS
-        # Chebyshev-style cosine spacing: nodes cluster at both endpoints,
-        # where the density is flattest and steepest respectively.
-        grid = 0.5 * zm * (1.0 - np.cos(np.linspace(0.0, math.pi, n)))
-        # Composite 7-point Gauss-Legendre mass per panel (exact to ~1e-15
-        # for these smooth panels at this resolution).
-        gx, gw = np.polynomial.legendre.leggauss(7)
-        mid = 0.5 * (grid[1:] + grid[:-1])
-        half = 0.5 * (grid[1:] - grid[:-1])
-        nodes = mid[:, None] + half[:, None] * gx[None, :]
-        vals = density(self.regime, nodes.ravel()).reshape(nodes.shape)
-        panel_mass = (vals * gw[None, :]).sum(axis=1) * half
-        cdf = np.concatenate(([0.0], np.cumsum(panel_mass)))
-        cdf /= cdf[-1]
+        if self._cdf is not None:
+            return self._cdf
+        cdf = self._cumulative(0) / self._cumulative(0)[-1]
         # The deep tail can produce zero-mass panels at double precision;
         # drop repeated ordinates so the table stays strictly increasing,
         # then anchor the exact endpoints.
         keep = np.concatenate(([True], np.diff(cdf) > 0.0))
-        z_tab = grid[keep]
+        z_tab = self._grid[keep]
         h_tab = cdf[keep]
         h_tab[0] = 0.0
         if h_tab[-1] < 1.0:
-            z_tab = np.append(z_tab, zm)
+            z_tab = np.append(z_tab, self.regime.z_max)
             h_tab = np.append(h_tab, 1.0)
         else:
-            z_tab[-1] = zm
+            z_tab[-1] = self.regime.z_max
             h_tab[-1] = 1.0
         z_tab.setflags(write=False)
         h_tab.setflags(write=False)
-        return z_tab, h_tab
+        self._cdf = (z_tab, h_tab)
+        return self._cdf
 
     def cdf(self, z):
         """Cumulative distribution H(z), by monotone interpolation of the

@@ -1,12 +1,13 @@
 """Small numerical kernels: bracketed root finding, adaptive quadrature and
 an embedded Runge-Kutta integrator.
 
-Every root solve, quadrature and trajectory integration in the package goes
-through these three entry points so that tolerance semantics live in exactly
-one place.  The routines are deliberately plain: bisection is slow but cannot
-be fooled by the nearly-flat functions this package inverts, and the
-quadrature/ODE kernels are classic textbook schemes with defensive checks for
-non-finite values.
+Root solves and trajectory integrations go through here; the quadrature is
+the Gauss-Legendre table of ``distribution.SizeDistribution``, and
+:func:`integrate` is kept as an independent reference for the tests.  The
+routines are deliberately plain: bisection is slow but cannot be fooled by
+the nearly-flat functions this package inverts, and the quadrature/ODE
+kernels are classic textbook schemes with defensive checks for non-finite
+values.
 """
 
 from __future__ import annotations

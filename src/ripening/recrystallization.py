@@ -13,7 +13,10 @@ density h, so against the whole population the difference is
 
 with m3 the third moment of the size density.  It depends on t and t0 only
 through the ratio s, starts at 0 with slope h(1)/(gamma*m3), and saturates
-at 1 as the window (rho, z0) grows to the full support.
+at 1 as the window (rho, z0) grows to the full support.  It is evaluated as
+(M3(z0) - M3(rho)) / M3(z_max), a difference of one nondecreasing table of
+the cumulative moment M3(z) = int_0^z h x^3 dx, so it lies in [0, 1] and
+grows with s by construction, up to the largest finite s.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ import numpy as np
 
 from .distribution import density, size_distribution
 from .errors import DomainError
-from .numerics import integrate
 from .regime import Regime
-from .return_map import NEAR_CUTOFF, _check_z0, initial_size_for_ratio, return_size
+from .return_map import _check_z0, initial_size_for_ratio, return_size
 
 __all__ = [
     "VolumeFractionCurve",
@@ -36,11 +38,6 @@ __all__ = [
     "fraction_curve",
     "initial_growth_rate",
 ]
-
-# Switch to the complement form this close to the distribution cutoff, where
-# the direct window covers almost the whole support and both leftover tails
-# are tiny and positive (no cancellation).
-_COMPLEMENT_BAND = 2.0 * NEAR_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -59,18 +56,10 @@ class VolumeFractionCurve:
         if s.size and (s[0] < 1.0 or np.any(np.diff(s) <= 0.0)):
             raise DomainError("s values must be >= 1 and strictly increasing")
         # Allow quadrature-level jitter in the flat saturated tail.
-        if np.any(f < -1e-12) or np.any(f >= 1.0) or np.any(np.diff(f) < -1e-9):
-            raise DomainError("fractions must be nondecreasing within [0, 1)")
+        if np.any(f < -1e-12) or np.any(f > 1.0) or np.any(np.diff(f) < -1e-9):
+            raise DomainError("fractions must be nondecreasing within [0, 1]")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "fraction", f)
-
-
-def _window_integral(regime: Regime, lo: float, hi: float) -> float:
-    # integral of h(x) x^3, split at the mode for a friendlier first panel
-    f = lambda x: density(regime, x) * x**3
-    if lo < 1.0 < hi:
-        return integrate(f, lo, 1.0) + integrate(f, 1.0, hi)
-    return integrate(f, lo, hi)
 
 
 def fraction_from_start_size(
@@ -78,25 +67,22 @@ def fraction_from_start_size(
 ) -> float:
     """New-volume fraction for the window whose upper edge is ``z0``.
 
-    ``complement=None`` picks the direct window integral, switching to
-    ``1 - (tails)/m3`` automatically once z0 is within a couple of 1e-9 of
-    the cutoff; pass True/False to force a side (both agree to quadrature
-    accuracy wherever both are usable).
+    Both forms read the one cumulative table M3 of the size distribution:
+    the direct window ``(M3(z0) - M3(rho)) / m3`` (``complement=None`` or
+    False) and one minus the two leftover tails,
+    ``1 - (M3(rho) + m3 - M3(z0)) / m3`` (True).  They agree to rounding.
     """
     z0 = _check_z0(regime, z0)
     if z0 == 1.0:
         return 0.0
     r = return_size(regime, z0)
-    m3 = size_distribution(regime).moment(3)
-    if complement is None:
-        complement = (regime.z_max - z0) <= _COMPLEMENT_BAND
+    dist = size_distribution(regime)
+    m3 = dist.moment(3)
+    upper = dist.cumulative_moment(3, z0)
+    lower = dist.cumulative_moment(3, r)
     if complement:
-        tails = _window_integral(regime, 0.0, r) if r > 0.0 else 0.0
-        tails += integrate(
-            lambda x: density(regime, x) * x**3, z0, regime.z_max
-        )
-        return 1.0 - tails / m3
-    return _window_integral(regime, r, z0) / m3
+        return 1.0 - (lower + (m3 - upper)) / m3
+    return (upper - lower) / m3
 
 
 def new_volume_fraction(regime: Regime, s: float) -> float:

@@ -125,6 +125,20 @@ class TestGridErrors:
         )
         assert rc == 0
 
+    def test_count_bounded(self, capsys, monkeypatch):
+        # The oversized grid must be refused before numpy is asked for it.
+        for name in ("geomspace", "linspace"):
+            def guarded(start, stop, num=50, *a, _real=getattr(np, name), **kw):
+                assert num <= 1_000_000, f"a {num}-point grid was built"
+                return _real(start, stop, num, *a, **kw)
+
+            monkeypatch.setattr(np, name, guarded)
+        with pytest.raises(SystemExit) as exc:
+            main(["phi", "--regime", "dl", "--min", "1", "--max", "1000",
+                  "--count", "100000000", "--log"])
+        assert exc.value.code == 2
+        assert "--count must be <= 1000000" in capsys.readouterr().err
+
     def test_log_needs_positive_min(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dist", "--regime", "dl",

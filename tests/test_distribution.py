@@ -125,6 +125,24 @@ class TestMoments:
         with pytest.raises(DomainError):
             size_distribution(DIFFUSION_LIMITED).moment(-1)
 
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_against_mpmath(self, regime):
+        # Independent 30-digit tanh-sinh quadrature of the closed forms.
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(30):
+            zm = mp.mpf(regime.z_max)
+            if regime.kind == "dl":
+                h = lambda z: (81 * mp.e * mp.power(2, mp.mpf(-5) / 3) * z**2
+                               * mp.power(z + 3, mp.mpf(-7) / 3)
+                               * mp.power(zm - z, mp.mpf(-11) / 3)
+                               * mp.exp(-3 / (3 - 2 * z)))
+            else:
+                h = lambda z: 24 * z * mp.power(2 - z, -5) * mp.exp(-3 * z / (2 - z))
+            d = size_distribution(regime)
+            for k in range(4):
+                want = mp.quad(lambda z: h(z) * z**k, [0, 1, zm])
+                assert d.moment(k) == pytest.approx(float(want), abs=1e-13), k
+
 
 class TestCdf:
     @pytest.mark.parametrize("regime", BOTH)

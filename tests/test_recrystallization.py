@@ -3,7 +3,7 @@
 Reference values come from a 40-digit evaluation of the window integral
 (1/m3) * int_{rho}^{z0} h x^3 dx; the volume-weighted cumulative used as an
 in-test cross-check is built by trapezoid quadrature directly from the
-density, independent of the adaptive integrator in the library.
+density, independent of the Gauss-Legendre table in the library.
 """
 
 import math
@@ -153,8 +153,16 @@ class TestCurve:
         with pytest.raises(DomainError):
             VolumeFractionCurve(DIFFUSION_LIMITED, s, np.array([0.5, 0.2]))
         with pytest.raises(DomainError):
-            VolumeFractionCurve(DIFFUSION_LIMITED, s, np.array([0.0, 1.0]))
+            VolumeFractionCurve(
+                DIFFUSION_LIMITED, s, np.array([0.0, np.nextafter(1.0, 2.0)])
+            )
         VolumeFractionCurve(DIFFUSION_LIMITED, s, np.array([0.0, 0.4]))
+
+    def test_saturated_grid(self):
+        # phi rounds to exactly 1.0 from s ~ 9e11 (al); the curve admits it.
+        c = fraction_curve(ATTACHMENT_LIMITED, np.geomspace(1.0, 1e12, 200))
+        assert c.fraction[-1] <= 1.0
+        assert c.fraction[-1] > 1.0 - 1e-12
 
 
 class TestCrossRegime:
