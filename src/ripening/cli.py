@@ -301,6 +301,7 @@ def cmd_simulate(args, parser, invocation) -> int:
         "rc_power_slope_expected": result.rc_power_slope_expected,
         "files": {"base_snapshot": base_file, "series": "series.csv"},
         "snapshots": snapshot_entries,
+        "work": result.work,
     }
     with open(
         os.path.join(args.out_dir, "report.json"), "w",

@@ -328,6 +328,24 @@ class TestSimulate:
         for name, blob in first.items():
             assert (out_dir / name).read_bytes() == blob
 
+    @pytest.mark.parametrize("regime", ["dl", "al"])
+    def test_work_counts(self, capsys, tmp_path, regime):
+        out_dir = tmp_path / "run"
+        t0 = 225 if regime == "dl" else 200
+        rc, _, _ = run_cli(
+            capsys, "simulate", "--regime", regime, "--n", "1000",
+            "--t0", t0, "--seed", "1", "--out-dir", out_dir,
+        )
+        assert rc == 0
+        work = json.loads((out_dir / "report.json").read_text())["work"]
+        assert sorted(work) == ["deletions", "resorts", "substeps"]
+        n = np.loadtxt(out_dir / "series.csv", delimiter=",", skiprows=2,
+                       usecols=(1,), dtype=np.int64)
+        assert work["substeps"] == n.size - 1
+        assert work["deletions"] == 1000 - n[-1] > 0
+        if regime == "dl":
+            assert work["resorts"] == 0
+
     def test_bad_snapshot_time(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys, "simulate", "--regime", "dl", "--n", "100",

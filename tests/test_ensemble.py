@@ -15,6 +15,7 @@ from ripening.ensemble import (
     Ensemble,
     NewVolume,
     Snapshot,
+    TimeSeries,
     empirical_return_radius,
     init_ensemble,
     initial_order_preserved,
@@ -134,6 +135,97 @@ class TestStepping:
             _, series = ens.run(0.5)
             counts.append(series.t.size)
         assert counts[1] > 5 * counts[0]
+
+
+def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
+                   step_fraction=1e-3):
+    """The mask-based stepper on id-ordered state that sorted storage
+    replaced: returns (substeps, ids, radii, lost volume)."""
+    y = np.asarray(radii, dtype=float) ** 3
+    ids = np.arange(y.size)
+    lost = 0.0
+    t = 0.0
+    substeps = 0
+
+    def field(y):
+        r = np.cbrt(y)
+        if regime.kind == "dl":
+            return y.size / float(np.sum(r))
+        return float(np.sum(r)) / float(np.sum(r * r))
+
+    def rates(r):
+        if regime.kind == "dl":
+            return 3.0 * (r * (r.size / float(np.sum(r))) - 1.0)
+        return 3.0 * (r * r * (float(np.sum(r)) / float(np.sum(r * r))) - r)
+
+    while True:
+        dead = y < (deletion_fraction / field(y)) ** 3
+        lost += FOUR_THIRDS_PI * float(np.sum(y[dead]))
+        y, ids = y[~dead], ids[~dead]
+        remaining = duration - t
+        if remaining <= 0.0:
+            return substeps, ids, np.cbrt(y), lost
+        while True:
+            r_c = 1.0 / field(y)
+            k1 = rates(np.cbrt(y))
+            watched = y >= (0.5 * r_c) ** 3
+            fastest = float(np.max(np.abs(k1[watched]) / y[watched]))
+            h = min(3.0 * step_fraction / fastest, remaining)
+            dying = (y + h * k1) <= (deletion_fraction * r_c) ** 3
+            if not np.any(dying):
+                break
+            lost += FOUR_THIRDS_PI * float(np.sum(y[dying]))
+            y, ids = y[~dying], ids[~dying]
+        k2 = rates(np.cbrt(y + h * k1))
+        y = y + (0.5 * h) * (k1 + k2)
+        t = duration if h >= remaining else t + h
+        substeps += 1
+
+
+class TestSortedState:
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_views_in_id_order(self, regime):
+        ens = Ensemble(regime, [3.0, 1.0, 2.0])
+        for _ in range(2):
+            assert list(ens.ids) == [0, 1, 2]
+            snap = ens.snapshot()
+            assert list(snap.ids) == [0, 1, 2]
+            assert np.array_equal(snap.radii, ens.radii)
+            r = ens.radii
+            assert r[0] > r[2] > r[1]
+            ens.step(0.01)
+        assert ens.n == 3
+        assert Ensemble(regime, [3.0, 1.0, 2.0]).radii == pytest.approx(
+            [3.0, 1.0, 2.0]
+        )
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_state_sorted_after_every_substep(self, regime):
+        t0 = 225.0 if regime.kind == "dl" else 200.0
+        ens = init_ensemble(regime, 2000, critical_radius(regime, 0.0, t0), seed=1)
+        checked = []
+
+        def check(t, n, rc, total_r3, lost):
+            checked.append(bool(np.all(ens._y[1:] >= ens._y[:-1])))
+
+        ens._advance(0.5 * t0, check)
+        assert len(checked) == ens.work["substeps"] > 100
+        assert all(checked)
+        assert ens.n + ens.work["deletions"] == 2000
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_matches_reference_stepper(self, regime):
+        t0 = 225.0 if regime.kind == "dl" else 200.0
+        ens = init_ensemble(regime, 1000, critical_radius(regime, 0.0, t0), seed=1)
+        substeps, ids, radii, lost = _reference_run(regime, ens.radii, t0)
+        ens.step(t0)
+        assert ens.work["substeps"] == substeps
+        assert np.array_equal(ens.ids, ids)
+        assert ens.work["deletions"] == 1000 - ids.size > 0
+        assert np.max(np.abs(ens.radii - radii) / radii) <= 1e-12
+        assert ens.lost_volume == pytest.approx(lost, rel=1e-12)
+        if regime.kind == "dl":
+            assert ens.work["resorts"] == 0
 
 
 class TestRun:
@@ -349,3 +441,34 @@ class TestCsvWriters:
         assert float(rc) == series.rc_estimate[0]
         assert float(r3) == series.total_r3[0]
         assert float(lost) == series.lost_volume[0]
+
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        ids = np.array([0, 7, 2**40], dtype=np.int64)
+        radii = np.array([0.1, 1e-300, 2.0 / 3.0])
+        snap = Snapshot(0.1, ids, radii)
+        path = tmp_path / "snap.csv"
+        write_snapshot_csv(snap, path, comment="c")
+        want = "# c\nid,radius\n" + "".join(
+            f"{int(i)},{format(float(r), '.17g')}\n" for i, r in zip(ids, radii)
+        )
+        assert path.read_text(encoding="utf-8") == want
+
+        series = TimeSeries(
+            t=np.array([0.0, 0.1, 1e-300]),
+            n=np.array([3, 2, 2], dtype=np.int64),
+            rc_estimate=np.array([1.0 / 3.0, 1e300, 0.1]),
+            total_r3=np.array([1.5, 1.5 - 2**-52, 5e-324]),
+            lost_volume=np.array([0.0, -1e-17, 0.1]),
+        )
+        path = tmp_path / "series.csv"
+        write_series_csv(series, path)
+        columns = (series.t, series.n, series.rc_estimate, series.total_r3,
+                   series.lost_volume)
+        want = "t,n,rc_estimate,total_r3,lost_volume\n" + "".join(
+            ",".join(
+                str(int(v)) if k == 1 else format(float(v), ".17g")
+                for k, v in enumerate(row)
+            ) + "\n"
+            for row in zip(*columns)
+        )
+        assert path.read_text(encoding="utf-8") == want
