@@ -14,9 +14,13 @@ failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
+from dataclasses import astuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,49 +63,9 @@ def _emit_json(stream, payload):
     stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-class _Output:
-    """Writer for --out: stdout for '-', else a file opened with LF endings."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def __enter__(self):
-        if self.path == "-":
-            self._fh = None
-            return sys.stdout
-        self._fh = open(self.path, "w", encoding="utf-8", newline="")
-        return self._fh
-
-    def __exit__(self, *exc):
-        if self._fh is not None:
-            self._fh.close()
-        return False
-
-
 def _comment(invocation: str, seed) -> str:
     seed_text = "-" if seed is None else str(seed)
     return f"{invocation} | version={__version__} | seed={seed_text}"
-
-
-def _add_grid_flags(parser, value_flag: str, value_help: str):
-    parser.add_argument(
-        value_flag,
-        action="append",
-        type=float,
-        default=None,
-        metavar="X",
-        help=f"{value_help}; repeatable, overrides the --min/--max grid",
-    )
-    parser.add_argument("--min", type=float, default=None, help="grid start")
-    parser.add_argument("--max", type=float, default=None, help="grid end")
-    parser.add_argument(
-        "--count", type=int, default=None, help=f"grid points, <= {MAX_COUNT}"
-    )
-    parser.add_argument(
-        "--log",
-        action="store_true",
-        help="space the --min/--max grid logarithmically",
-    )
 
 
 def _resolve_grid(args, parser, explicit, default=None):
@@ -116,6 +80,10 @@ def _resolve_grid(args, parser, explicit, default=None):
         parser.error("no grid given: use explicit values or --min/--max/--count")
     if not all(given):
         parser.error("--min, --max and --count must be given together")
+    if not (math.isfinite(args.min) and math.isfinite(args.max)):
+        parser.error("--min and --max must be finite")
+    if args.log and not (args.min > 0.0 and args.max > 0.0):
+        parser.error("--log grids require --min > 0 and --max > 0")
     if args.count < 1:
         parser.error("--count must be >= 1")
     if args.count > MAX_COUNT:
@@ -125,123 +93,112 @@ def _resolve_grid(args, parser, explicit, default=None):
             parser.error("--count 1 requires --min == --max")
         return [float(args.min)]
     if args.log:
-        if args.min <= 0.0:
-            parser.error("--log grids require --min > 0")
         return list(np.geomspace(args.min, args.max, args.count))
     return list(np.linspace(args.min, args.max, args.count))
 
 
-def cmd_tau(args, parser, invocation) -> int:
-    regime = get_regime(args.regime)
-    grid = _resolve_grid(args, parser, args.z)
-    rows = [
-        (
-            z,
-            flow_time(regime, z),
-            return_invariant(regime, z),
-            growth_rate_scaled(regime, z),
-        )
-        for z in grid
-    ]
-    columns = ("z", "tau", "alpha", "dz_dtau")
-    with _Output(args.out) as out:
-        if args.format == "json":
-            payload = {
-                "command": "tau",
-                "invocation": invocation,
-                "version": __version__,
-                "seed": None,
-                "regime": regime.kind,
-                "rows": [dict(zip(columns, row)) for row in rows],
-            }
-            _emit_json(out, payload)
-        else:
-            _emit_csv(out, _comment(invocation, None), columns, rows)
-    return 0
-
-
-def cmd_return(args, parser, invocation) -> int:
-    regime = get_regime(args.regime)
+def _return_variable(args, parser):
+    """--z0 or --s values, else --var, choose what return's grid runs over."""
     if args.z0 is not None and args.s is not None:
         parser.error("give --z0 values or --s values, not both")
-    explicit = args.z0 if args.z0 is not None else args.s
-    var = args.var
-    if args.z0 is not None:
-        var = "z0"
-    elif args.s is not None:
-        var = "s"
-    grid = _resolve_grid(args, parser, explicit)
-    if var == "z0":
-        points = [solve_return_point(regime, z0) for z0 in grid]
+    var = "z0" if args.z0 is not None else "s" if args.s is not None else args.var
+    solve = solve_return_point if var == "z0" else return_point_for_ratio
+    return getattr(args, var), lambda r, x: astuple(solve(r, x)), {"variable": var}
+
+
+class _Command(NamedTuple):
+    """One analytic subcommand: a grid of values in, one row per value out."""
+
+    help: str
+    flag: str  # repeatable value flag; its dest names the grid variable
+    flag_help: str
+    columns: tuple[str, ...]
+    row: Callable | None  # (regime, x) -> one value per column
+    default_grid: Callable | None = None  # (regime) -> grid when none is given
+    summary: Callable | None = None  # (regime) -> the JSON "summary" object
+    # (args, parser) -> (values, row, extra JSON keys), in place of flag/row
+    pick: Callable | None = None
+    options: tuple = ()  # (flag, add_argument keywords) after the grid flags
+
+
+TABLE = {
+    "tau": _Command(
+        "rescaled flow: tau, alpha and dz/dtau over z",
+        "--z", "scaled size to evaluate",
+        ("z", "tau", "alpha", "dz_dtau"),
+        lambda r, z: (z, flow_time(r, z), return_invariant(r, z),
+                      growth_rate_scaled(r, z)),
+    ),
+    "return": _Command(
+        "return map: rho and time ratio s",
+        "--z0", "initial scaled size",
+        ("z0", "rho", "s"),
+        None,
+        pick=_return_variable,
+        options=(
+            ("--s", dict(
+                action="append", type=float, default=None, metavar="X",
+                help="time ratio to invert; repeatable, alternative to --z0",
+            )),
+            ("--var", dict(
+                choices=("z0", "s"), default="z0",
+                help="which variable the --min/--max grid runs over (default z0)",
+            )),
+        ),
+    ),
+    "phi": _Command(
+        "new-volume fraction over the time ratio s",
+        "--s", "time ratio t/t0",
+        ("s", "phi"),
+        lambda r, s: (s, new_volume_fraction(r, s)),
+        default_grid=lambda r: np.geomspace(1.0, 1e3, 200),
+        summary=lambda r: {"initial_rate": initial_growth_rate(r)},
+    ),
+    "dist": _Command(
+        "scaled size density, CDF and moments",
+        "--z", "scaled size to evaluate",
+        ("z", "h", "cdf"),
+        lambda r, z: (z, density(r, z), float(size_distribution(r).cdf(z))),
+        default_grid=lambda r: np.linspace(0.0, r.z_max, 257),
+        summary=lambda r: {
+            "moments": {str(k): size_distribution(r).moment(k) for k in range(4)}
+        },
+    ),
+}
+
+
+def cmd_table(args, parser, invocation) -> int:
+    """Emit one row per grid value for the ``TABLE`` entry named by the command."""
+    spec = TABLE[args.command]
+    regime = get_regime(args.regime)
+    if spec.pick is None:
+        values, row, extra = getattr(args, spec.flag[2:]), spec.row, {}
     else:
-        points = [return_point_for_ratio(regime, s) for s in grid]
-    rows = [(p.z0, p.z_return, p.s) for p in points]
-    columns = ("z0", "rho", "s")
-    with _Output(args.out) as out:
+        values, row, extra = spec.pick(args, parser)
+    default = None if spec.default_grid is None else spec.default_grid(regime)
+    grid = _resolve_grid(args, parser, values, default)
+    # Everything is computed before the output is opened, so a failing grid
+    # point leaves no partial file behind.
+    rows = [row(regime, x) for x in grid]
+    if spec.summary is not None:
+        extra = {**extra, "summary": spec.summary(regime)}
+    if args.out == "-":
+        out = contextlib.nullcontext(sys.stdout)
+    else:
+        out = open(args.out, "w", encoding="utf-8", newline="")
+    with out as stream:
         if args.format == "json":
-            payload = {
-                "command": "return",
+            _emit_json(stream, {
+                "command": args.command,
                 "invocation": invocation,
                 "version": __version__,
                 "seed": None,
                 "regime": regime.kind,
-                "variable": var,
-                "rows": [dict(zip(columns, row)) for row in rows],
-            }
-            _emit_json(out, payload)
+                **extra,
+                "rows": [dict(zip(spec.columns, r)) for r in rows],
+            })
         else:
-            _emit_csv(out, _comment(invocation, None), columns, rows)
-    return 0
-
-
-def cmd_phi(args, parser, invocation) -> int:
-    regime = get_regime(args.regime)
-    grid = _resolve_grid(
-        args, parser, args.s, default=np.geomspace(1.0, 1e3, 200)
-    )
-    rows = [(s, new_volume_fraction(regime, s)) for s in grid]
-    columns = ("s", "phi")
-    with _Output(args.out) as out:
-        if args.format == "json":
-            payload = {
-                "command": "phi",
-                "invocation": invocation,
-                "version": __version__,
-                "seed": None,
-                "regime": regime.kind,
-                "summary": {"initial_rate": initial_growth_rate(regime)},
-                "rows": [dict(zip(columns, row)) for row in rows],
-            }
-            _emit_json(out, payload)
-        else:
-            _emit_csv(out, _comment(invocation, None), columns, rows)
-    return 0
-
-
-def cmd_dist(args, parser, invocation) -> int:
-    regime = get_regime(args.regime)
-    grid = _resolve_grid(
-        args, parser, args.z, default=np.linspace(0.0, regime.z_max, 257)
-    )
-    dist = size_distribution(regime)
-    rows = [(z, density(regime, z), float(dist.cdf(z))) for z in grid]
-    columns = ("z", "h", "cdf")
-    with _Output(args.out) as out:
-        if args.format == "json":
-            payload = {
-                "command": "dist",
-                "invocation": invocation,
-                "version": __version__,
-                "seed": None,
-                "regime": regime.kind,
-                "summary": {
-                    "moments": {str(k): dist.moment(k) for k in range(4)}
-                },
-                "rows": [dict(zip(columns, row)) for row in rows],
-            }
-            _emit_json(out, payload)
-        else:
-            _emit_csv(out, _comment(invocation, None), columns, rows)
+            _emit_csv(stream, _comment(invocation, None), spec.columns, rows)
     return 0
 
 
@@ -321,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, spec in TABLE.items():
+        p = sub.add_parser(name, help=spec.help)
         p.add_argument(
             "--regime", choices=("dl", "al"), required=True,
             help="kinetic regime: diffusion- or attachment-limited",
@@ -334,34 +292,22 @@ def _build_parser() -> argparse.ArgumentParser:
             "--out", default="-", metavar="PATH",
             help="output file, '-' for stdout (default)",
         )
-
-    p = sub.add_parser("tau", help="rescaled flow: tau, alpha and dz/dtau over z")
-    common(p)
-    _add_grid_flags(p, "--z", "scaled size to evaluate")
-    p.set_defaults(handler=cmd_tau)
-
-    p = sub.add_parser("return", help="return map: rho and time ratio s")
-    common(p)
-    _add_grid_flags(p, "--z0", "initial scaled size")
-    p.add_argument(
-        "--s", action="append", type=float, default=None, metavar="X",
-        help="time ratio to invert; repeatable, alternative to --z0",
-    )
-    p.add_argument(
-        "--var", choices=("z0", "s"), default="z0",
-        help="which variable the --min/--max grid runs over (default z0)",
-    )
-    p.set_defaults(handler=cmd_return)
-
-    p = sub.add_parser("phi", help="new-volume fraction over the time ratio s")
-    common(p)
-    _add_grid_flags(p, "--s", "time ratio t/t0")
-    p.set_defaults(handler=cmd_phi)
-
-    p = sub.add_parser("dist", help="scaled size density, CDF and moments")
-    common(p)
-    _add_grid_flags(p, "--z", "scaled size to evaluate")
-    p.set_defaults(handler=cmd_dist)
+        p.add_argument(
+            spec.flag, action="append", type=float, default=None, metavar="X",
+            help=f"{spec.flag_help}; repeatable, overrides the --min/--max grid",
+        )
+        p.add_argument("--min", type=float, default=None, help="grid start")
+        p.add_argument("--max", type=float, default=None, help="grid end")
+        p.add_argument(
+            "--count", type=int, default=None, help=f"grid points, <= {MAX_COUNT}"
+        )
+        p.add_argument(
+            "--log", action="store_true",
+            help="space the --min/--max grid logarithmically",
+        )
+        for flag, keywords in spec.options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser(
         "simulate", help="N-particle run compared against the analytics"

@@ -12,8 +12,10 @@ density h, so against the whole population the difference is
     fraction(s) = (1 / m3) * integral_{rho(z0)}^{z0} h(x) x^3 dx,
 
 with m3 the third moment of the size density.  It depends on t and t0 only
-through the ratio s, starts at 0 with slope h(1)/(gamma*m3), and saturates
-at 1 as the window (rho, z0) grows to the full support.  It is evaluated as
+through the clock ratio s = (R_c(t)/R_c(t0))**gamma, which is t/t0 in the
+late stage, exactly so for R_c(0) = 0 (see return_map.return_radius for
+any R_c(0)).  It starts at 0 with slope h(1)/(gamma*m3), and saturates at 1
+as the window (rho, z0) grows to the full support.  It is evaluated as
 (M3(z0) - M3(rho)) / M3(z_max), a difference of one nondecreasing table of
 the cumulative moment M3(z) = int_0^z h x^3 dx, so it lies in [0, 1] and
 grows with s by construction, up to the largest finite s.

@@ -12,8 +12,9 @@ and eliminating R_c through the rescaled flow turns this into the matching
 condition alpha(rho) = alpha(z0) with alpha = ln z + tau(z).  alpha is
 unimodal with its peak at z = 1, so rho(z0) is the unique sub-critical
 partner of z0; the elapsed-time ratio follows from the coarsening law as a
-pure power of the size ratio, s = t/t0 = (z0/rho)**gamma, independent of t0
-and of R_c(t0).
+pure power of the size ratio, s = (R_c(t)/R_c(t0))**gamma = (z0/rho)**gamma,
+independent of t0 and of R_c(t0).  On the late-stage clock R_c**gamma
+proportional to t, s is t/t0 (see return_radius for any R_c(0)).
 
 All solves here run in u = ln z, which keeps the bracket well-behaved even
 when rho underflows the smallest positive float (z0 extremely close to
@@ -28,7 +29,13 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .numerics import Tolerance, find_root
-from .regime import Regime, _tau_closed_form, critical_radius, return_invariant
+from .regime import (
+    Regime,
+    _tau_closed_form,
+    coarsening_slope,
+    critical_radius,
+    return_invariant,
+)
 
 __all__ = [
     "ReturnPoint",
@@ -83,6 +90,12 @@ def _log_rho(regime: Regime, z0: float) -> float:
     if z0 == 1.0:
         return 0.0
     target = return_invariant(regime, z0)
+    if target >= _tau_closed_form(regime, 1.0):
+        # z0 - 1 below about 1e-8: alpha(z0) rounds onto the peak
+        # alpha(1) = tau(1), so [u_lo, 0] brackets no sign change.  The map
+        # has slope -1 at the fixed point, and the neglected (z0 - 1)**2
+        # term is below 1e-15 here.
+        return math.log(2.0 - z0)
     tau0 = _tau_closed_form(regime, 0.0)
 
     def f(u: float) -> float:
@@ -185,13 +198,12 @@ def return_radius(regime: Regime, t: float, t0: float, r_c0: float = 0.0) -> flo
     "still larger than at t0" from "already smaller again": the particle
     that is passing its original size right now.  Its radius is
 
-        R(t; t0) = initial_size_for_ratio(t/t0) * R_c(t0).
+        R(t; t0) = initial_size_for_ratio(s) * R_c(t0),
 
-    The critical radius uses the exact ``r_c0``, but the z-rescaling uses
-    the pure power-law ratio s = t/t0 — a late-stage approximation that is
-    exact when ``r_c0 = 0`` (the default baseline, where R_c**gamma is
-    proportional to t) and accurate once ``r_c0**gamma`` is small against
-    the elapsed coarsening.
+    with s = (R_c(t)/R_c(t0))**gamma = (t + c)/(t0 + c) and
+    c = r_c0**gamma * nu/gamma the clock offset of the critical radius.  The
+    rescaled flow is autonomous in ln R_c, so this is exact for every
+    ``r_c0``; with the default ``r_c0 = 0`` the ratio is t/t0.
     """
     t = float(t)
     t0 = float(t0)
@@ -200,18 +212,20 @@ def return_radius(regime: Regime, t: float, t0: float, r_c0: float = 0.0) -> flo
     if not (t >= t0 and math.isfinite(t)):
         raise DomainError(f"t must be >= t0, got t={t!r}, t0={t0!r}")
     r_c = critical_radius(regime, r_c0, t0)
-    return initial_size_for_ratio(regime, t / t0) * r_c
+    c = float(r_c0) ** regime.coarsening_exponent / coarsening_slope(regime)
+    return initial_size_for_ratio(regime, (t + c) / (t0 + c)) * r_c
 
 
 def return_radius_rate(regime: Regime, t0: float, r_c0: float = 0.0) -> float:
     """Initial growth rate of the return radius at t = t0.
 
-    d(return_radius)/dt at t = t0 is R_c(t0) / (2 gamma t0): the time-ratio
-    derivative ds/dz0 equals 2 gamma at the fixed point, inverted and scaled
-    by the clock.
+    d(return_radius)/dt at t = t0 is R_c(t0)**(1 - gamma) / (2 nu): the
+    time-ratio derivative ds/dz0 equals 2 gamma at the fixed point, and the
+    clock ratio s opens at ds/dt = (gamma/nu) / R_c(t0)**gamma.  With
+    ``r_c0 = 0`` this is R_c(t0) / (2 gamma t0).
     """
     t0 = float(t0)
     if not (t0 > 0.0 and math.isfinite(t0)):
         raise DomainError(f"t0 must be positive and finite, got {t0!r}")
     r_c = critical_radius(regime, r_c0, t0)
-    return r_c / (2.0 * regime.coarsening_exponent * t0)
+    return r_c ** (1 - regime.coarsening_exponent) / (2.0 * regime.rate_constant)

@@ -139,11 +139,22 @@ class TestGridErrors:
         assert exc.value.code == 2
         assert "--count must be <= 1000000" in capsys.readouterr().err
 
-    def test_log_needs_positive_min(self, capsys):
+    @pytest.mark.parametrize("bounds", [
+        pytest.param(("--min", "0.0", "--max", "1.0", "--log"), id="log-zero-min"),
+        pytest.param(("--min", "0.1", "--max", "0", "--log"), id="log-zero-max"),
+        pytest.param(("--min", "0.1", "--max", "-1", "--log"),
+                     id="log-negative-max"),
+        pytest.param(("--min", "0.1", "--max", "1e400"), id="overflowing-max"),
+        pytest.param(("--min=-inf", "--max", "1.0"), id="infinite-min"),
+        pytest.param(("--min", "nan", "--max", "1.0"), id="nan-min"),
+    ])
+    def test_log_needs_positive_min(self, capsys, bounds):
+        # Bounds are refused by the parser (exit 2, a usage message) before
+        # numpy builds a grid from them.
         with pytest.raises(SystemExit) as exc:
-            main(["dist", "--regime", "dl",
-                  "--min", "0.0", "--max", "1.0", "--count", "4", "--log"])
+            main(["dist", "--regime", "dl", "--count", "4", *bounds])
         assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_missing_regime(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -272,6 +283,42 @@ class TestErrorPaths:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+TABLE_CASES = {
+    # command: (argv of a good grid, argv of a value outside the domain)
+    "tau": (["--regime", "dl", "--z", "0.5", "--z", "1.0"],
+            ["--regime", "dl", "--z", "2.5"]),
+    "return": (["--regime", "al", "--s", "2", "--s", "3"],
+               ["--regime", "al", "--z0", "0.5"]),
+    "phi": (["--regime", "dl", "--s", "1.5", "--s", "2"],
+            ["--regime", "dl", "--s", "0.5"]),
+    "dist": (["--regime", "al", "--z", "0.5", "--z", "1.0"],
+             ["--regime", "al", "--z", "-1"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_CASES))
+def test_table_commands_agree(capsys, tmp_path, command):
+    good, bad = TABLE_CASES[command]
+    rc, text, _ = run_cli(capsys, command, *good)
+    assert rc == 0
+    _, columns, csv_rows = parse_csv(text)
+    rc, text, _ = run_cli(capsys, command, *good, "--format", "json")
+    assert rc == 0
+    payload = json.loads(text)
+    keys = {"command", "invocation", "version", "seed", "regime", "rows"}
+    keys |= {"return": {"variable"}, "phi": {"summary"},
+             "dist": {"summary"}}.get(command, set())
+    assert set(payload) == keys
+    assert payload["command"] == command
+    assert [[row[c] for c in columns] for row in payload["rows"]] == [
+        [float(v) for v in row] for row in csv_rows
+    ]
+    path = tmp_path / "out.csv"
+    rc, _, err = run_cli(capsys, command, *bad, "--out", path)
+    assert rc == 2 and "error" in err
+    assert not path.exists()
 
 
 class TestDeterminism:

@@ -1,10 +1,13 @@
-"""Property tests: invariants of the new-volume fraction and of the
-cumulative moments over their whole domain, searched by hypothesis.
+"""Property tests: invariants of the return map, the size distribution,
+the new-volume fraction and the cumulative moments over their whole domain,
+searched by hypothesis.
 
 phi(s) is a difference of one nondecreasing table divided by its last
 entry, so it must lie in [0, 1] and grow with s up to the largest float.
 The searches are derandomized so that every run checks the same examples.
 """
+
+import math
 
 import pytest
 
@@ -12,13 +15,73 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ripening.distribution import size_distribution
+from ripening.distribution import density, size_distribution
 from ripening.recrystallization import new_volume_fraction
-from ripening.regime import ATTACHMENT_LIMITED, DIFFUSION_LIMITED
+from ripening.regime import ATTACHMENT_LIMITED, DIFFUSION_LIMITED, return_invariant
+from ripening.return_map import (
+    NEAR_CUTOFF,
+    initial_size_for_ratio,
+    return_size,
+    return_time_ratio,
+)
 
 regimes = st.sampled_from((DIFFUSION_LIMITED, ATTACHMENT_LIMITED))
 ratios = st.floats(min_value=1.0, max_value=1.7e308, allow_nan=False)
 orders = st.integers(min_value=0, max_value=3)
+fractions = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _start_size(regime, u, gap=0.0):
+    """z0 in [1 + gap, z_max - NEAR_CUTOFF], placed by u in [0, 1]."""
+    lo, hi = 1.0 + gap, regime.z_max - NEAR_CUTOFF
+    return min(lo + u * (hi - lo), hi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(regimes, fractions)
+def test_return_size_matches_invariant(regime, u):
+    z0 = _start_size(regime, u)
+    rho = return_size(regime, z0)
+    assume(rho > 0.0)
+    target = return_invariant(regime, z0)
+    assert abs(return_invariant(regime, rho) - target) <= 1e-10 * max(
+        1.0, abs(target)
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(regimes, fractions)
+def test_time_ratio_round_trip(regime, u):
+    # z0 - 1 >= 1e-4 keeps clear of the flat peak of alpha at z0 = 1, where
+    # the nested bisection loses digits; ROADMAP item 2's root equation is
+    # the fix for that region.
+    z0 = _start_size(regime, u, gap=1e-4)
+    s = return_time_ratio(regime, z0)
+    assume(math.isfinite(s))
+    assert abs(initial_size_for_ratio(regime, s) - z0) <= 1e-10 * z0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(regimes, st.floats(min_value=0.0, max_value=1e3, allow_nan=False))
+def test_density_nonnegative(regime, z):
+    assert density(regime, z) >= 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(regimes, fractions, fractions)
+def test_cdf_monotone(regime, u1, u2):
+    d = size_distribution(regime)
+    z1, z2 = sorted((u1 * regime.z_max, u2 * regime.z_max))
+    assert 0.0 <= d.cdf(z1) <= d.cdf(z2) <= 1.0
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(regimes, st.integers(min_value=1, max_value=2000),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_samples_inside_support(regime, n, seed):
+    z = size_distribution(regime).sample(n, seed)
+    assert z.shape == (n,)
+    assert ((z > 0.0) & (z < regime.z_max)).all()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -97,6 +97,18 @@ class TestReturnSize:
         fd = (return_size(regime, 1.0 + h) - 1.0) / h
         assert fd == pytest.approx(-1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_just_above_fixed_point(self, regime):
+        # Below z0 - 1 ~ 1e-8, alpha(z0) rounds onto the peak alpha(1); the
+        # map must still answer, on its slope -1 line through (1, 1).
+        for z0 in 1.0 + np.geomspace(1e-16, 1e-6, 200):
+            rho = return_size(regime, z0)
+            assert 0.0 < rho <= 1.0
+            assert abs(rho - (2.0 - z0)) <= 1e-7
+            p = solve_return_point(regime, z0)
+            assert p.z_return == rho
+            assert p.s == return_time_ratio(regime, z0) >= 1.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             return_size(DIFFUSION_LIMITED, 0.99)
@@ -230,12 +242,14 @@ class TestReturnRadius:
             )
 
     def test_nonzero_baseline_radius(self):
-        # r_c0 enters through the critical radius only.
+        # r_c0 enters through the critical radius and through the clock
+        # ratio s = (R_c(t)/R_c(t0))**gamma = (t + c)/(t0 + c).
         t0 = 5.0
         got = return_radius(DIFFUSION_LIMITED, 2.0 * t0, t0, r_c0=1.0)
-        want = initial_size_for_ratio(DIFFUSION_LIMITED, 2.0) * critical_radius(
-            DIFFUSION_LIMITED, 1.0, t0
-        )
+        c = 1.0 / coarsening_slope(DIFFUSION_LIMITED)
+        want = initial_size_for_ratio(
+            DIFFUSION_LIMITED, (2.0 * t0 + c) / (t0 + c)
+        ) * critical_radius(DIFFUSION_LIMITED, 1.0, t0)
         assert got == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("regime", BOTH)
@@ -253,6 +267,21 @@ class TestReturnRadius:
         r_end = solve_ode(rate, r0, t0, s * t0)
         assert r_end == pytest.approx(r0, rel=1e-3)
 
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_physical_round_trip_offset_clock(self, regime):
+        # Same check with R_c(0) = 1, where t/t0 is not the clock ratio: a
+        # boundary radius built from t/t0 misses its start size by 4-5%.
+        t0, t, r_c0 = 5.0, 10.0, 1.0
+        r0 = return_radius(regime, t, t0, r_c0=r_c0)
+
+        def rate(time, r):
+            return growth_rate_physical(
+                regime, r, critical_radius(regime, r_c0, time)
+            )
+
+        r_end = solve_ode(rate, r0, t0, t)
+        assert r_end == pytest.approx(r0, rel=1e-8)
+
     def test_rate_formula(self):
         t0 = 5.0
         for regime in BOTH:
@@ -269,6 +298,17 @@ class TestReturnRadius:
         h = 1e-4 * t0
         fd = (return_radius(regime, t0 + h, t0) - return_radius(regime, t0, t0)) / h
         assert fd == pytest.approx(return_radius_rate(regime, t0), rel=5e-3)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_rate_matches_finite_difference_offset_clock(self, regime):
+        # The boundary radius written from its definition, with the clock
+        # ratio (R_c(t)/R_c(t0))**gamma in place of t/t0.
+        t0, h, r_c0 = 5.0, 5e-4, 1.0
+        g = regime.coarsening_exponent
+        rc = critical_radius(regime, r_c0, t0)
+        s = (critical_radius(regime, r_c0, t0 + h) / rc) ** g
+        fd = (initial_size_for_ratio(regime, s) - 1.0) * rc / h
+        assert fd == pytest.approx(return_radius_rate(regime, t0, r_c0), rel=5e-3)
 
     def test_domain(self):
         with pytest.raises(DomainError):
