@@ -46,6 +46,7 @@ from .return_map import return_point_for_ratio, solve_return_point
 __all__ = ["main"]
 
 MAX_COUNT = 1_000_000  # largest --count: rows are all kept before writing
+MAX_PARTICLES = 1_000_000  # largest simulate --n; 10**6 already takes minutes
 
 
 def _g17(x) -> str:
@@ -203,6 +204,8 @@ def cmd_table(args, parser, invocation) -> int:
 
 
 def cmd_simulate(args, parser, invocation) -> int:
+    if args.n > MAX_PARTICLES:
+        parser.error(f"--n must be <= {MAX_PARTICLES}")
     regime = get_regime(args.regime)
     # Default reference times keep the equivalent burn-in comfortably beyond
     # the late-stage condition (see README); any t0 > 0 gives the same
@@ -316,7 +319,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--regime", choices=("dl", "al"), required=True,
         help="kinetic regime: diffusion- or attachment-limited",
     )
-    p.add_argument("--n", type=int, default=20000, help="particle count")
+    p.add_argument(
+        "--n", type=int, default=20000,
+        help=f"particle count, <= {MAX_PARTICLES}",
+    )
     p.add_argument(
         "--t0", type=float, default=None,
         help="reference time on the coarsening clock (default 225 dl / 200 al)",

@@ -44,6 +44,18 @@ storage makes every set the stepper needs a prefix or a suffix:
 ``R = cbrt(y)`` and the mean field are computed once per stage and shared
 by the sweep, the rates, the step cap and the series recorder.
 
+The state is updated in place.  ``_advance`` allocates its work arrays
+(``R``, both stage rates, the trial stage and one mask) once per call, at
+the current size, and every elementwise operation writes into them in the
+order of the formulas, so each number is bitwise what the allocating form
+gives.  Dropping the k smallest particles is the view ``y[k:]``: the update
+``y += dy`` writes into the buffer built at construction, so no stale
+buffer exists for a view to pin.  (When each update made a new array,
+views kept old ones alive and fragmented the heap.)  Before the pre-emption
+test settles, the stepper reads only the window and the prefix that can
+decide it (see :class:`Ensemble`); the full-array stage work is done once
+per substep, after it settles.
+
 The exact dynamics preserve the order of radii (every particle obeys one
 growth law, monotone in R, under one mean field), but the discrete step
 need not.  In dl every operation of a Heun update is monotone in y and
@@ -86,6 +98,16 @@ __all__ = [
 ]
 
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
+
+# The step cap reads |k1|/y over R_c/2 <= R < _WINDOW_TOP R_c first.  Above
+# the window, |k1|/y <= bound * u**power (see the Ensemble docstring), with
+# x = 0.75 (1 - 1e-6) covering the rounding of the window edge.
+_WINDOW_TOP = 0.75
+_X = _WINDOW_TOP * (1.0 - 1e-6)
+_CAP_BOUND = {  # kind -> (power, bound)
+    "dl": (3, 3.0 * max((1.0 - _X) / _X**3, 4.0 / 27.0)),
+    "al": (2, 3.0 * max((1.0 - _X) / _X**2, 0.25)),
+}
 
 
 @dataclass(frozen=True)
@@ -166,6 +188,36 @@ class Ensemble:
     that leaves the volumes out of order (al only, on about 9% of substeps;
     see the module docstring) is re-sorted.  :attr:`work` counts substeps,
     deletions and re-sorts.
+
+    The state arrays are those built here: updates, re-sorts and the
+    compaction of a drop by mask write into them, and a prefix drop takes
+    the view ``y[k:]``.  Two first passes read only part of the state, and
+    each equals the full pass bit for bit:
+
+    * **Step cap.**  With ``R = x R_c``, ``|k1|/y`` is
+      ``3 |x - 1| / (x**3 R_c**3)`` in dl and ``3 |x - 1| / (x**2 R_c**2)``
+      in al.  On ``x >= 0.75`` it is at most
+      ``3 max((1 - x)/x**3, 4/27) / R_c**3`` (dl) or
+      ``3 max((1 - x)/x**2, 1/4) / R_c**2`` (al), taken at ``x = 0.75``:
+      ``(1 - x)/x**p`` falls on ``[0.75, 1]``, and above 1,
+      ``(x - 1)/x**3`` peaks at 4/27 (``x = 3/2``) and ``(x - 1)/x**2`` at
+      1/4 (``x = 2``).  The bound is evaluated at ``x = 0.75 (1 - 1e-6)``,
+      which covers the rounding of the window edge.  So the maximum is
+      read over the window ``R_c/2 <= R < 0.75 R_c``.  When it exceeds the
+      bound by the factor ``1 + 1e-9``, far above the rounding of
+      ``|k1|/y``, no particle above the window can hold the maximum, and
+      the window's maximum is the suffix's.  Otherwise the rest of the
+      suffix is read too.
+    * **Pre-emption.**  For ``R >= 0``, ``k1 = 3 (R u - 1) >= -3`` in dl,
+      exactly also in floating point, and ``k1 = 3 R (R u - 1) >= -3/(4u)
+      = -0.75 R_c`` in al (the minimum is at ``R = R_c/2``), to a few ulps.
+      With ``reach`` that bound and ``d = reach h``, rounding is monotone,
+      so the trial ``y + h k1`` is at least ``fl(y - d)`` (al: less a few
+      ulps of ``d``).  A float ``y`` above the threshold
+      ``T = fl(cut + 2 d)`` is at least ``T`` plus one float spacing ``s``,
+      so ``y - d >= cut + d + s/2``, more than half a spacing above
+      ``cut``.  So the trial stays above ``cut``, and only the prefix
+      ``y <= T`` is tested.
 
     Parameters
     ----------
@@ -272,55 +324,117 @@ class Ensemble:
 
     # -- dynamics ----------------------------------------------------------
 
-    def _field(self, r: np.ndarray) -> float:
-        """Mean field u of the radii ``r``."""
+    def _field(self, r: np.ndarray, buf=None) -> float:
+        """Mean field u of the radii ``r``; al writes ``r * r`` into
+        ``buf`` (shaped like ``r``; a new array when None)."""
         if self.regime.kind == "dl":
-            return r.size / float(np.sum(r))
-        return float(np.sum(r)) / float(np.sum(r * r))
+            return r.size / float(r.sum())
+        return float(r.sum()) / float(np.multiply(r, r, out=buf).sum())
 
-    def _rates(self, r: np.ndarray, u: float) -> np.ndarray:
+    def _rates(self, r: np.ndarray, u: float, out=None) -> np.ndarray:
+        """Volume rates of the radii ``r`` under the mean field ``u``,
+        written into ``out`` (shaped like ``r``; a new array when None)."""
         # r may contain small negative values mid-stage (a dying particle
         # overshooting zero before the sweep); both laws stay smooth there.
+        # The operations run in the order of 3.0 * (r * u - 1.0) and
+        # 3.0 * (r * r * u - r), so the rates are bitwise those formulas.
         if self.regime.kind == "dl":
-            return 3.0 * (r * u - 1.0)
-        return 3.0 * (r * r * u - r)
+            out = np.multiply(r, u, out=out)
+            out -= 1.0
+        else:
+            out = np.multiply(r, r, out=out)
+            out *= u
+            out -= r
+        out *= 3.0
+        return out
 
     def _volume_rates(self, r: np.ndarray) -> np.ndarray:
         return self._rates(r, self._field(r))
 
+    def _fastest(self, y, r, u, k1, buf) -> float:
+        """Largest ``|k1|/y`` over the watched suffix ``y >= (R_c/2)**3``,
+        read from the window below ``0.75 R_c`` alone when that suffices
+        (see :class:`Ensemble`).  ``k1`` receives the rates over the part
+        read; ``buf`` is overwritten there."""
+        r_c = 1.0 / u
+        n = y.size
+        j = int(y.searchsorted((0.5 * r_c) ** 3))
+        if j == n:  # defensive; the largest particle always is watched
+            j = 0
+        m = max(j, int(y.searchsorted((_WINDOW_TOP * r_c) ** 3)))
+
+        def largest(a, b):
+            q = np.abs(self._rates(r[a:b], u, out=k1[a:b]), out=buf[a:b])
+            q /= y[a:b]
+            return float(q.max())
+
+        fastest = largest(j, m) if m > j else 0.0
+        power, bound = _CAP_BOUND[self.regime.kind]
+        if m < n and not fastest > (1.0 + 1e-9) * bound * u**power:
+            fastest = max(fastest, largest(m, n))
+        return fastest
+
+    def _dying(self, y, r, u, h, k1, trial, mask) -> np.ndarray:
+        """Mask of the particles whose trial volume ``y + h k1`` is at or
+        below the deletion cut, over the only prefix that can get there
+        (see :class:`Ensemble`); the prefix's ``k1`` and ``trial`` are
+        written too.  Past the mask nobody dies."""
+        r_c = 1.0 / u
+        cut = (self.deletion_fraction * r_c) ** 3
+        reach = 3.0 if self.regime.kind == "dl" else 0.75 * r_c
+        p = int(y.searchsorted(cut + 2.0 * reach * h, side="right"))
+        t = np.multiply(self._rates(r[:p], u, out=k1[:p]), h, out=trial[:p])
+        t += y[:p]
+        return np.less_equal(t, cut, out=mask[:p])
+
     def _drop(self, r: np.ndarray, k: int, dying=None) -> np.ndarray:
-        """Remove the ``k`` smallest particles, or those flagged by ``dying``
-        when they are not the prefix; return the survivors' radii."""
-        keep = slice(k, None) if dying is None else ~dying
+        """Remove the ``k`` smallest particles, or the ``k`` flagged by
+        ``dying`` (a mask over a prefix of the state) when they are not the
+        smallest; return the survivors' radii."""
+        y = self._y
+        if dying is None:
+            gone = y[:k]
+        else:
+            # Move the prefix's survivors up against the rest, in order, so
+            # that the dropped particles become the first k.
+            p = dying.size
+            gone = y[:p][dying]
+            keep = ~dying
+            for a in (y, self._ids, r):
+                a[k:p] = a[:p][keep]
         # Ledger the actual volumes (a late overshoot may be slightly
         # negative) so the conservation identity stays exact.
-        gone = self._y[:k] if dying is None else self._y[dying]
-        self._lost += FOUR_THIRDS_PI * float(np.sum(gone))
+        self._lost += FOUR_THIRDS_PI * float(gone.sum())
         self._deletions += k
-        # Copies, not views: a view would pin the whole old buffer, and
-        # pinned buffers fragment the heap (peak RSS grew with every run).
-        self._y = self._y[keep].copy()
-        self._ids = self._ids[keep].copy()
+        # Views: the state is updated in place and never rebuilt, so a view
+        # pins no stale buffer.
+        self._y = y[k:]
+        self._ids = self._ids[k:]
         if self._y.size < 2:
             raise StateError(
                 f"ensemble collapsed to {self._y.size} particle(s) at "
                 f"t={self._t!r}"
             )
-        return r[keep].copy()
+        return r[k:]
 
     def _advance(self, t_target: float, recorder=None):
         # r = cbrt(y) and the mean field u are taken once per update and
         # reused by the sweep, the rates, the step cap and the recorder; a
         # drop recomputes u from the surviving r without another cbrt.
+        # Every array a substep writes is a buffer allocated here, at the
+        # current size, and sliced to the size after drops; only a re-sort
+        # (its permutation) and a drop by mask allocate.
         r = np.cbrt(self._y)
-        u = self._field(r)
+        k1, k2, trial = (np.empty(r.size) for _ in range(3))
+        mask = np.empty(r.size, dtype=bool)
+        u = self._field(r, k2[:r.size])
         while True:
-            k = int(np.searchsorted(
-                self._y, (self.deletion_fraction * (1.0 / u)) ** 3
+            k = int(self._y.searchsorted(
+                (self.deletion_fraction * (1.0 / u)) ** 3
             ))
             if k:
                 r = self._drop(r, k)
-                u = self._field(r)
+                u = self._field(r, k2[:r.size])
             remaining = t_target - self._t
             if remaining <= 0.0:
                 break
@@ -331,46 +445,46 @@ class Ensemble:
             # zero.  Without this, a dying particle whose trial stage
             # overshoots past zero can see its stage rates cancel (the al
             # volume rate is odd in R near zero) and hover at the threshold
-            # indefinitely.
+            # indefinitely.  The step cap and this test read only the
+            # parts of the state that can decide them.
             while True:
                 y = self._y
-                r_c = 1.0 / u
-                k1 = self._rates(r, u)
                 # Cap |dy|/y = 3 |dR|/R per substep over the watched suffix,
                 # R >= R_c/2 (see module docstring).
-                j = int(np.searchsorted(y, (0.5 * r_c) ** 3))
-                if j == y.size:  # defensive; the largest particle always is
-                    j = 0
-                fastest = float(np.max(np.abs(k1[j:]) / y[j:]))
+                fastest = self._fastest(y, r, u, k1, trial)
                 h = remaining
                 if fastest > 0.0:
                     h = min(3.0 * self.step_fraction / fastest, remaining)
-                trial = y + h * k1
-                dying = trial <= (self.deletion_fraction * r_c) ** 3
+                dying = self._dying(y, r, u, h, k1, trial, mask)
                 k = int(np.count_nonzero(dying))
                 if not k:
                     break
                 r = self._drop(r, k, None if dying[:k].all() else dying)
-                u = self._field(r)
+                u = self._field(r, k2[:r.size])
+            n = y.size
+            s1, s2, stage = k1[:n], k2[:n], trial[:n]
+            self._rates(r, u, out=s1)
+            np.multiply(s1, h, out=stage)
+            stage += y
             t_next = t_target if h >= remaining else self._t + h
-            k2 = self._volume_rates(np.cbrt(trial, out=trial))
-            k2 += k1
-            k2 *= 0.5 * h
-            y = y + k2
+            np.cbrt(stage, out=stage)
+            self._rates(stage, self._field(stage, s2), out=s2)
+            s2 += s1
+            s2 *= 0.5 * h
+            y += s2
             # The exact dynamics keep the radii in order, but the discrete
             # step does not always (al; see the module docstring).
-            if (y[1:] < y[:-1]).any():
-                order = np.argsort(y, kind="stable")
-                y = y[order]
-                self._ids = self._ids[order]
+            if np.less(y[1:], y[:-1], out=mask[:n - 1]).any():
+                order = y.argsort(kind="stable")
+                y[:] = y[order]
+                self._ids[:] = self._ids[order]
                 self._resorts += 1
-            self._y = y
             self._t = t_next
             self._substeps += 1
-            r = np.cbrt(y)
-            u = self._field(r)
+            np.cbrt(y, out=r)
+            u = self._field(r, s2)
             if recorder is not None:
-                recorder(t_next, y.size, 1.0 / u, float(np.sum(y)), self._lost)
+                recorder(t_next, n, 1.0 / u, float(y.sum()), self._lost)
 
     def step(self, dt: float):
         """Advance the ensemble by ``dt`` (internally substepped)."""
@@ -387,11 +501,13 @@ class Ensemble:
         snapshot requested at the current time is taken before stepping.
         """
         t_end = float(t_end)
-        if not (t_end > self._t and math.isfinite(t_end)):
+        _require_finite("t_end", [t_end])
+        if not t_end > self._t:
             raise DomainError(
                 f"t_end must exceed the current time {self._t!r}, got {t_end!r}"
             )
         times = [float(ts) for ts in snapshot_times]
+        _require_finite("snapshot times", times)
         if any(b < a for a, b in zip(times, times[1:])):
             raise DomainError("snapshot times must be sorted")
         if times and (times[0] < self._t or times[-1] > t_end):
@@ -409,6 +525,12 @@ class Ensemble:
         if t_end > self._t:
             self._advance(t_end, recorder.add)
         return snapshots, recorder.build()
+
+
+def _require_finite(name: str, values):
+    for value in values:
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def init_ensemble(
@@ -544,9 +666,12 @@ def simulate_late_stage(
     t_end = float(t_end)
     if not (t0 > 0.0 and math.isfinite(t0)):
         raise DomainError(f"t0 must be positive and finite, got {t0!r}")
-    if not (t_end > t0 and math.isfinite(t_end)):
-        raise DomainError(f"t_end must exceed t0, got {t_end!r}")
+    # Snapshot times first: the CLI's default t_end is the last of them.
     times = sorted(float(ts) for ts in snapshot_times)
+    _require_finite("snapshot times", times)
+    _require_finite("t_end", [t_end])
+    if not t_end > t0:
+        raise DomainError(f"t_end must exceed t0, got {t_end!r}")
     if times and (times[0] <= t0 or times[-1] > t_end):
         raise DomainError(
             f"snapshot times must lie in ({t0!r}, {t_end!r}]"

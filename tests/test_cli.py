@@ -139,6 +139,26 @@ class TestGridErrors:
         assert exc.value.code == 2
         assert "--count must be <= 1000000" in capsys.readouterr().err
 
+    def test_particle_count_bounded(self, capsys, monkeypatch, tmp_path):
+        # An oversized ensemble is refused before anything is allocated;
+        # the largest allowed --n reaches the simulator.
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("ripening.cli.simulate_late_stage", reached)
+        out_dir = tmp_path / "run"
+        argv = ["simulate", "--regime", "dl", "--out-dir", str(out_dir)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n", "1000001"])
+        assert exc.value.code == 2
+        assert "--n must be <= 1000000" in capsys.readouterr().err
+        with pytest.raises(Reached):
+            main([*argv, "--n", "1000000"])
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("bounds", [
         pytest.param(("--min", "0.0", "--max", "1.0", "--log"), id="log-zero-min"),
         pytest.param(("--min", "0.1", "--max", "0", "--log"), id="log-zero-max"),
@@ -392,6 +412,35 @@ class TestSimulate:
         assert work["deletions"] == 1000 - n[-1] > 0
         if regime == "dl":
             assert work["resorts"] == 0
+
+    @pytest.mark.parametrize("times, message", [
+        pytest.param(("--snapshot", "inf"),
+                     "snapshot times must be finite, got inf",
+                     id="inf-snapshot"),
+        pytest.param(("--snapshot", "300", "--t-end", "inf"),
+                     "t_end must be finite, got inf", id="inf-t-end"),
+        pytest.param(("--snapshot", "nan"),
+                     "snapshot times must be finite, got nan",
+                     id="nan-snapshot"),
+        pytest.param(("--snapshot", "300", "--snapshot", "nan"),
+                     "snapshot times must be finite, got nan",
+                     id="nan-second-snapshot"),
+    ])
+    def test_non_finite_times(self, capsys, tmp_path, monkeypatch, times,
+                              message):
+        # Refused before any particle is drawn, and no run directory made.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an ensemble was drawn")
+
+        monkeypatch.setattr("ripening.ensemble.init_ensemble", no_draw)
+        out_dir = tmp_path / "run"
+        rc, _, err = run_cli(
+            capsys, "simulate", "--regime", "dl", "--n", "200",
+            "--t0", "225", *times, "--out-dir", out_dir,
+        )
+        assert rc == 2
+        assert message in err
+        assert not out_dir.exists()
 
     def test_bad_snapshot_time(self, capsys, tmp_path):
         rc, _, err = run_cli(

@@ -182,6 +182,84 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
         substeps += 1
 
 
+class _AllocatingEnsemble(Ensemble):
+    """The sorted stepper before it worked in place, as the bitwise
+    reference: every array operation makes a new array, every drop copies
+    the survivors, and the step cap and the pre-emption test read the whole
+    state."""
+
+    def _ref_field(self, r):
+        if self.regime.kind == "dl":
+            return r.size / float(np.sum(r))
+        return float(np.sum(r)) / float(np.sum(r * r))
+
+    def _ref_rates(self, r, u):
+        if self.regime.kind == "dl":
+            return 3.0 * (r * u - 1.0)
+        return 3.0 * (r * r * u - r)
+
+    def _drop(self, r, k, dying=None):
+        keep = slice(k, None) if dying is None else ~dying
+        gone = self._y[:k] if dying is None else self._y[dying]
+        self._lost += FOUR_THIRDS_PI * float(np.sum(gone))
+        self._deletions += k
+        self._y = self._y[keep].copy()
+        self._ids = self._ids[keep].copy()
+        if self._y.size < 2:
+            raise StateError("collapsed")
+        return r[keep].copy()
+
+    def _advance(self, t_target, recorder=None):
+        r = np.cbrt(self._y)
+        u = self._ref_field(r)
+        while True:
+            k = int(np.searchsorted(
+                self._y, (self.deletion_fraction * (1.0 / u)) ** 3
+            ))
+            if k:
+                r = self._drop(r, k)
+                u = self._ref_field(r)
+            remaining = t_target - self._t
+            if remaining <= 0.0:
+                break
+            while True:
+                y = self._y
+                r_c = 1.0 / u
+                k1 = self._ref_rates(r, u)
+                j = int(np.searchsorted(y, (0.5 * r_c) ** 3))
+                if j == y.size:
+                    j = 0
+                fastest = float(np.max(np.abs(k1[j:]) / y[j:]))
+                h = remaining
+                if fastest > 0.0:
+                    h = min(3.0 * self.step_fraction / fastest, remaining)
+                trial = y + h * k1
+                dying = trial <= (self.deletion_fraction * r_c) ** 3
+                k = int(np.count_nonzero(dying))
+                if not k:
+                    break
+                r = self._drop(r, k, None if dying[:k].all() else dying)
+                u = self._ref_field(r)
+            t_next = t_target if h >= remaining else self._t + h
+            stage = np.cbrt(trial, out=trial)
+            k2 = self._ref_rates(stage, self._ref_field(stage))
+            k2 += k1
+            k2 *= 0.5 * h
+            y = y + k2
+            if (y[1:] < y[:-1]).any():
+                order = np.argsort(y, kind="stable")
+                y = y[order]
+                self._ids = self._ids[order]
+                self._resorts += 1
+            self._y = y
+            self._t = t_next
+            self._substeps += 1
+            r = np.cbrt(y)
+            u = self._ref_field(r)
+            if recorder is not None:
+                recorder(t_next, y.size, 1.0 / u, float(np.sum(y)), self._lost)
+
+
 class TestSortedState:
     @pytest.mark.parametrize("regime", BOTH)
     def test_views_in_id_order(self, regime):
@@ -228,6 +306,47 @@ class TestSortedState:
             assert ens.work["resorts"] == 0
 
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_bitwise_equal_to_allocating_stepper(self, regime, seed):
+        t0 = 225.0 if regime.kind == "dl" else 200.0
+        radii = init_ensemble(
+            regime, 2000, critical_radius(regime, 0.0, t0), seed=seed
+        ).radii
+        new, ref = Ensemble(regime, radii), _AllocatingEnsemble(regime, radii)
+        (snaps, series), (ref_snaps, ref_series) = (
+            e.run(t0, [0.5 * t0, t0]) for e in (new, ref)
+        )
+        assert np.array_equal(new._ids, ref._ids)
+        assert np.array_equal(new._y, ref._y)
+        assert new.lost_volume == ref.lost_volume
+        assert new.work == ref.work
+        for name in ("t", "n", "rc_estimate", "total_r3", "lost_volume"):
+            assert np.array_equal(getattr(series, name),
+                                  getattr(ref_series, name)), name
+        assert len(snaps) == len(ref_snaps) == 2
+        for snap, ref_snap in zip(snaps, ref_snaps):
+            assert snap.t == ref_snap.t
+            assert np.array_equal(snap.ids, ref_snap.ids)
+            assert np.array_equal(snap.radii, ref_snap.radii)
+        if regime.kind == "al":
+            assert new.work["resorts"] > 0  # the re-sort path ran
+
+    def test_drop_by_mask(self):
+        # A pre-emption set that is not a prefix of the sorted state: the
+        # survivors keep their order and the ledger takes the exact volumes.
+        ens = Ensemble(ATTACHMENT_LIMITED, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        y = ens._y.copy()
+        r = np.cbrt(ens._y)
+        dying = np.array([True, False, True, False])
+        survivors = ens._drop(r, 2, dying)
+        assert list(ens._ids) == [1, 3, 4, 5]
+        assert np.array_equal(ens._y, y[[1, 3, 4, 5]])
+        assert np.array_equal(survivors, np.cbrt(y[[1, 3, 4, 5]]))
+        assert ens.lost_volume == FOUR_THIRDS_PI * float(np.sum(y[[0, 2]]))
+        assert ens.work["deletions"] == 2
+
+
 class TestRun:
     def test_series_shape_and_monotonicity(self):
         ens = init_ensemble(DIFFUSION_LIMITED, 400, 1.0, seed=4)
@@ -264,6 +383,24 @@ class TestRun:
             ens.run(1.0, snapshot_times=[1.5])
         with pytest.raises(DomainError):
             ens.run(0.0)
+
+    @pytest.mark.parametrize("t_end, times, message", [
+        pytest.param(math.inf, (), "t_end must be finite, got inf",
+                     id="inf-t-end"),
+        pytest.param(math.nan, (), "t_end must be finite, got nan",
+                     id="nan-t-end"),
+        pytest.param(1.0, (0.5, math.nan),
+                     "snapshot times must be finite, got nan",
+                     id="nan-snapshot"),
+        pytest.param(1.0, (-math.inf,),
+                     "snapshot times must be finite, got -inf",
+                     id="inf-snapshot"),
+    ])
+    def test_non_finite_times(self, t_end, times, message):
+        ens = init_ensemble(DIFFUSION_LIMITED, 300, 1.0, seed=6)
+        with pytest.raises(DomainError, match=message):
+            ens.run(t_end, snapshot_times=times)
+        assert ens.t == 0.0
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_coarsening_rate(self, regime):
@@ -412,6 +549,27 @@ class TestLateStage:
             simulate_late_stage(
                 DIFFUSION_LIMITED, 100, 10.0, 20.0, [25.0], seed=1
             )
+
+
+    @pytest.mark.parametrize("t_end, times, message", [
+        pytest.param(math.inf, [300.0], "t_end must be finite, got inf",
+                     id="inf-t-end"),
+        pytest.param(math.inf, [math.inf],
+                     "snapshot times must be finite, got inf",
+                     id="inf-snapshot"),
+        pytest.param(300.0, [300.0, math.nan],
+                     "snapshot times must be finite, got nan",
+                     id="nan-snapshot"),
+    ])
+    def test_non_finite_times(self, monkeypatch, t_end, times, message):
+        # Refused before any particle is drawn.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an ensemble was drawn")
+
+        monkeypatch.setattr("ripening.ensemble.init_ensemble", no_draw)
+        with pytest.raises(DomainError, match=message):
+            simulate_late_stage(DIFFUSION_LIMITED, 100, 225.0, t_end, times,
+                                seed=1)
 
 
 class TestCsvWriters:

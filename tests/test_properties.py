@@ -4,11 +4,15 @@ searched by hypothesis.
 
 phi(s) is a difference of one nondecreasing table divided by its last
 entry, so it must lie in [0, 1] and grow with s up to the largest float.
-The searches are derandomized so that every run checks the same examples.
+The ensemble stepper's two narrowed first passes (the step cap read from a
+window, the pre-emption test read over a prefix) must equal the passes over
+the whole state bit for bit.  The searches are derandomized so that every
+run checks the same examples.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -16,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ripening.distribution import density, size_distribution
+from ripening.ensemble import Ensemble
 from ripening.recrystallization import new_volume_fraction
 from ripening.regime import ATTACHMENT_LIMITED, DIFFUSION_LIMITED, return_invariant
 from ripening.return_map import (
@@ -113,3 +118,82 @@ def test_cumulative_moment_endpoints(regime, k):
     d = size_distribution(regime)
     assert d.cumulative_moment(k, 0.0) == 0.0
     assert d.cumulative_moment(k, regime.z_max) == d.moment(k)
+
+
+def _nudge(value, steps):
+    """``value`` moved by ``steps`` floats up (positive) or down."""
+    toward = math.inf if steps > 0 else 0.0
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+# Bands of R/R_c the particles are drawn from: anywhere; none in the step
+# cap's window [0.5, 0.75); every watched particle near R_c; just above the
+# deletion cut (R = 1e-4 R_c).
+_BANDS = (
+    ((1e-6, 3.0),),
+    ((1e-6, 0.5), (0.75, 3.0)),
+    ((1e-6, 0.5), (0.99, 1.01)),
+    ((1e-4, 1.0001e-4), (0.5, 2.0)),
+)
+
+
+@st.composite
+def sorted_states(draw):
+    """A sorted state ``y`` with a mean field ``u`` and a substep ``h``:
+    volumes drawn from one band of ``_BANDS``, or a few floats from an edge
+    that the first passes read (R_c/2, 0.75 R_c, R_c, the maxima of |k1|/y
+    above it, the deletion cut, the top of the pre-emption prefix), with
+    ties."""
+    regime = draw(regimes)
+    u = 1.0 / draw(st.floats(min_value=1e-3, max_value=1e3))
+    r_c = 1.0 / u
+    dl = regime.kind == "dl"
+    h = 10.0 ** draw(st.floats(min_value=-32.0, max_value=1.0)) * (
+        r_c**3 if dl else r_c**2
+    )
+    reach = 3.0 if dl else 0.75 * r_c
+    cut = (1e-4 * r_c) ** 3
+    edges = [(x * r_c) ** 3 for x in (0.5, 0.75, 1.0, 1.5, 2.0)]
+    edges += [cut, cut + 2.0 * reach * h]
+    near_edge = st.builds(_nudge, st.sampled_from(edges),
+                          st.integers(min_value=-3, max_value=3))
+    in_band = st.one_of(*(
+        st.floats(min_value=lo, max_value=hi).map(lambda x: (x * r_c) ** 3)
+        for lo, hi in draw(st.sampled_from(_BANDS))
+    ))
+    y = draw(st.lists(st.one_of(in_band, near_edge), min_size=1,
+                      max_size=80))
+    y += draw(st.lists(st.sampled_from(y), max_size=10))  # ties
+    y = np.sort(np.array(y))
+    assume(y[0] > 0.0)
+    return regime, y, u, h
+
+
+def _full_rates(regime, r, u):
+    if regime.kind == "dl":
+        return 3.0 * (r * u - 1.0)
+    return 3.0 * (r * r * u - r)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sorted_states())
+def test_narrowed_passes_match_full_passes(state):
+    regime, y, u, h = state
+    ens = Ensemble(regime, [1.0, 2.0])
+    r, n, r_c = np.cbrt(y), y.size, 1.0 / u
+    k1 = _full_rates(regime, r, u)
+    buffers = np.empty(n), np.empty(n)
+
+    # The step cap: max |k1|/y over the suffix y >= (R_c/2)**3.
+    j = int(np.searchsorted(y, (0.5 * r_c) ** 3))
+    j = 0 if j == n else j
+    fastest = float(np.max(np.abs(k1[j:]) / y[j:]))
+    assert ens._fastest(y, r, u, *buffers) == fastest
+
+    # The pre-emption test: y + h k1 at or below the deletion cut.
+    dying = (y + h * k1) <= (ens.deletion_fraction * r_c) ** 3
+    prefix = ens._dying(y, r, u, h, *buffers, np.empty(n, dtype=bool))
+    assert np.array_equal(prefix, dying[:prefix.size])
+    assert not dying[prefix.size:].any()
