@@ -26,14 +26,9 @@ import numpy as np
 
 from . import __version__
 from .distribution import density, size_distribution
-from .ensemble import simulate_late_stage, write_series_csv, write_snapshot_csv
-from .errors import (
-    ConvergenceError,
-    DataError,
-    DomainError,
-    IntegrationError,
-    RipeningError,
-)
+from .ensemble import (_write_table, simulate_late_stage, write_series_csv,
+                       write_snapshot_csv)
+from .errors import ConvergenceError, RipeningError
 from .recrystallization import initial_growth_rate, new_volume_fraction
 from .regime import (
     flow_time,
@@ -47,17 +42,6 @@ __all__ = ["main"]
 
 MAX_COUNT = 1_000_000  # largest --count: rows are all kept before writing
 MAX_PARTICLES = 1_000_000  # largest simulate --n; 10**6 already takes minutes
-
-
-def _g17(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _emit_csv(stream, comment: str, columns, rows):
-    stream.write(f"# {comment}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_g17(v) for v in row) + "\n")
 
 
 def _emit_json(stream, payload):
@@ -199,7 +183,11 @@ def cmd_table(args, parser, invocation) -> int:
                 "rows": [dict(zip(spec.columns, r)) for r in rows],
             })
         else:
-            _emit_csv(stream, _comment(invocation, None), spec.columns, rows)
+            _write_table(
+                stream, ",".join(spec.columns),
+                ",".join(["%.17g"] * len(spec.columns)) + "\n",
+                list(zip(*rows)), _comment(invocation, None),
+            )
     return 0
 
 
@@ -310,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         for flag, keywords in spec.options:
             p.add_argument(flag, **keywords)
-        p.set_defaults(handler=cmd_table)
+        p.set_defaults(handler=cmd_table, parser=p)
 
     p = sub.add_parser(
         "simulate", help="N-particle run compared against the analytics"
@@ -340,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out-dir", default="ripening_run",
         help="directory for snapshot/series/report files",
     )
-    p.set_defaults(handler=cmd_simulate)
+    p.set_defaults(handler=cmd_simulate, parser=p)
 
     return parser
 
@@ -349,15 +337,14 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = [str(a) for a in argv]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     invocation = " ".join(["ripening"] + argv)
     try:
-        return args.handler(args, parser, invocation)
-    except (ConvergenceError, IntegrationError) as exc:
+        return args.handler(args, args.parser, invocation)
+    except ConvergenceError as exc:  # IntegrationError included
         print(f"ripening: convergence error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, DataError, RipeningError) as exc:
+    except RipeningError as exc:  # DomainError, DataError
         print(f"ripening: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -4,7 +4,9 @@ Between a reference time t0 and a later time t = s*t0, the material that
 precipitated after t0 sits exactly in the particles that are still larger
 than they were at t0.  With z0 = initial_size_for_ratio(s) and rho its
 return pair, those are the particles that started above z0 at t0; at t they
-lie above rho.  Their new volume, sum R(t)^3 - R(t0)^3, is the
+lie above rho.  The pair has one physical radius, z0 R_c(t0) = rho R_c(t),
+so rho = z0 s**(-1/gamma) follows from the clock ratio without a second
+solve.  Their new volume, sum R(t)^3 - R(t0)^3, is the
 volume-weighted tail above rho at t minus the volume-weighted tail above z0
 at t0.  Total volume is conserved and both times share the stationary
 density h, so against the whole population the difference is
@@ -23,7 +25,6 @@ grows with s by construction, up to the largest finite s.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from .distribution import density, size_distribution
 from .errors import DomainError
 from .regime import Regime
-from .return_map import _check_z0, initial_size_for_ratio, return_size
+from .return_map import _check_z0, _pair_for_ratio, return_size
 
 __all__ = [
     "VolumeFractionCurve",
@@ -64,6 +65,17 @@ class VolumeFractionCurve:
         object.__setattr__(self, "fraction", f)
 
 
+def _window(regime: Regime, z0: float, rho: float, complement=None) -> float:
+    """Volume fraction in the window (rho, z0); see fraction_from_start_size."""
+    dist = size_distribution(regime)
+    m3 = dist.moment(3)
+    upper = dist.cumulative_moment(3, z0)
+    lower = dist.cumulative_moment(3, rho)
+    if complement:
+        return 1.0 - (lower + (m3 - upper)) / m3
+    return (upper - lower) / m3
+
+
 def fraction_from_start_size(
     regime: Regime, z0: float, complement: bool | None = None
 ) -> float:
@@ -75,30 +87,17 @@ def fraction_from_start_size(
     ``1 - (M3(rho) + m3 - M3(z0)) / m3`` (True).  They agree to rounding.
     """
     z0 = _check_z0(regime, z0)
-    if z0 == 1.0:
-        return 0.0
-    r = return_size(regime, z0)
-    dist = size_distribution(regime)
-    m3 = dist.moment(3)
-    upper = dist.cumulative_moment(3, z0)
-    lower = dist.cumulative_moment(3, r)
-    if complement:
-        return 1.0 - (lower + (m3 - upper)) / m3
-    return (upper - lower) / m3
+    return _window(regime, z0, return_size(regime, z0), complement)
 
 
 def new_volume_fraction(regime: Regime, s: float) -> float:
     """Fraction of the solid volume at t = s*t0 that formed after t0.
 
     Zero at s = 1, strictly increasing, tends to 1 as s grows; a function
-    of the time ratio alone.
+    of the time ratio alone.  One s -> z0 solve gives the window's upper
+    edge, and the lower edge is rho = z0 s**(-1/gamma).
     """
-    s = float(s)
-    if not (s >= 1.0 and math.isfinite(s)):
-        raise DomainError(f"time ratio must be >= 1 and finite, got {s!r}")
-    if s == 1.0:
-        return 0.0
-    return fraction_from_start_size(regime, initial_size_for_ratio(regime, s))
+    return _window(regime, *_pair_for_ratio(regime, s))
 
 
 def fraction_curve(regime: Regime, s_grid=None) -> VolumeFractionCurve:

@@ -117,8 +117,7 @@ def return_size(regime: Regime, z0: float) -> float:
     and 0.0 is returned; the matching is still exact in ln-space through
     :func:`return_time_ratio`.
     """
-    z0 = _check_z0(regime, z0)
-    return math.exp(_log_rho(regime, z0))
+    return solve_return_point(regime, z0).z_return
 
 
 def return_size_slope_at_one(regime: Regime) -> float:
@@ -140,6 +139,12 @@ def _exp_or_inf(arg: float) -> float:
         return math.inf
 
 
+def _log_pair(regime: Regime, z0: float) -> tuple[float, float]:
+    """(ln rho, ln s) for z0; exact even where rho itself underflows."""
+    u = _log_rho(regime, z0)
+    return u, regime.coarsening_exponent * (math.log(z0) - u)
+
+
 def return_time_ratio(regime: Regime, z0: float) -> float:
     """Elapsed-time ratio s = t/t0 = (z0/rho(z0))**gamma for the return.
 
@@ -147,11 +152,7 @@ def return_time_ratio(regime: Regime, z0: float) -> float:
     even where rho itself underflows; ratios beyond float64 range come back
     as inf.
     """
-    z0 = _check_z0(regime, z0)
-    if z0 == 1.0:
-        return 1.0
-    g = regime.coarsening_exponent
-    return _exp_or_inf(g * (math.log(z0) - _log_rho(regime, z0)))
+    return solve_return_point(regime, z0).s
 
 
 def initial_size_for_ratio(regime: Regime, s: float) -> float:
@@ -165,30 +166,34 @@ def initial_size_for_ratio(regime: Regime, s: float) -> float:
         raise DomainError(f"time ratio must be >= 1 and finite, got {s!r}")
     if s == 1.0:
         return 1.0
-    g = regime.coarsening_exponent
     log_s = math.log(s)
-
-    def f(z0: float) -> float:
-        if z0 == 1.0:
-            return -log_s
-        return g * (math.log(z0) - _log_rho(regime, z0)) - log_s
-
-    return find_root(f, 1.0, regime.z_max - NEAR_CUTOFF)
+    return find_root(
+        lambda z0: _log_pair(regime, z0)[1] - log_s, 1.0, regime.z_max - NEAR_CUTOFF
+    )
 
 
 def solve_return_point(regime: Regime, z0: float) -> ReturnPoint:
     """Bundle rho(z0) and the time ratio into a :class:`ReturnPoint`."""
     z0 = _check_z0(regime, z0)
-    if z0 == 1.0:
-        return ReturnPoint(1.0, 1.0, 1.0)
-    u = _log_rho(regime, z0)
-    s = _exp_or_inf(regime.coarsening_exponent * (math.log(z0) - u))
-    return ReturnPoint(z0, math.exp(u), s)
+    u, log_s = _log_pair(regime, z0)
+    return ReturnPoint(z0, math.exp(u), _exp_or_inf(log_s))
+
+
+def _pair_for_ratio(regime: Regime, s: float) -> tuple[float, float]:
+    """(z0, rho) for the time ratio ``s``: one s -> z0 solve, then
+    rho = z0 * s**(-1/gamma) from z0 * R_c(t0) = rho * R_c(t).  So z0 - rho
+    carries the exact ln(s) even where z0 - 1 is below the root tolerance."""
+    s = float(s)
+    z0 = initial_size_for_ratio(regime, s)
+    return z0, z0 * math.exp(-math.log(s) / regime.coarsening_exponent)
 
 
 def return_point_for_ratio(regime: Regime, s: float) -> ReturnPoint:
     """The :class:`ReturnPoint` whose elapsed-time ratio is ``s``."""
-    return solve_return_point(regime, initial_size_for_ratio(regime, s))
+    # Within about 1e-12 of s = 1, z0's root tolerance (about 5e-13) can
+    # put rho above 1; the pair is capped at the fixed point.
+    z0, rho = _pair_for_ratio(regime, s)
+    return ReturnPoint(z0, min(rho, 1.0), float(s))
 
 
 def return_radius(regime: Regime, t: float, t0: float, r_c0: float = 0.0) -> float:

@@ -159,6 +159,22 @@ class TestGridErrors:
             main([*argv, "--n", "1000000"])
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("argv,usage", [
+        pytest.param(("simulate", "--regime", "dl", "--n", "1000001"),
+                     "usage: ripening simulate", id="simulate"),
+        pytest.param(("phi", "--regime", "dl", "--min", "1", "--max", "2"),
+                     "usage: ripening phi", id="phi"),
+    ])
+    def test_usage_names_the_subcommand(self, capsys, tmp_path, argv, usage):
+        # A handler's own checks print its subcommand's usage line, as the
+        # parser does for the errors it finds itself.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir" if argv[0] == "simulate" else "--out",
+                  str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(usage + " ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bounds", [
         pytest.param(("--min", "0.0", "--max", "1.0", "--log"), id="log-zero-min"),
         pytest.param(("--min", "0.1", "--max", "0", "--log"), id="log-zero-max"),

@@ -21,7 +21,11 @@ from ripening.recrystallization import (
     new_volume_fraction,
 )
 from ripening.regime import ATTACHMENT_LIMITED, DIFFUSION_LIMITED
-from ripening.return_map import initial_size_for_ratio, return_size
+from ripening.return_map import (
+    initial_size_for_ratio,
+    return_point_for_ratio,
+    return_size,
+)
 
 BOTH = (DIFFUSION_LIMITED, ATTACHMENT_LIMITED)
 
@@ -95,6 +99,31 @@ class TestShape:
             rho = return_size(regime, z0)
             want = np.interp(z0, zs, vcdf) - np.interp(rho, zs, vcdf)
             assert new_volume_fraction(regime, s) == pytest.approx(want, abs=5e-7)
+
+
+class TestNearUnitRatio:
+    # rho = z0 s**(-1/gamma) carries the exact ln(s) into the window, so the
+    # curve keeps relative precision where z0 - 1 is below the root
+    # tolerance of the s -> z0 solve.
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_nondecreasing(self, regime):
+        ss = 1.0 + np.geomspace(1e-10, 1e-2, 400)
+        fs = [new_volume_fraction(regime, s) for s in ss]
+        assert all(b >= a for a, b in zip(fs, fs[1:]))
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_initial_rate(self, regime):
+        rate = initial_growth_rate(regime)
+        for eps in np.geomspace(1e-10, 1e-6, 9):
+            ratio = new_volume_fraction(regime, 1.0 + eps) / (rate * eps)
+            assert abs(ratio - 1.0) <= 1e-5, (eps, ratio)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_pair_keeps_requested_ratio(self, regime):
+        for s in (1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.25, 2.0, 1e3, 1e300):
+            p = return_point_for_ratio(regime, s)
+            assert p.s == s
+            assert p.z_return <= 1.0 <= p.z0
 
 
 class TestWindowForms:
