@@ -27,18 +27,39 @@ volume change per substep is capped for all particles at least half the
 critical radius.  Particles below that are in free fall toward dissolution
 (their relative rates diverge as R -> 0, and nothing that shrinks past
 R_c/2 ever comes back), so capping on them would grind the step size to
-zero; their volumes are tiny and end up in the ledger regardless of how
-coarsely their last moments are resolved.
+zero.  Instead, a particle that dissolves within a substep is handed off
+to the survivors inside that substep:
+
+* stage 1 (``k1``, the trial ``y + h k1``) and the step ``h`` are taken
+  under the mean field of every particle present, the dying ones included;
+* a particle whose trial is at or below the deletion cut leaves, and the
+  ledger takes ``y + (h/2) k1`` of it;
+* the survivors finish the Heun step with the ``k1`` and trial stage they
+  already have, under a stage-2 field of their own.
+
+The survivors' stage-1 rates sum to ``-sum(k1)`` of the dying ones and
+their stage-2 rates to 0, so particles plus ledger stay conserved to
+rounding.  The trapezoid hands each dying particle's flux to the survivors
+for half a substep, which matches its expected remaining lifetime.  So the
+ledger is not the volume of the dissolved particles: it is what the
+trapezoid books beyond their actual volume, noise of either sign (about
+-1e-5 of the total in dl and 5e-5 in al at N = 20 000), plus the exact
+volume of any particle that a later substep finds below the cut.  Removing
+a dying particle with all its volume at the start of the substep would
+leak an O(h) share of the volume into the ledger (2e-4 of the total in dl
+at half the default step) and make the step error first order.
 
 The volumes are stored sorted by radius, with particle ids carried in the
 same order; ``Ensemble.ids``, ``Ensemble.radii`` and ``Ensemble.snapshot``
 present them in id order, so outputs do not depend on the storage.  Sorted
 storage makes every set the stepper needs a prefix or a suffix:
 
-* the dissolved particles, and those pre-empted within a substep, are the
-  prefix below the deletion cut, found by ``searchsorted`` and dropped by
-  slicing (a pre-emption set that is not a prefix is dropped by mask; a
-  subsequence of a sorted array stays sorted);
+* the dissolved particles are the prefix below the deletion cut, found by
+  ``searchsorted`` and dropped by slicing;
+* the particles dying within a substep lie in a short prefix; in dl they
+  are that prefix's start, dropped by slicing, and in al a set that is not
+  a prefix is dropped by mask (a subsequence of a sorted array stays
+  sorted);
 * the particles the step cap watches are the suffix at or above R_c/2.
 
 ``R = cbrt(y)`` and the mean field are computed once per stage and shared
@@ -51,19 +72,22 @@ order of the formulas, so each number is bitwise what the allocating form
 gives.  Dropping the k smallest particles is the view ``y[k:]``: the update
 ``y += dy`` writes into the buffer built at construction, so no stale
 buffer exists for a view to pin.  (When each update made a new array,
-views kept old ones alive and fragmented the heap.)  Before the pre-emption
-test settles, the stepper reads only the window and the prefix that can
-decide it (see :class:`Ensemble`); the full-array stage work is done once
-per substep, after it settles.
+views kept old ones alive and fragmented the heap.)  The step cap and the
+dying test read only the window and the prefix that can decide them (see
+:class:`Ensemble`); the rest of stage 1 follows, once per substep.
 
 The exact dynamics preserve the order of radii (every particle obeys one
 growth law, monotone in R, under one mean field), but the discrete step
-need not.  In dl every operation of a Heun update is monotone in y and
-rounding is monotone, so the order always survives.  In al the update is
-not monotone for small particles, whose step is not resolved (the step cap
-watches only R >= R_c/2): at N = 20 000 the order broke on about 9% of
-substeps (413 of 4 388 at seed 1), among particles up to about 0.03 R_c.
-So each update is checked and, when out of order, re-sorted with a stable
+need not.  In dl every operation of a substep is monotone in y under one
+scalar field: ``cbrt``, ``R u - 1``, the trial, the sum of two monotone
+rates and the update, and rounding is monotone.  The dying set is then a
+prefix, so the survivors' order is untouched, and the order always
+survives; dl is not checked.  In al the update is not monotone for small
+particles, whose step is not resolved (the step cap watches only
+R >= R_c/2): at N = 20 000 the order broke on about 20% of substeps (450
+of 2 195 at seed 1), among particles up to about 0.04 R_c.  So each al
+update is checked and, when out of order, the prefix holding the
+inversions (at most 13 particles at seed 1) is re-sorted with a stable
 argsort; ``Ensemble.work`` counts these re-sorts.
 """
 
@@ -184,10 +208,16 @@ class Ensemble:
     in id order.  Sorted storage turns every set the stepper needs into a
     prefix or a suffix: the dissolved particles are the prefix below the
     deletion cut (dropped by slicing), and the particles the step cap
-    watches are the suffix at or above half the critical radius.  An update
-    that leaves the volumes out of order (al only, on about 9% of substeps;
-    see the module docstring) is re-sorted.  :attr:`work` counts substeps,
-    deletions and re-sorts.
+    watches are the suffix at or above half the critical radius.  A
+    particle that dissolves within a substep is handed off: it leaves after
+    stage 1, the ledger takes ``y + (h/2) k1`` of it, and the survivors
+    finish the step with the stage 1 they have (see the module docstring).
+    Each substep takes one step size, one stage 1 and at most one drop, and
+    :attr:`lost_volume` is noise of either sign, not the volume of the
+    dissolved particles.  An update that
+    leaves the volumes out of order (al only, on about 20% of substeps) has
+    the prefix holding the inversions re-sorted.  :attr:`work` counts
+    substeps, deletions and re-sorts.
 
     The state arrays are those built here: updates, re-sorts and the
     compaction of a drop by mask write into them, and a prefix drop takes
@@ -208,7 +238,7 @@ class Ensemble:
       ``|k1|/y``, no particle above the window can hold the maximum, and
       the window's maximum is the suffix's.  Otherwise the rest of the
       suffix is read too.
-    * **Pre-emption.**  For ``R >= 0``, ``k1 = 3 (R u - 1) >= -3`` in dl,
+    * **Dying set.**  For ``R >= 0``, ``k1 = 3 (R u - 1) >= -3`` in dl,
       exactly also in floating point, and ``k1 = 3 R (R u - 1) >= -3/(4u)
       = -0.75 R_c`` in al (the minimum is at ``R = R_c/2``), to a few ulps.
       With ``reach`` that bound and ``d = reach h``, rounding is monotone,
@@ -228,8 +258,8 @@ class Ensemble:
     start_time:
         Clock value of the initial state.
     deletion_fraction:
-        A particle is removed once its radius falls below this fraction of
-        the current critical radius (its volume is ledgered).
+        A particle is removed once its radius falls, or its stage-1 trial
+        would fall, below this fraction of the current critical radius.
     step_fraction:
         Cap on ``|dR|/R`` per substep for particles above half the critical
         radius; sets the adaptive substep.
@@ -242,7 +272,7 @@ class Ensemble:
         *,
         start_time: float = 0.0,
         deletion_fraction: float = 1e-4,
-        step_fraction: float = 1e-3,
+        step_fraction: float = 2e-3,
     ):
         radii = np.asarray(radii, dtype=float)
         if radii.ndim != 1 or radii.size < 2:
@@ -334,8 +364,6 @@ class Ensemble:
     def _rates(self, r: np.ndarray, u: float, out=None) -> np.ndarray:
         """Volume rates of the radii ``r`` under the mean field ``u``,
         written into ``out`` (shaped like ``r``; a new array when None)."""
-        # r may contain small negative values mid-stage (a dying particle
-        # overshooting zero before the sweep); both laws stay smooth there.
         # The operations run in the order of 3.0 * (r * u - 1.0) and
         # 3.0 * (r * r * u - r), so the rates are bitwise those formulas.
         if self.regime.kind == "dl":
@@ -387,22 +415,28 @@ class Ensemble:
         t += y[:p]
         return np.less_equal(t, cut, out=mask[:p])
 
-    def _drop(self, r: np.ndarray, k: int, dying=None) -> np.ndarray:
+    def _drop(self, r: np.ndarray, k: int, dying=None, volumes=None,
+              carry=()) -> np.ndarray:
         """Remove the ``k`` smallest particles, or the ``k`` flagged by
         ``dying`` (a mask over a prefix of the state) when they are not the
-        smallest; return the survivors' radii."""
+        smallest; return the survivors' radii.  The ledger takes their
+        ``volumes`` (an array aligned with the state; their own volumes
+        when None).  The arrays in ``carry``, aligned with the state too,
+        are compacted alike: their survivors are their ``[k:]``."""
         y = self._y
+        if volumes is None:
+            volumes = y
         if dying is None:
-            gone = y[:k]
+            gone = volumes[:k]
         else:
             # Move the prefix's survivors up against the rest, in order, so
             # that the dropped particles become the first k.
             p = dying.size
-            gone = y[:p][dying]
+            gone = volumes[:p][dying]
             keep = ~dying
-            for a in (y, self._ids, r):
+            for a in (y, self._ids, r, *carry):
                 a[k:p] = a[:p][keep]
-        # Ledger the actual volumes (a late overshoot may be slightly
+        # Ledger the given volumes (a late overshoot may be slightly
         # negative) so the conservation identity stays exact.
         self._lost += FOUR_THIRDS_PI * float(gone.sum())
         self._deletions += k
@@ -420,7 +454,7 @@ class Ensemble:
     def _advance(self, t_target: float, recorder=None):
         # r = cbrt(y) and the mean field u are taken once per update and
         # reused by the sweep, the rates, the step cap and the recorder; a
-        # drop recomputes u from the surviving r without another cbrt.
+        # sweep recomputes u from the surviving r without another cbrt.
         # Every array a substep writes is a buffer allocated here, at the
         # current size, and sliced to the size after drops; only a re-sort
         # (its permutation) and a drop by mask allocate.
@@ -438,34 +472,34 @@ class Ensemble:
             remaining = t_target - self._t
             if remaining <= 0.0:
                 break
-            # Pre-empt dissolutions: a particle predicted to cross the
-            # deletion threshold within this substep is removed up front
-            # (its volume ledgered) and the rates are recomputed from the
-            # survivors, so the sum of the applied rates is still exactly
-            # zero.  Without this, a dying particle whose trial stage
-            # overshoots past zero can see its stage rates cancel (the al
-            # volume rate is odd in R near zero) and hover at the threshold
-            # indefinitely.  The step cap and this test read only the
-            # parts of the state that can decide them.
-            while True:
-                y = self._y
-                # Cap |dy|/y = 3 |dR|/R per substep over the watched suffix,
-                # R >= R_c/2 (see module docstring).
-                fastest = self._fastest(y, r, u, k1, trial)
-                h = remaining
-                if fastest > 0.0:
-                    h = min(3.0 * self.step_fraction / fastest, remaining)
-                dying = self._dying(y, r, u, h, k1, trial, mask)
-                k = int(np.count_nonzero(dying))
-                if not k:
-                    break
-                r = self._drop(r, k, None if dying[:k].all() else dying)
-                u = self._field(r, k2[:r.size])
+            y = self._y
             n = y.size
             s1, s2, stage = k1[:n], k2[:n], trial[:n]
-            self._rates(r, u, out=s1)
-            np.multiply(s1, h, out=stage)
-            stage += y
+            # Stage 1 and the step come from the field of every particle
+            # present, the dying ones included.  The step cap and the dying
+            # test read only the parts of the state that can decide them;
+            # the rest of stage 1 is taken after.
+            fastest = self._fastest(y, r, u, s1, s2)
+            h = remaining
+            if fastest > 0.0:
+                h = min(3.0 * self.step_fraction / fastest, remaining)
+            dying = self._dying(y, r, u, h, s1, stage, mask)
+            p = dying.size
+            self._rates(r[p:], u, out=s1[p:])
+            np.multiply(s1[p:], h, out=stage[p:])
+            stage[p:] += y[p:]
+            k = int(np.count_nonzero(dying))
+            if k:
+                # Hand the dying particles' flux to the survivors for half a
+                # substep: the ledger takes y + (h/2) k1 of each, and the
+                # survivors keep their stage-1 rates and trial stage (see
+                # the module docstring).
+                volumes = np.multiply(s1[:p], 0.5 * h, out=s2[:p])
+                volumes += y[:p]
+                r = self._drop(r, k, None if dying[:k].all() else dying,
+                               volumes, (s1, stage))
+                y, s1, s2, stage = self._y, s1[k:], s2[k:], stage[k:]
+                n = y.size
             t_next = t_target if h >= remaining else self._t + h
             np.cbrt(stage, out=stage)
             self._rates(stage, self._field(stage, s2), out=s2)
@@ -473,11 +507,12 @@ class Ensemble:
             s2 *= 0.5 * h
             y += s2
             # The exact dynamics keep the radii in order, but the discrete
-            # step does not always (al; see the module docstring).
-            if np.less(y[1:], y[:-1], out=mask[:n - 1]).any():
-                order = y.argsort(kind="stable")
-                y[:] = y[order]
-                self._ids[:] = self._ids[order]
+            # step does not always in al; in dl it does (see the module
+            # docstring), so only al is checked.
+            if self.regime.kind == "al" and np.less(
+                y[1:], y[:-1], out=mask[:n - 1]
+            ).any():
+                _restore_order(y, self._ids, mask[:n - 1])
                 self._resorts += 1
             self._t = t_next
             self._substeps += 1
@@ -525,6 +560,20 @@ class Ensemble:
         if t_end > self._t:
             self._advance(t_end, recorder.add)
         return snapshots, recorder.build()
+
+
+def _restore_order(y: np.ndarray, ids: np.ndarray, inverted: np.ndarray):
+    """Sort ``y`` in place, and ``ids`` alike, given ``inverted[i] =
+    y[i+1] < y[i]`` (at least one true).  Only the prefix that holds the
+    inversions is sorted, extended over the sorted rest up to the last
+    value not above the prefix's maximum: everything past it is larger than
+    everything before, so this is bitwise the stable argsort of the whole
+    array."""
+    m = int(np.flatnonzero(inverted)[-1]) + 2
+    m += int(y[m:].searchsorted(y[:m].max(), side="right"))
+    order = y[:m].argsort(kind="stable")
+    y[:m] = y[:m][order]
+    ids[:m] = ids[:m][order]
 
 
 def _require_finite(name: str, values):
