@@ -86,8 +86,7 @@ survives; dl is not checked.  In al the update is not monotone for small
 particles, whose step is not resolved (the step cap watches only
 R >= R_c/2): at N = 20 000 the order broke on about 20% of substeps (450
 of 2 195 at seed 1), among particles up to about 0.04 R_c.  So each al
-update is checked and, when out of order, the prefix holding the
-inversions (at most 13 particles at seed 1) is re-sorted with a stable
+update is checked and, when out of order, re-sorted with a stable
 argsort; ``Ensemble.work`` counts these re-sorts.
 """
 
@@ -212,12 +211,12 @@ class Ensemble:
     particle that dissolves within a substep is handed off: it leaves after
     stage 1, the ledger takes ``y + (h/2) k1`` of it, and the survivors
     finish the step with the stage 1 they have (see the module docstring).
-    Each substep takes one step size, one stage 1 and at most one drop, and
-    :attr:`lost_volume` is noise of either sign, not the volume of the
-    dissolved particles.  An update that
-    leaves the volumes out of order (al only, on about 20% of substeps) has
-    the prefix holding the inversions re-sorted.  :attr:`work` counts
-    substeps, deletions and re-sorts.
+    Each substep takes one step size and one stage 1; the sweep of the
+    particles already below the cut may drop some before the hand-off drops
+    the dying ones.  :attr:`lost_volume` is noise of either sign, not the
+    volume of the dissolved particles.  An update that leaves the volumes
+    out of order (al only, on about 20% of substeps) is re-sorted with a
+    stable argsort.  :attr:`work` counts substeps, deletions and re-sorts.
 
     The state arrays are those built here: updates, re-sorts and the
     compaction of a drop by mask write into them, and a prefix drop takes
@@ -512,7 +511,9 @@ class Ensemble:
             if self.regime.kind == "al" and np.less(
                 y[1:], y[:-1], out=mask[:n - 1]
             ).any():
-                _restore_order(y, self._ids, mask[:n - 1])
+                order = y.argsort(kind="stable")
+                y[:] = y[order]
+                self._ids[:] = self._ids[order]
                 self._resorts += 1
             self._t = t_next
             self._substeps += 1
@@ -560,20 +561,6 @@ class Ensemble:
         if t_end > self._t:
             self._advance(t_end, recorder.add)
         return snapshots, recorder.build()
-
-
-def _restore_order(y: np.ndarray, ids: np.ndarray, inverted: np.ndarray):
-    """Sort ``y`` in place, and ``ids`` alike, given ``inverted[i] =
-    y[i+1] < y[i]`` (at least one true).  Only the prefix that holds the
-    inversions is sorted, extended over the sorted rest up to the last
-    value not above the prefix's maximum: everything past it is larger than
-    everything before, so this is bitwise the stable argsort of the whole
-    array."""
-    m = int(np.flatnonzero(inverted)[-1]) + 2
-    m += int(y[m:].searchsorted(y[:m].max(), side="right"))
-    order = y[:m].argsort(kind="stable")
-    y[:m] = y[:m][order]
-    ids[:m] = ids[:m][order]
 
 
 def _require_finite(name: str, values):

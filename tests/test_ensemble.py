@@ -16,7 +16,6 @@ from ripening.ensemble import (
     NewVolume,
     Snapshot,
     TimeSeries,
-    _restore_order,
     empirical_return_radius,
     init_ensemble,
     initial_order_preserved,
@@ -143,33 +142,41 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
                    step_fraction=1e-3):
     """The mask-based stepper on id-ordered state that sorted storage
     replaced, with the hand-off of the dying particles: returns (substeps,
-    ids, radii, lost volume)."""
+    ids, radii, lost volume).
+
+    Its mean-field sums run over the particles in ascending volume, as the
+    sorted state's do, so the two steppers round alike.  The hand-off
+    ledger sums ``y + (h/2) k1`` of either sign over particles that shrank
+    to almost nothing, and another summation order moves each term by a
+    few ulps of the volume its particle started from: with id-order sums
+    the ledgers differ by 2.7e-12 relative (dl, seed 1)."""
     y = np.asarray(radii, dtype=float) ** 3
     ids = np.arange(y.size)
     lost = 0.0
     t = 0.0
     substeps = 0
 
-    def field(y):
-        r = np.cbrt(y)
+    def field(r, y):
+        r = r[np.argsort(y, kind="stable")]
         if regime.kind == "dl":
-            return y.size / float(np.sum(r))
+            return r.size / float(np.sum(r))
         return float(np.sum(r)) / float(np.sum(r * r))
 
-    def rates(r):
+    def rates(r, u):
         if regime.kind == "dl":
-            return 3.0 * (r * (r.size / float(np.sum(r))) - 1.0)
-        return 3.0 * (r * r * (float(np.sum(r)) / float(np.sum(r * r))) - r)
+            return 3.0 * (r * u - 1.0)
+        return 3.0 * (r * r * u - r)
 
     while True:
-        dead = y < (deletion_fraction / field(y)) ** 3
+        dead = y < (deletion_fraction / field(np.cbrt(y), y)) ** 3
         lost += FOUR_THIRDS_PI * float(np.sum(y[dead]))
         y, ids = y[~dead], ids[~dead]
         remaining = duration - t
         if remaining <= 0.0:
             return substeps, ids, np.cbrt(y), lost
-        r_c = 1.0 / field(y)
-        k1 = rates(np.cbrt(y))
+        u = field(np.cbrt(y), y)
+        r_c = 1.0 / u
+        k1 = rates(np.cbrt(y), u)
         watched = y >= (0.5 * r_c) ** 3
         fastest = float(np.max(np.abs(k1[watched]) / y[watched]))
         h = min(3.0 * step_fraction / fastest, remaining)
@@ -178,7 +185,8 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
         lost += FOUR_THIRDS_PI * float(np.sum(y[dying] + 0.5 * h * k1[dying]))
         keep = ~dying
         y, ids, k1, trial = y[keep], ids[keep], k1[keep], trial[keep]
-        k2 = rates(np.cbrt(trial))
+        stage = np.cbrt(trial)
+        k2 = rates(stage, field(stage, y))
         y = y + (0.5 * h) * (k1 + k2)
         t = duration if h >= remaining else t + h
         substeps += 1
@@ -310,13 +318,7 @@ class TestSortedState:
         assert np.array_equal(ens.ids, ids)
         assert ens.work["deletions"] == 1000 - ids.size > 0
         assert np.max(np.abs(ens.radii - radii) / radii) <= 1e-12
-        # The ledger is a sum of y + (h/2) k1 of either sign over the dying
-        # particles, whose volumes carry the two summation orders' rounding
-        # (about 1e-12 each here), so it also gets an absolute floor on the
-        # scale of the total it balances.
-        assert ens.lost_volume == pytest.approx(
-            lost, rel=1e-12, abs=2e-16 * ens.conserved_total()
-        )
+        assert ens.lost_volume == pytest.approx(lost, rel=1e-12)
         if regime.kind == "dl":
             assert ens.work["resorts"] == 0
 
@@ -348,7 +350,7 @@ class TestSortedState:
             assert new.work["resorts"] > 0  # the re-sort path ran
 
     def test_drop_by_mask(self):
-        # A pre-emption set that is not a prefix of the sorted state: the
+        # A dying set that is not a prefix of the sorted state: the
         # survivors keep their order and the ledger takes the exact volumes.
         ens = Ensemble(ATTACHMENT_LIMITED, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         y = ens._y.copy()
@@ -374,29 +376,6 @@ class TestSortedState:
         assert list(k1[2:]) == [1.0, 3.0, 4.0, 5.0]
         assert list(stage[2:]) == [11.0, 13.0, 14.0, 15.0]
         assert ens.lost_volume == FOUR_THIRDS_PI * -0.25
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_prefix_resort_is_full_stable_argsort(self, seed):
-        # Inversions at the front and ties at the edge of the sorted prefix.
-        rng = np.random.default_rng(seed)
-        y = np.sort(rng.integers(0, 12, size=40)).astype(float)
-        y[:8] = rng.permutation(y[:8])
-        y[0] = y[7] + rng.integers(0, 3)  # a front value at or past a tie
-        ids = np.arange(y.size) * 7
-        inverted = y[1:] < y[:-1]
-        assert inverted.any()
-        order = np.argsort(y, kind="stable")
-        want_y, want_ids = y[order], ids[order]
-        _restore_order(y, ids, inverted)
-        assert np.array_equal(y, want_y)
-        assert np.array_equal(ids, want_ids)
-
-    def test_prefix_resort_handles_ties_at_the_edge(self):
-        y = np.array([3.0, 1.0, 2.0, 3.0, 3.0, 4.0])
-        ids = np.arange(6)
-        _restore_order(y, ids, y[1:] < y[:-1])
-        assert list(y) == [1.0, 2.0, 3.0, 3.0, 3.0, 4.0]
-        assert list(ids) == [1, 2, 0, 3, 4, 5]
 
 
 class TestHandOff:

@@ -5,7 +5,7 @@ searched by hypothesis.
 phi(s) is a difference of one nondecreasing table divided by its last
 entry, so it must lie in [0, 1] and grow with s up to the largest float.
 The ensemble stepper's two narrowed first passes (the step cap read from a
-window, the pre-emption test read over a prefix) must equal the passes over
+window, the dying test read over a prefix) must equal the passes over
 the whole state bit for bit.  The searches are derandomized so that every
 run checks the same examples.
 """
@@ -144,7 +144,7 @@ def sorted_states(draw):
     """A sorted state ``y`` with a mean field ``u`` and a substep ``h``:
     volumes drawn from one band of ``_BANDS``, or a few floats from an edge
     that the first passes read (R_c/2, 0.75 R_c, R_c, the maxima of |k1|/y
-    above it, the deletion cut, the top of the pre-emption prefix), with
+    above it, the deletion cut, the top of the dying prefix), with
     ties."""
     regime = draw(regimes)
     u = 1.0 / draw(st.floats(min_value=1e-3, max_value=1e3))
@@ -192,7 +192,7 @@ def test_narrowed_passes_match_full_passes(state):
     fastest = float(np.max(np.abs(k1[j:]) / y[j:]))
     assert ens._fastest(y, r, u, *buffers) == fastest
 
-    # The pre-emption test: y + h k1 at or below the deletion cut.
+    # The dying test: y + h k1 at or below the deletion cut.
     dying = (y + h * k1) <= (ens.deletion_fraction * r_c) ** 3
     prefix = ens._dying(y, r, u, h, *buffers, np.empty(n, dtype=bool))
     assert np.array_equal(prefix, dying[:prefix.size])
