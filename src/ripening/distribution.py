@@ -112,8 +112,10 @@ class SizeDistribution:
     def _panels(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # 7-point Gauss-Legendre integral of h x^k on each panel [a, b]
         # (exact to ~1e-15 for these smooth panels at this resolution).
-        mid = 0.5 * (b + a)
-        half = 0.5 * (b - a)
+        return self._gauss(k, 0.5 * (b + a), 0.5 * (b - a))
+
+    def _gauss(self, k: int, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
+        # The same rule on the panels mid - half to mid + half.
         x = mid[:, None] + half[:, None] * _GX[None, :]
         return (density(self.regime, x) * x**k * _GW[None, :]).sum(axis=1) * half
 
@@ -139,12 +141,31 @@ class SizeDistribution:
         z = float(z)
         if not z >= 0.0:
             raise DomainError(f"scaled size must be >= 0, got {z!r}")
-        i = int(np.searchsorted(self._grid, z, side="right")) - 1
+        i = self._node_below(z)
         if i >= self._grid.size - 1:
             return float(table[-1])
         part = self._panels(k, self._grid[i : i + 1], np.array([z]))[0]
         # The partial panel may round past the whole one by an ulp.
         return float(min(table[i] + part, table[i + 1]))
+
+    def panel_moment(self, k: int, z: float, width: float) -> float | None:
+        """int_{z - width}^z h x^k dx by one 7-point panel, or None when the
+        window does not lie within one table panel.
+
+        The result has the relative precision of ``width``, where the
+        difference of two :meth:`cumulative_moment` reads keeps only the
+        digits that survive their cancellation.
+        """
+        z, half = float(z), 0.5 * float(width)
+        i = self._node_below(z)
+        if not (0.0 <= half and i < self._grid.size - 1
+                and z - width >= self._grid[i]):
+            return None
+        return float(self._gauss(k, np.array([z - half]), np.array([half]))[0])
+
+    def _node_below(self, z: float) -> int:
+        """Index of the last table node at or below ``z``."""
+        return int(np.searchsorted(self._grid, z, side="right")) - 1
 
     @property
     def cdf_table(self) -> tuple[np.ndarray, np.ndarray]:

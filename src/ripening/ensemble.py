@@ -30,12 +30,19 @@ R_c/2 ever comes back), so capping on them would grind the step size to
 zero.  Instead, a particle that dissolves within a substep is handed off
 to the survivors inside that substep:
 
-* stage 1 (``k1``, the trial ``y + h k1``) and the step ``h`` are taken
-  under the mean field of every particle present, the dying ones included;
+* stage 1 (``k1``, the trial ``T = y + h k1``) and the step ``h`` are
+  taken under the mean field of every particle present, the dying ones
+  included;
 * a particle whose trial is at or below the deletion cut leaves, and the
-  ledger takes ``y + (h/2) k1`` of it;
+  ledger takes ``(y + T)/2`` of it, which is ``y + (h/2) k1``;
 * the survivors finish the Heun step with the ``k1`` and trial stage they
   already have, under a stage-2 field of their own.
+
+Each stage is taken as the increment ``h k``, with the step and the rate
+constants folded into two scalars: ``h k = R (3hu) - 3h`` in dl and
+``R (R (3hu) - 3h)`` in al.  The update is ``y += (h k1 + h k2)/2``, one
+rounded increment per volume, so the volume stays conserved to the
+rounding floor.
 
 The survivors' stage-1 rates sum to ``-sum(k1)`` of the dying ones and
 their stage-2 rates to 0, so particles plus ledger stay conserved to
@@ -66,28 +73,33 @@ storage makes every set the stepper needs a prefix or a suffix:
 by the sweep, the rates, the step cap and the series recorder.
 
 The state is updated in place.  ``_advance`` allocates its work arrays
-(``R``, both stage rates, the trial stage and one mask) once per call, at
-the current size, and every elementwise operation writes into them in the
-order of the formulas, so each number is bitwise what the allocating form
-gives.  Dropping the k smallest particles is the view ``y[k:]``: the update
-``y += dy`` writes into the buffer built at construction, so no stale
-buffer exists for a view to pin.  (When each update made a new array,
-views kept old ones alive and fragmented the heap.)  The step cap and the
-dying test read only the window and the prefix that can decide them (see
-:class:`Ensemble`); the rest of stage 1 follows, once per substep.
+(``R``, both stage increments, the trial stage and one mask) once per call,
+at the current size and on cache-line boundaries, and every elementwise
+operation writes into them in the order of the formulas, so each number is
+bitwise what the allocating form gives.  Dropping the k smallest particles
+is the view ``y[k:]``: the update ``y += dy`` writes into the buffer built
+at construction, so no stale buffer exists for a view to pin.  (When each
+update made a new array, views kept old ones alive and fragmented the
+heap.)  The step cap reads one particle (dl) or a rounding band of them
+(al), and the dying test a prefix (see :class:`Ensemble`); stage 1 is
+taken once, over the whole state, after the step cap.
 
 The exact dynamics preserve the order of radii (every particle obeys one
 growth law, monotone in R, under one mean field), but the discrete step
 need not.  In dl every operation of a substep is monotone in y under one
-scalar field: ``cbrt``, ``R u - 1``, the trial, the sum of two monotone
-rates and the update, and rounding is monotone.  The dying set is then a
-prefix, so the survivors' order is untouched, and the order always
-survives; dl is not checked.  In al the update is not monotone for small
-particles, whose step is not resolved (the step cap watches only
-R >= R_c/2): at N = 20 000 the order broke on about 20% of substeps (450
-of 2 195 at seed 1), among particles up to about 0.04 R_c.  So each al
-update is checked and, when out of order, re-sorted with a stable
-argsort; ``Ensemble.work`` counts these re-sorts.
+scalar field: ``cbrt``, ``R (3hu) - 3h``, the trial, the sum of two
+monotone increments, its half and the update, and rounding is monotone.
+The dying set is then a prefix, so the survivors' order is untouched, and
+the order always survives; dl is not checked.  In al the update is not
+monotone for small particles, whose step is not resolved (the step cap
+watches only R >= R_c/2): at N = 20 000 the order broke on about 20% of
+substeps (450 of 2 195 at seed 1), among particles up to about 0.04 R_c.
+So each al update is checked and, when out of order, the prefix that holds
+the inversions is re-sorted with a stable argsort, which gives the whole
+array's stable argsort bit for bit (see ``Ensemble._resort``).  At seed 1
+those prefixes hold 3 particles on average, against about 10 000 in the
+whole state.  ``Ensemble.work`` counts the re-sorts and the particles they
+pass through.
 """
 
 from __future__ import annotations
@@ -122,7 +134,8 @@ __all__ = [
 
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
-# The step cap reads |k1|/y over R_c/2 <= R < _WINDOW_TOP R_c first.  Above
+# The step cap reads |k1|/y in the window R_c/2 <= R < _WINDOW_TOP R_c first,
+# where its maximum sits at the window's first particles.  Above
 # the window, |k1|/y <= bound * u**power (see the Ensemble docstring), with
 # x = 0.75 (1 - 1e-6) covering the rounding of the window edge.
 _WINDOW_TOP = 0.75
@@ -131,6 +144,10 @@ _CAP_BOUND = {  # kind -> (power, bound)
     "dl": (3, 3.0 * max((1.0 - _X) / _X**3, 4.0 / 27.0)),
     "al": (2, 3.0 * max((1.0 - _X) / _X**2, 0.25)),
 }
+_sum = np.add.reduce
+# In al the window's maximum of |k1|/y is read over y <= y_j * _BAND above
+# its first particle j, a band far wider than the rounding of |k1|/y.
+_BAND = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -209,19 +226,21 @@ class Ensemble:
     deletion cut (dropped by slicing), and the particles the step cap
     watches are the suffix at or above half the critical radius.  A
     particle that dissolves within a substep is handed off: it leaves after
-    stage 1, the ledger takes ``y + (h/2) k1`` of it, and the survivors
-    finish the step with the stage 1 they have (see the module docstring).
-    Each substep takes one step size and one stage 1; the sweep of the
-    particles already below the cut may drop some before the hand-off drops
-    the dying ones.  :attr:`lost_volume` is noise of either sign, not the
-    volume of the dissolved particles.  An update that leaves the volumes
-    out of order (al only, on about 20% of substeps) is re-sorted with a
-    stable argsort.  :attr:`work` counts substeps, deletions and re-sorts.
+    stage 1, the ledger takes ``(y + T)/2`` of it (``T = y + h k1``, its
+    trial), and the survivors finish the step with the stage 1 they have
+    (see the module docstring).  Each substep takes one step size and one
+    stage 1; the sweep of the particles already below the cut may drop some
+    before the hand-off drops the dying ones.  :attr:`lost_volume` is noise
+    of either sign, not the volume of the dissolved particles.  An update
+    that leaves the volumes out of order (al only, on about 20% of
+    substeps) is mended by re-sorting the prefix that holds the
+    inversions.  :attr:`work` counts substeps, deletions, re-sorts and the
+    particles those re-sorts passed through.
 
     The state arrays are those built here: updates, re-sorts and the
     compaction of a drop by mask write into them, and a prefix drop takes
-    the view ``y[k:]``.  Two first passes read only part of the state, and
-    each equals the full pass bit for bit:
+    the view ``y[k:]``.  Three passes read only part of the state, and each
+    equals the full pass bit for bit:
 
     * **Step cap.**  With ``R = x R_c``, ``|k1|/y`` is
       ``3 |x - 1| / (x**3 R_c**3)`` in dl and ``3 |x - 1| / (x**2 R_c**2)``
@@ -232,21 +251,46 @@ class Ensemble:
       ``(x - 1)/x**3`` peaks at 4/27 (``x = 3/2``) and ``(x - 1)/x**2`` at
       1/4 (``x = 2``).  The bound is evaluated at ``x = 0.75 (1 - 1e-6)``,
       which covers the rounding of the window edge.  So the maximum is
-      read over the window ``R_c/2 <= R < 0.75 R_c``.  When it exceeds the
-      bound by the factor ``1 + 1e-9``, far above the rounding of
-      ``|k1|/y``, no particle above the window can hold the maximum, and
-      the window's maximum is the suffix's.  Otherwise the rest of the
-      suffix is read too.
-    * **Dying set.**  For ``R >= 0``, ``k1 = 3 (R u - 1) >= -3`` in dl,
-      exactly also in floating point, and ``k1 = 3 R (R u - 1) >= -3/(4u)
-      = -0.75 R_c`` in al (the minimum is at ``R = R_c/2``), to a few ulps.
-      With ``reach`` that bound and ``d = reach h``, rounding is monotone,
-      so the trial ``y + h k1`` is at least ``fl(y - d)`` (al: less a few
-      ulps of ``d``).  A float ``y`` above the threshold
+      read over the window ``R_c/2 <= R < 0.75 R_c``, and there it is read
+      in O(1): ``|k1|/y`` falls with ``R`` over the window, so its first
+      particle ``j`` holds the maximum.
+
+      - In dl this holds bit for bit: ``R = cbrt(y)``, ``R u - 1 < 0``,
+        its absolute value, the factor 3 and the division by the growing
+        ``y`` are each monotone under rounding, so the computed ratio
+        never rises along the window.
+      - In al ``|k1| = 3 R (1 - R u)`` is a product of a rising and a
+        falling factor, and rounding can lift a later particle's ratio a
+        few ulps above ``j``'s.  Exactly, ``R (1 - R u)`` falls for
+        ``R >= R_c/2`` (``j`` is below that by a few ulps at most, where
+        the drop from the peak is quadratic), so the exact ratio at the
+        computed ``R`` of a particle at ``y`` is at most ``j``'s times
+        ``y_j / y``.  Each computed ratio is within about ten units of
+        rounding (``2**-53``) of that exact one.  So a particle above
+        ``y_j (1 + 1e-9)`` cannot reach ``j``'s computed ratio, and the
+        particles up to there, the rounding band, are read.
+
+      When the maximum exceeds the bound by the factor ``1 + 1e-9``, far
+      above the rounding of ``|k1|/y``, no particle above the window can
+      hold it, and the window's maximum is the suffix's.  Otherwise the
+      rest of the suffix is read too.  The band may reach past the window:
+      what it adds belongs to the suffix and is read by that pass anyway.
+    * **Dying set.**  For ``R >= 0``, ``h k1 = R (3hu) - 3h >= -3h`` in dl,
+      exactly also in floating point, and ``h k1 = 3h R (R u - 1) >=
+      -0.75 R_c h`` in al (the minimum is at ``R = R_c/2``), to a few ulps.
+      With ``reach`` that bound over ``h`` and ``d = reach h``, rounding is
+      monotone, so the trial ``y + h k1`` is at least ``fl(y - d)`` (al:
+      less a few ulps of ``d``).  A float ``y`` above the threshold
       ``T = fl(cut + 2 d)`` is at least ``T`` plus one float spacing ``s``,
       so ``y - d >= cut + d + s/2``, more than half a spacing above
       ``cut``.  So the trial stays above ``cut``, and only the prefix
       ``y <= T`` is tested.
+    * **Re-sort.**  Past the last inversion ``y[i + 1] < y[i]`` the
+      volumes are sorted; the prefix up to there grows to take in every
+      later volume below the prefix's maximum.  The rest is then sorted
+      and no smaller than the prefix, and its volumes equal to that
+      maximum come later in the stable order too, so sorting the prefix
+      stably moves every particle where the whole stable argsort does.
 
     Parameters
     ----------
@@ -293,6 +337,7 @@ class Ensemble:
         self._substeps = 0
         self._deletions = 0
         self._resorts = 0
+        self._resorted = 0
 
     # -- read-only views ---------------------------------------------------
 
@@ -320,11 +365,14 @@ class Ensemble:
     @property
     def work(self) -> dict:
         """Deterministic work counts since construction: substeps taken,
-        particles deleted, and re-sorts of the state after an update."""
+        particles deleted, re-sorts of the state after an update, and the
+        particles those re-sorts passed through (the sorted prefixes'
+        lengths)."""
         return {
             "substeps": self._substeps,
             "deletions": self._deletions,
             "resorts": self._resorts,
+            "resorted": self._resorted,
         }
 
     @property
@@ -356,9 +404,11 @@ class Ensemble:
     def _field(self, r: np.ndarray, buf=None) -> float:
         """Mean field u of the radii ``r``; al writes ``r * r`` into
         ``buf`` (shaped like ``r``; a new array when None)."""
+        # _sum is ndarray.sum without its Python wrapper (about 1 us a call,
+        # three calls a substep); the result is the same.
         if self.regime.kind == "dl":
-            return r.size / float(r.sum())
-        return float(r.sum()) / float(np.multiply(r, r, out=buf).sum())
+            return r.size / float(_sum(r))
+        return float(_sum(r)) / float(_sum(np.multiply(r, r, out=buf)))
 
     def _rates(self, r: np.ndarray, u: float, out=None) -> np.ndarray:
         """Volume rates of the radii ``r`` under the mean field ``u``,
@@ -378,41 +428,45 @@ class Ensemble:
     def _volume_rates(self, r: np.ndarray) -> np.ndarray:
         return self._rates(r, self._field(r))
 
-    def _fastest(self, y, r, u, k1, buf) -> float:
+    def _fastest(self, y, r, u, buf) -> float:
         """Largest ``|k1|/y`` over the watched suffix ``y >= (R_c/2)**3``,
-        read from the window below ``0.75 R_c`` alone when that suffices
-        (see :class:`Ensemble`).  ``k1`` receives the rates over the part
-        read; ``buf`` is overwritten there."""
+        read from the first particles of the window below ``0.75 R_c``
+        alone when that suffices (see :class:`Ensemble`).  ``buf`` is
+        overwritten over the rest of the suffix when that is read."""
         r_c = 1.0 / u
         n = y.size
         j = int(y.searchsorted((0.5 * r_c) ** 3))
-        if j == n:  # defensive; the largest particle always is watched
-            j = 0
-        m = max(j, int(y.searchsorted((_WINDOW_TOP * r_c) ** 3)))
 
         def largest(a, b):
-            q = np.abs(self._rates(r[a:b], u, out=k1[a:b]), out=buf[a:b])
+            q = np.abs(self._rates(r[a:b], u, out=buf[a:b]), out=buf[a:b])
             q /= y[a:b]
             return float(q.max())
 
-        fastest = largest(j, m) if m > j else 0.0
+        if j == n:  # defensive; the largest particle always is watched
+            return largest(0, n)
+        # The window's maximum sits at its first particle in dl, and within
+        # the rounding band above it in al.  The band's rates are taken in
+        # the order of _rates, on Python floats, so they are bitwise its.
+        dl = self.regime.kind == "dl"
+        top = j + 1 if dl else int(y.searchsorted(y[j] * _BAND, side="right"))
+        fastest = 0.0
+        for ri, yi in zip(r[j:top].tolist(), y[j:top].tolist()):
+            k1 = 3.0 * (ri * u - 1.0) if dl else 3.0 * (ri * ri * u - ri)
+            fastest = max(fastest, abs(k1) / yi)
         power, bound = _CAP_BOUND[self.regime.kind]
-        if m < n and not fastest > (1.0 + 1e-9) * bound * u**power:
-            fastest = max(fastest, largest(m, n))
+        if not fastest > (1.0 + 1e-9) * bound * u**power:
+            m = max(j, int(y.searchsorted((_WINDOW_TOP * r_c) ** 3)))
+            if m < n:
+                fastest = max(fastest, largest(m, n))
         return fastest
 
-    def _dying(self, y, r, u, h, k1, trial, mask) -> np.ndarray:
-        """Mask of the particles whose trial volume ``y + h k1`` is at or
-        below the deletion cut, over the only prefix that can get there
-        (see :class:`Ensemble`); the prefix's ``k1`` and ``trial`` are
-        written too.  Past the mask nobody dies."""
+    def _dying_prefix(self, y, u, h) -> int:
+        """Length of the only prefix whose trial ``y + h k1`` can reach the
+        deletion cut (see :class:`Ensemble`); past it nobody dies."""
         r_c = 1.0 / u
         cut = (self.deletion_fraction * r_c) ** 3
         reach = 3.0 if self.regime.kind == "dl" else 0.75 * r_c
-        p = int(y.searchsorted(cut + 2.0 * reach * h, side="right"))
-        t = np.multiply(self._rates(r[:p], u, out=k1[:p]), h, out=trial[:p])
-        t += y[:p]
-        return np.less_equal(t, cut, out=mask[:p])
+        return int(y.searchsorted(cut + 2.0 * reach * h, side="right"))
 
     def _drop(self, r: np.ndarray, k: int, dying=None, volumes=None,
               carry=()) -> np.ndarray:
@@ -437,7 +491,7 @@ class Ensemble:
                 a[k:p] = a[:p][keep]
         # Ledger the given volumes (a late overshoot may be slightly
         # negative) so the conservation identity stays exact.
-        self._lost += FOUR_THIRDS_PI * float(gone.sum())
+        self._lost += FOUR_THIRDS_PI * float(_sum(gone))
         self._deletions += k
         # Views: the state is updated in place and never rebuilt, so a view
         # pins no stale buffer.
@@ -450,77 +504,103 @@ class Ensemble:
             )
         return r[k:]
 
+    def _resort(self, inverted: np.ndarray):
+        """Restore the radius order after an update; ``inverted`` flags
+        ``y[i + 1] < y[i]``.  Only the prefix that holds the displaced
+        particles is sorted, which gives the whole stable argsort bit for
+        bit: past the last inversion the state is sorted, and the prefix
+        grows to take in every later volume below its maximum."""
+        y = self._y
+        q = int(inverted.nonzero()[0][-1]) + 1
+        q += int(y[q:].searchsorted(y[:q].max()))
+        order = y[:q].argsort(kind="stable")
+        y[:q] = y[:q][order]
+        self._ids[:q] = self._ids[:q][order]
+        self._resorts += 1
+        self._resorted += q
+
     def _advance(self, t_target: float, recorder=None):
         # r = cbrt(y) and the mean field u are taken once per update and
-        # reused by the sweep, the rates, the step cap and the recorder; a
+        # reused by the sweep, the step cap, stage 1 and the recorder; a
         # sweep recomputes u from the surviving r without another cbrt.
         # Every array a substep writes is a buffer allocated here, at the
-        # current size, and sliced to the size after drops; only a re-sort
-        # (its permutation) and a drop by mask allocate.
-        r = np.cbrt(self._y)
-        k1, k2, trial = (np.empty(r.size) for _ in range(3))
-        mask = np.empty(r.size, dtype=bool)
-        u = self._field(r, k2[:r.size])
+        # current size and on a cache-line boundary, and taken from its
+        # start at the size of the moment: an out-of-place pass runs about
+        # twice as long into an output that straddles cache lines.  Only a
+        # re-sort (its permutation) and a drop by mask allocate.
+        al = self.regime.kind == "al"
+        n = self._y.size
+        r_buf, hk1_buf, hk2_buf, trial_buf = (_aligned(n) for _ in range(4))
+        mask = np.empty(n, dtype=bool)
+        r = np.cbrt(self._y, out=r_buf)
+        u = self._field(r, hk2_buf)
         while True:
             k = int(self._y.searchsorted(
                 (self.deletion_fraction * (1.0 / u)) ** 3
             ))
             if k:
                 r = self._drop(r, k)
-                u = self._field(r, k2[:r.size])
+                u = self._field(r, hk2_buf[:r.size])
             remaining = t_target - self._t
             if remaining <= 0.0:
                 break
             y = self._y
             n = y.size
-            s1, s2, stage = k1[:n], k2[:n], trial[:n]
-            # Stage 1 and the step come from the field of every particle
-            # present, the dying ones included.  The step cap and the dying
-            # test read only the parts of the state that can decide them;
-            # the rest of stage 1 is taken after.
-            fastest = self._fastest(y, r, u, s1, s2)
+            hk1, hk2, trial = hk1_buf[:n], hk2_buf[:n], trial_buf[:n]
+            # The step and stage 1 come from the field of every particle
+            # present, the dying ones included, with h and the rate
+            # constants folded into the stage: h k1 = r (3hu) - 3h, times r
+            # in al.  hk2 is scratch until stage 2.
+            fastest = self._fastest(y, r, u, hk2)
             h = remaining
             if fastest > 0.0:
                 h = min(3.0 * self.step_fraction / fastest, remaining)
-            dying = self._dying(y, r, u, h, s1, stage, mask)
-            p = dying.size
-            self._rates(r[p:], u, out=s1[p:])
-            np.multiply(s1[p:], h, out=stage[p:])
-            stage[p:] += y[p:]
+            h3 = 3.0 * h
+            np.multiply(r, h3 * u, out=hk1)
+            hk1 -= h3
+            if al:
+                hk1 *= r
+            np.add(y, hk1, out=trial)
+            p = self._dying_prefix(y, u, h)
+            dying = np.less_equal(
+                trial[:p], (self.deletion_fraction * (1.0 / u)) ** 3,
+                out=mask[:p],
+            )
             k = int(np.count_nonzero(dying))
             if k:
                 # Hand the dying particles' flux to the survivors for half a
-                # substep: the ledger takes y + (h/2) k1 of each, and the
-                # survivors keep their stage-1 rates and trial stage (see
-                # the module docstring).
-                volumes = np.multiply(s1[:p], 0.5 * h, out=s2[:p])
-                volumes += y[:p]
-                r = self._drop(r, k, None if dying[:k].all() else dying,
-                               volumes, (s1, stage))
-                y, s1, s2, stage = self._y, s1[k:], s2[k:], stage[k:]
+                # substep: the ledger takes (y + trial)/2 of each, and the
+                # survivors keep their stage 1 and trial stage (see the
+                # module docstring).
+                volumes = np.add(y[:p], trial[:p], out=hk2[:p])
+                volumes *= 0.5
+                prefix = np.count_nonzero(dying[:k]) == k
+                self._drop(r, k, None if prefix else dying, volumes,
+                           (hk1, trial))
+                y, hk1, trial = self._y, hk1[k:], trial[k:]
                 n = y.size
             t_next = t_target if h >= remaining else self._t + h
-            np.cbrt(stage, out=stage)
-            self._rates(stage, self._field(stage, s2), out=s2)
-            s2 += s1
-            s2 *= 0.5 * h
-            y += s2
+            # Stage 2 writes its radii where r was, which is not read again.
+            stage = np.cbrt(trial, out=r_buf[:n])
+            hk2 = hk2_buf[:n]
+            np.multiply(stage, h3 * self._field(stage, hk2), out=hk2)
+            hk2 -= h3
+            if al:
+                hk2 *= stage
+            hk2 += hk1
+            hk2 *= 0.5
+            y += hk2
             # The exact dynamics keep the radii in order, but the discrete
             # step does not always in al; in dl it does (see the module
             # docstring), so only al is checked.
-            if self.regime.kind == "al" and np.less(
-                y[1:], y[:-1], out=mask[:n - 1]
-            ).any():
-                order = y.argsort(kind="stable")
-                y[:] = y[order]
-                self._ids[:] = self._ids[order]
-                self._resorts += 1
+            if al and np.less(y[1:], y[:-1], out=mask[:n - 1]).any():
+                self._resort(mask[:n - 1])
             self._t = t_next
             self._substeps += 1
-            np.cbrt(y, out=r)
-            u = self._field(r, s2)
+            r = np.cbrt(y, out=r_buf[:n])
+            u = self._field(r, hk2)
             if recorder is not None:
-                recorder(t_next, n, 1.0 / u, float(y.sum()), self._lost)
+                recorder(t_next, n, 1.0 / u, float(_sum(y)), self._lost)
 
     def step(self, dt: float):
         """Advance the ensemble by ``dt`` (internally substepped)."""
@@ -561,6 +641,14 @@ class Ensemble:
         if t_end > self._t:
             self._advance(t_end, recorder.add)
         return snapshots, recorder.build()
+
+
+def _aligned(n: int) -> np.ndarray:
+    """An uninitialized float64 array of length ``n`` that starts on a
+    64-byte (cache-line) boundary."""
+    buf = np.empty(n + 8)
+    shift = (-buf.ctypes.data) % 64 // 8
+    return buf[shift:shift + n]
 
 
 def _require_finite(name: str, values):

@@ -20,11 +20,16 @@ any R_c(0)).  It starts at 0 with slope h(1)/(gamma*m3), and saturates at 1
 as the window (rho, z0) grows to the full support.  It is evaluated as
 (M3(z0) - M3(rho)) / M3(z_max), a difference of one nondecreasing table of
 the cumulative moment M3(z) = int_0^z h x^3 dx, so it lies in [0, 1] and
-grows with s by construction, up to the largest finite s.
+grows with s by construction, up to the largest finite s.  A window inside
+one table panel (s - 1 below about 1.5e-3) is integrated directly over its
+width -z0 expm1(-ln(s)/gamma) instead: the two table values would cancel
+to a few digits there, while the direct panel keeps phi's relative
+precision down to s = 1 + 1e-15.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +70,19 @@ class VolumeFractionCurve:
         object.__setattr__(self, "fraction", f)
 
 
-def _window(regime: Regime, z0: float, rho: float, complement=None) -> float:
-    """Volume fraction in the window (rho, z0); see fraction_from_start_size."""
+def _window(regime: Regime, z0: float, rho: float, complement=None,
+            width=None) -> float:
+    """Volume fraction in the window (rho, z0); see fraction_from_start_size.
+
+    ``width`` is z0 - rho to full relative precision, when known.  A window
+    within one table panel is then integrated directly: near s = 1 the two
+    table values would cancel to a few digits."""
     dist = size_distribution(regime)
     m3 = dist.moment(3)
+    if width is not None and not complement:
+        narrow = dist.panel_moment(3, z0, width)
+        if narrow is not None:
+            return narrow / m3
     upper = dist.cumulative_moment(3, z0)
     lower = dist.cumulative_moment(3, rho)
     if complement:
@@ -95,9 +109,12 @@ def new_volume_fraction(regime: Regime, s: float) -> float:
 
     Zero at s = 1, strictly increasing, tends to 1 as s grows; a function
     of the time ratio alone.  One s -> z0 solve gives the window's upper
-    edge, and the lower edge is rho = z0 s**(-1/gamma).
+    edge, and the lower edge is rho = z0 s**(-1/gamma), so the width
+    z0 - rho = -z0 expm1(-ln(s)/gamma) keeps relative precision as s -> 1.
     """
-    return _window(regime, *_pair_for_ratio(regime, s))
+    z0, rho = _pair_for_ratio(regime, s)
+    width = -z0 * math.expm1(-math.log(s) / regime.coarsening_exponent)
+    return _window(regime, z0, rho, width=width)
 
 
 def fraction_curve(regime: Regime, s_grid=None) -> VolumeFractionCurve:

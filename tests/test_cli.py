@@ -421,11 +421,13 @@ class TestSimulate:
         )
         assert rc == 0
         work = json.loads((out_dir / "report.json").read_text())["work"]
-        assert sorted(work) == ["deletions", "resorts", "substeps"]
+        assert sorted(work) == ["deletions", "resorted", "resorts", "substeps"]
         n = np.loadtxt(out_dir / "series.csv", delimiter=",", skiprows=2,
                        usecols=(1,), dtype=np.int64)
         assert work["substeps"] == n.size - 1
         assert work["deletions"] == 1000 - n[-1] > 0
+        # each re-sort passes at least the two particles of one inversion
+        assert 2 * work["resorts"] <= work["resorted"] <= n[0] * work["resorts"]
         if regime == "dl":
             assert work["resorts"] == 0
 

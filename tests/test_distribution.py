@@ -143,6 +143,17 @@ class TestMoments:
                 want = mp.quad(lambda z: h(z) * z**k, [0, 1, zm])
                 assert d.moment(k) == pytest.approx(float(want), abs=1e-13), k
 
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_panel_moment(self, regime):
+        # Inside one table panel it is the difference of two cumulative
+        # reads; a window across a node is left to that difference.
+        d = size_distribution(regime)
+        for z, width in ((1.0, 1e-4), (0.3, 1e-6), (1.0, 0.0)):
+            want = d.cumulative_moment(3, z) - d.cumulative_moment(3, z - width)
+            assert d.panel_moment(3, z, width) == pytest.approx(want, abs=1e-15)
+        assert d.panel_moment(3, 1.0, 0.1) is None
+        assert d.panel_moment(3, regime.z_max, 1e-9) is None
+
 
 class TestCdf:
     @pytest.mark.parametrize("regime", BOTH)

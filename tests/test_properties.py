@@ -4,9 +4,10 @@ searched by hypothesis.
 
 phi(s) is a difference of one nondecreasing table divided by its last
 entry, so it must lie in [0, 1] and grow with s up to the largest float.
-The ensemble stepper's two narrowed first passes (the step cap read from a
-window, the dying test read over a prefix) must equal the passes over
-the whole state bit for bit.  The searches are derandomized so that every
+The ensemble stepper's narrowed passes (the step cap read from the first
+particles of a window, the dying test read over a prefix, the re-sort of
+the prefix that holds the inversions) must equal the passes over the whole
+state bit for bit.  The searches are derandomized so that every
 run checks the same examples.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ripening.distribution import density, size_distribution
@@ -179,21 +180,59 @@ def _full_rates(regime, r, u):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sorted_states())
+# In al, rounding puts the window's maximum one float above its first
+# particle (R_c = 100): the band above the first particle is read.
+@example((ATTACHMENT_LIMITED,
+          np.array([125000.00000000007, 125000.00000000009, 1e6]), 0.01, 1.0))
 def test_narrowed_passes_match_full_passes(state):
     regime, y, u, h = state
     ens = Ensemble(regime, [1.0, 2.0])
     r, n, r_c = np.cbrt(y), y.size, 1.0 / u
     k1 = _full_rates(regime, r, u)
-    buffers = np.empty(n), np.empty(n)
 
-    # The step cap: max |k1|/y over the suffix y >= (R_c/2)**3.
+    # The step cap: max |k1|/y over the suffix y >= (R_c/2)**3, read in
+    # O(1) from the window's first particles when the bound settles it.
     j = int(np.searchsorted(y, (0.5 * r_c) ** 3))
     j = 0 if j == n else j
     fastest = float(np.max(np.abs(k1[j:]) / y[j:]))
-    assert ens._fastest(y, r, u, *buffers) == fastest
+    assert ens._fastest(y, r, u, np.empty(n)) == fastest
 
-    # The dying test: y + h k1 at or below the deletion cut.
-    dying = (y + h * k1) <= (ens.deletion_fraction * r_c) ** 3
-    prefix = ens._dying(y, r, u, h, *buffers, np.empty(n, dtype=bool))
-    assert np.array_equal(prefix, dying[:prefix.size])
-    assert not dying[prefix.size:].any()
+    # The dying test: the trial y + h k1, with h and the rate constants
+    # folded in, at or below the deletion cut only within the prefix.
+    hk1 = r * (3.0 * h * u) - 3.0 * h
+    if regime.kind == "al":
+        hk1 = r * hk1
+    dying = (y + hk1) <= (ens.deletion_fraction * r_c) ** 3
+    assert not dying[ens._dying_prefix(y, u, h):].any()
+
+
+@st.composite
+def disordered_states(draw):
+    """Volumes that an al update left out of order: a head in any order
+    before a sorted tail, from a few distinct values, so that there are
+    ties, inversions at the end of the head, and head maxima above later
+    volumes."""
+    values = st.integers(min_value=1, max_value=12).map(float)
+    head = draw(st.lists(values, min_size=2, max_size=30))
+    tail = sorted(draw(st.lists(values, max_size=30)))
+    y = np.array(head + tail)
+    assume((y[1:] < y[:-1]).any())
+    return y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(disordered_states())
+@example(np.array([1.0, 2.0, 3.0, 2.0]))  # the only inversion at the end
+@example(np.array([2.0, 1.0, 2.0, 2.0, 3.0]))  # the head's maximum tied later
+@example(np.array([5.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))  # maximum first
+def test_prefix_resort_matches_whole_sort(y):
+    ens = Ensemble(ATTACHMENT_LIMITED, [1.0, 2.0])
+    ens._y, ens._ids = y.copy(), np.arange(y.size)
+    ens._resort(y[1:] < y[:-1])
+    order = np.argsort(y, kind="stable")
+    assert np.array_equal(ens._ids, order)
+    assert np.array_equal(ens._y, y[order])
+    # the prefix sorted ends at the last particle the whole sort moves
+    moved = np.flatnonzero(order != np.arange(y.size))
+    assert ens.work["resorts"] == 1
+    assert ens.work["resorted"] == moved[-1] + 1

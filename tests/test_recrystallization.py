@@ -107,9 +107,30 @@ class TestNearUnitRatio:
     # tolerance of the s -> z0 solve.
     @pytest.mark.parametrize("regime", BOTH)
     def test_nondecreasing(self, regime):
-        ss = 1.0 + np.geomspace(1e-10, 1e-2, 400)
+        # From windows inside one table panel, integrated directly, across
+        # the switch to the difference of two table reads (near s - 1 =
+        # 1.5e-3 in both regimes).
+        ss = 1.0 + np.geomspace(1e-15, 1e-2, 600)
         fs = [new_volume_fraction(regime, s) for s in ss]
         assert all(b >= a for a, b in zip(fs, fs[1:]))
+        dist = size_distribution(regime)
+        inside = []
+        for s in (ss[0], ss[-1]):
+            z0 = initial_size_for_ratio(regime, s)
+            width = -z0 * math.expm1(-math.log(s) / regime.coarsening_exponent)
+            inside.append(dist.panel_moment(3, z0, width) is not None)
+        assert inside == [True, False]
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_initial_rate_next_to_one(self, regime):
+        # The window z0 - rho is taken to relative precision, so phi keeps
+        # its digits where the two table values it used to subtract agree
+        # to all but a few.
+        rate = initial_growth_rate(regime)
+        for e in np.geomspace(1e-15, 1e-10, 11):
+            s = 1.0 + e
+            ratio = new_volume_fraction(regime, s) / (rate * (s - 1.0))
+            assert abs(ratio - 1.0) <= 1e-6, (e, ratio)
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_initial_rate(self, regime):
