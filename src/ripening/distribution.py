@@ -61,30 +61,24 @@ def density(regime: Regime, z):
 
     Zero at z = 0, zero for z >= z_max, positive in between; the exponent is
     evaluated in log space and flushed to 0.0 on underflow so the deep tail
-    never produces inf/nan.
+    never produces inf/nan.  A scalar goes through the same array code (as
+    a 0-d array) and comes back as a float.
 
-    Raises ``DomainError`` for any negative z.
+    Raises ``DomainError`` for any negative or non-finite z.
     """
     log_f = _log_density_dl if regime.kind == "dl" else _log_density_al
-    if isinstance(z, np.ndarray):
-        if z.size and float(np.min(z)) < 0.0:
-            raise DomainError("scaled sizes must be >= 0")
-        out = np.zeros(z.shape, dtype=float)
-        inside = (z > 0.0) & (z < regime.z_max)
-        if np.any(inside):
-            zi = z[inside]
-            logs = log_f(zi, regime.z_max - zi)
-            out[inside] = np.where(logs > _LOG_FLOOR, np.exp(logs), 0.0)
-        return out
-    z = float(z)
-    if not (z >= 0.0 and math.isfinite(z)):
-        raise DomainError(f"scaled size must be >= 0 and finite, got {z!r}")
-    if z == 0.0 or z >= regime.z_max:
-        return 0.0
-    log_h = float(log_f(z, regime.z_max - z))
-    # np.exp, not math.exp: they differ in the last ulp and the scalar and
-    # array paths should agree bit for bit.
-    return float(np.exp(log_h)) if log_h > _LOG_FLOOR else 0.0
+    z = np.asarray(z, dtype=float)
+    bad = ~((z >= 0.0) & np.isfinite(z))
+    if bad.any():
+        raise DomainError(
+            f"scaled sizes must be >= 0 and finite, got {float(z[bad][0])!r}"
+        )
+    out = np.zeros(z.shape)
+    inside = (z > 0.0) & (z < regime.z_max)
+    zi = z[inside]
+    logs = log_f(zi, regime.z_max - zi)
+    out[inside] = np.where(logs > _LOG_FLOOR, np.exp(logs), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 class SizeDistribution:
@@ -116,8 +110,8 @@ class SizeDistribution:
 
     def _gauss(self, k: int, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
         # The same rule on the panels mid - half to mid + half.
-        x = mid[:, None] + half[:, None] * _GX[None, :]
-        return (density(self.regime, x) * x**k * _GW[None, :]).sum(axis=1) * half
+        x = mid[..., None] + half[..., None] * _GX
+        return (density(self.regime, x) * x**k * _GW).sum(axis=-1) * half
 
     def _cumulative(self, k: int) -> np.ndarray:
         k = int(k)
@@ -132,40 +126,48 @@ class SizeDistribution:
         """k-th moment of the density over its full support."""
         return float(self._cumulative(k)[-1])
 
-    def cumulative_moment(self, k: int, z: float) -> float:
+    def cumulative_moment(self, k: int, z):
         """M_k(z): the table at the node below z plus one panel up to z.
 
         Nondecreasing in z, 0 at z = 0 and ``moment(k)`` from z_max on.
+        Accepts a scalar or a numpy array, like :func:`density`.
         """
         table = self._cumulative(k)
-        z = float(z)
-        if not z >= 0.0:
-            raise DomainError(f"scaled size must be >= 0, got {z!r}")
+        z = np.asarray(z, dtype=float)
+        bad = ~(z >= 0.0)
+        if bad.any():
+            raise DomainError(f"scaled sizes must be >= 0, got {float(z[bad][0])!r}")
         i = self._node_below(z)
-        if i >= self._grid.size - 1:
-            return float(table[-1])
-        part = self._panels(k, self._grid[i : i + 1], np.array([z]))[0]
+        j = np.minimum(i, self._grid.size - 2)  # the panel that holds z
+        part = self._panels(k, self._grid[j], np.minimum(z, self._grid[j + 1]))
         # The partial panel may round past the whole one by an ulp.
-        return float(min(table[i] + part, table[i + 1]))
+        out = np.where(j < i, table[-1], np.minimum(table[j] + part, table[j + 1]))
+        return float(out) if out.ndim == 0 else out
 
-    def panel_moment(self, k: int, z: float, width: float) -> float | None:
-        """int_{z - width}^z h x^k dx by one 7-point panel, or None when the
-        window does not lie within one table panel.
+    def panel_moment(self, k: int, z, width):
+        """int_{z - width}^z h x^k dx by one 7-point panel, where the window
+        lies within one table panel; otherwise None (NaN entries, for
+        arrays).  Accepts scalars or numpy arrays, like :func:`density`.
 
         The result has the relative precision of ``width``, where the
         difference of two :meth:`cumulative_moment` reads keeps only the
         digits that survive their cancellation.
         """
-        z, half = float(z), 0.5 * float(width)
+        z, width = np.broadcast_arrays(np.asarray(z, dtype=float),
+                                       np.asarray(width, dtype=float))
+        half = 0.5 * width
         i = self._node_below(z)
-        if not (0.0 <= half and i < self._grid.size - 1
-                and z - width >= self._grid[i]):
-            return None
-        return float(self._gauss(k, np.array([z - half]), np.array([half]))[0])
+        inside = ((0.0 <= half) & (i < self._grid.size - 1)
+                  & (z - width >= self._grid[i]))
+        out = np.full(z.shape, np.nan)
+        out[inside] = self._gauss(k, (z - half)[inside], half[inside])
+        if out.ndim:
+            return out
+        return float(out) if inside else None
 
-    def _node_below(self, z: float) -> int:
-        """Index of the last table node at or below ``z``."""
-        return int(np.searchsorted(self._grid, z, side="right")) - 1
+    def _node_below(self, z):
+        """Index of the last table node at or below each ``z``."""
+        return np.searchsorted(self._grid, z, side="right") - 1
 
     @property
     def cdf_table(self) -> tuple[np.ndarray, np.ndarray]:

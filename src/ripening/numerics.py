@@ -7,7 +7,8 @@ the Gauss-Legendre table of ``distribution.SizeDistribution``, and
 routines are deliberately plain: bisection is slow but cannot be fooled by
 the nearly-flat functions this package inverts, and the quadrature/ODE
 kernels are classic textbook schemes with defensive checks for non-finite
-values.
+values.  :func:`find_root` bisects elementwise over numpy arrays, so a
+whole grid of roots is one solve.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import (
     BracketError,
@@ -73,62 +76,71 @@ DEFAULT_ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-10, max_iter=1_000_000)
 
 
 def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo,
+    hi,
     tol: Tolerance = DEFAULT_ROOT_TOL,
-) -> float:
+):
     """Locate a root of ``f`` inside the bracket ``[lo, hi]`` by bisection.
 
-    The endpoints must straddle a sign change (an exact zero at an endpoint
-    is returned immediately).  Bisection halves the bracket until its width
-    passes the tolerance gate; the functions inverted in this package are
-    monotone but extremely flat near their roots, which rules out
-    secant-type accelerations that assume a usable local slope.
+    Elementwise over numpy arrays: ``lo`` and ``hi`` broadcast to one shape,
+    ``f`` maps an array of that shape to its values there, and every entry
+    is bisected at once.  Scalar brackets give a float.  The endpoints must
+    straddle a sign change.  An entry stops at an exact zero, or when its
+    bracket passes the tolerance gate (its midpoint is returned) or closes
+    to adjacent floats (its lower end is returned); a stopped entry stays
+    as it is while the others go on, so each entry gets the value a scalar
+    call would.  The functions inverted in this package are monotone but
+    extremely flat near their roots, which rules out secant-type
+    accelerations that assume a usable local slope.
 
     Raises
     ------
     DomainError
-        If the bracket is empty/inverted or ``f`` returns a NaN.
+        If a bracket is empty/inverted or ``f`` returns a NaN.
     BracketError
         If ``f(lo)`` and ``f(hi)`` have the same sign.
     ConvergenceError
-        If ``tol.max_iter`` bisections do not shrink the bracket enough.
+        If ``tol.max_iter`` bisections do not shrink every bracket enough.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not lo < hi:
-        raise DomainError(f"invalid bracket: lo={lo!r} must be < hi={hi!r}")
-
-    flo = f(lo)
-    fhi = f(hi)
-    if math.isnan(flo) or math.isnan(fhi):
-        raise DomainError("f is NaN at a bracket endpoint")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(
-            f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
+    lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
+    bad = ~(lo < hi)
+    if bad.any():
+        raise DomainError(
+            f"invalid bracket: lo={float(lo[bad][0])!r} must be < "
+            f"hi={float(hi[bad][0])!r}"
         )
-
+    flo = np.broadcast_to(f(lo), lo.shape)
+    fhi = np.broadcast_to(f(hi), hi.shape)
+    if np.isnan(flo).any() or np.isnan(fhi).any():
+        raise DomainError("f is NaN at a bracket endpoint")
+    at_lo, at_hi = flo == 0.0, fhi == 0.0
+    bad = ~(at_lo | at_hi) & ((flo > 0.0) == (fhi > 0.0))
+    if bad.any():
+        raise BracketError(
+            f"no sign change on [{float(lo[bad][0])!r}, {float(hi[bad][0])!r}]: "
+            f"f(lo)={float(flo[bad][0])!r}, f(hi)={float(fhi[bad][0])!r}"
+        )
+    # An entry with an exact zero at an endpoint starts closed on it.
+    np.copyto(lo, hi, where=at_hi & ~at_lo)
+    np.copyto(hi, lo, where=at_lo | at_hi)
+    sign = np.sign(fhi)  # f * sign is positive above each root
+    mid = np.empty_like(lo)
     for _ in range(tol.max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Bracket has collapsed to adjacent floats; cannot do better.
-            return mid if lo < mid < hi else lo
-        if (hi - lo) <= tol.gate(mid):
-            return mid
-        fmid = f(mid)
-        if math.isnan(fmid):
-            raise DomainError(f"f is NaN at x={mid!r}")
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (fhi > 0.0):
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        inside = (lo < mid) & (mid < hi)  # false once lo, hi are adjacent
+        open_ = inside & (hi - lo > tol.gate(mid))
+        if not np.count_nonzero(open_):
+            root = np.where(inside, mid, lo)
+            return float(root) if root.ndim == 0 else root
+        above = f(mid) * sign
+        # An exact zero moves both ends onto it; a NaN moves neither, so its
+        # entry never closes (see below).
+        np.copyto(hi, mid, where=open_ & (above >= 0.0))
+        np.copyto(lo, mid, where=open_ & (above <= 0.0))
+    if np.isnan(f(mid)).any():
+        raise DomainError(f"f is NaN inside the bracket, near x={mid!r}")
     raise ConvergenceError(
         f"bisection did not converge in {tol.max_iter} iterations "
         f"(bracket [{lo!r}, {hi!r}])"

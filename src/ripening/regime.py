@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .numerics import Tolerance, find_root
 
@@ -194,6 +196,29 @@ def _tau_closed_form(regime: Regime, z: float) -> float:
         )
     # al: dz/dtau = -(z - 2)^2 / z.
     return 2.0 / (z - 2.0) - math.log(2.0 - z)
+
+
+def _flow_time_down(regime: Regime, z, d):
+    """tau(z - d) - tau(z): the rescaled time the flow takes from z down to
+    z - d, for 1 <= z < z_max and 0 <= d <= z; numpy arrays elementwise.
+
+    The closed forms are differenced in d: reciprocal differences, and
+    log1p of the ratios of the log arguments.  The result keeps the
+    relative precision of d as d -> 0, and it is tau(0) - tau(z) where
+    z - d is 0.
+    """
+    if regime.kind == "dl":
+        cut = 3.0 - 2.0 * z  # exact for z in [1, 3/2]
+        d2 = 2.0 * d
+        q = d2 / cut
+        return (
+            q / (cut + d2)
+            - (5.0 / 9.0) * np.log1p(q)
+            - (4.0 / 9.0) * np.log1p(d / (-3.0 - z))
+        )
+    cut = 2.0 - z  # exact for z in [1, 2]
+    q = d / cut
+    return 2.0 * q / (cut + d) - np.log1p(q)
 
 
 def flow_time(regime: Regime, z: float) -> float:

@@ -16,10 +16,18 @@ pure power of the size ratio, s = (R_c(t)/R_c(t0))**gamma = (z0/rho)**gamma,
 independent of t0 and of R_c(t0).  On the late-stage clock R_c**gamma
 proportional to t, s is t/t0 (see return_radius for any R_c(0)).
 
-All solves here run in u = ln z, which keeps the bracket well-behaved even
-when rho underflows the smallest positive float (z0 extremely close to
-z_max): tau(e^u) tends to the finite tau(0) as u -> -inf, so the matching
-function is still exact where exp() has flushed to zero.
+Both directions solve one matching equation in a = ln(z0/rho) = ln(s)/gamma:
+
+    Phi(z0, a) = a + tau(z0) - tau(z0 e^-a) = alpha(z0) - alpha(rho) = 0,
+
+solved for a given z0 (solve_return_point, which return_size,
+return_time_ratio and fraction_from_start_size read) or for z0 given s
+(initial_size_for_ratio), each query by one bisection to adjacent floats.
+initial_size_for_ratio takes a numpy array of ratios as one elementwise
+solve.  tau(z0) - tau(rho) comes from the closed forms differenced in
+d = z0 - rho = -z0 expm1(-a), so Phi keeps relative precision as s -> 1 and
+stays exact where rho underflows the smallest positive float (z0 extremely
+close to z_max): tau tends to the finite tau(0) there.
 """
 
 from __future__ import annotations
@@ -27,15 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .numerics import Tolerance, find_root
-from .regime import (
-    Regime,
-    _tau_closed_form,
-    coarsening_slope,
-    critical_radius,
-    return_invariant,
-)
+from .regime import Regime, _flow_time_down, coarsening_slope, critical_radius
 
 __all__ = [
     "ReturnPoint",
@@ -53,7 +57,8 @@ __all__ = [
 # 1/(z_max - z0)**gamma, so there is nothing meaningful to resolve beyond it.
 NEAR_CUTOFF = 1e-9
 
-_LOG_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=200)
+# A gate below one ulp: every solve closes its bracket to adjacent floats.
+_ADJACENT = Tolerance(abs_tol=0.0, rel_tol=1e-17, max_iter=200)
 
 
 @dataclass(frozen=True)
@@ -85,28 +90,9 @@ def _check_z0(regime: Regime, z0: float) -> float:
     return z0
 
 
-def _log_rho(regime: Regime, z0: float) -> float:
-    """ln(rho(z0)), solved in log space (see module docstring)."""
-    if z0 == 1.0:
-        return 0.0
-    target = return_invariant(regime, z0)
-    if target >= _tau_closed_form(regime, 1.0):
-        # z0 - 1 below about 1e-8: alpha(z0) rounds onto the peak
-        # alpha(1) = tau(1), so [u_lo, 0] brackets no sign change.  The map
-        # has slope -1 at the fixed point, and the neglected (z0 - 1)**2
-        # term is below 1e-15 here.
-        return math.log(2.0 - z0)
-    tau0 = _tau_closed_form(regime, 0.0)
-
-    def f(u: float) -> float:
-        # exp(u) may underflow to 0.0 for very negative u; the closed form
-        # is finite there, so the matching function stays exact.
-        return u + _tau_closed_form(regime, math.exp(u)) - target
-
-    # alpha(e^u) <= u + tau(0) for u <= 0, so this lower end is always on
-    # the negative side of the target while u = 0 is on the positive side.
-    u_lo = target - tau0 - 1.0
-    return find_root(f, u_lo, 0.0, tol=_LOG_TOL)
+def _mismatch(regime: Regime, z0, a):
+    """Phi(z0, a) = alpha(z0) - alpha(z0 e^-a); arrays elementwise."""
+    return a - _flow_time_down(regime, z0, -z0 * np.expm1(-a))
 
 
 def return_size(regime: Regime, z0: float) -> float:
@@ -114,8 +100,8 @@ def return_size(regime: Regime, z0: float) -> float:
 
     Strictly decreasing in z0, with rho(1) = 1 and rho -> 0 as z0 -> z_max.
     For z0 within about 1e-3 of the cutoff the true value underflows float64
-    and 0.0 is returned; the matching is still exact in ln-space through
-    :func:`return_time_ratio`.
+    and 0.0 is returned; the matching is still exact in a = ln(z0/rho)
+    through :func:`return_time_ratio`.
     """
     return solve_return_point(regime, z0).z_return
 
@@ -139,61 +125,69 @@ def _exp_or_inf(arg: float) -> float:
         return math.inf
 
 
-def _log_pair(regime: Regime, z0: float) -> tuple[float, float]:
-    """(ln rho, ln s) for z0; exact even where rho itself underflows."""
-    u = _log_rho(regime, z0)
-    return u, regime.coarsening_exponent * (math.log(z0) - u)
-
-
 def return_time_ratio(regime: Regime, z0: float) -> float:
     """Elapsed-time ratio s = t/t0 = (z0/rho(z0))**gamma for the return.
 
-    Computed as exp(gamma * (ln z0 - ln rho)) so the matching stays exact
-    even where rho itself underflows; ratios beyond float64 range come back
-    as inf.
+    Computed as exp(gamma * a) from the solved a = ln(z0/rho), so the
+    matching stays exact even where rho itself underflows; ratios beyond
+    float64 range come back as inf.
     """
     return solve_return_point(regime, z0).s
 
 
-def initial_size_for_ratio(regime: Regime, s: float) -> float:
+def initial_size_for_ratio(regime: Regime, s):
     """Invert the time ratio: the z0 in [1, z_max) with s = (z0/rho(z0))**gamma.
 
     The ratio is strictly increasing in z0 (from 1 at z0 = 1 to +inf at the
-    cutoff), so the root is unique; s < 1 is rejected.
+    cutoff), so the root is unique; s < 1 is rejected.  Accepts a scalar or
+    a numpy array: every entry is solved in the same bisection.
     """
-    s = float(s)
-    if not (s >= 1.0 and math.isfinite(s)):
-        raise DomainError(f"time ratio must be >= 1 and finite, got {s!r}")
-    if s == 1.0:
-        return 1.0
-    log_s = math.log(s)
+    s = np.asarray(s, dtype=float)
+    bad = ~((s >= 1.0) & np.isfinite(s))
+    if bad.any():
+        raise DomainError(
+            f"time ratio must be >= 1 and finite, got {float(s[bad][0])!r}"
+        )
+    a = np.log(s) / regime.coarsening_exponent
     return find_root(
-        lambda z0: _log_pair(regime, z0)[1] - log_s, 1.0, regime.z_max - NEAR_CUTOFF
+        lambda z0: _mismatch(regime, z0, a),
+        np.ones_like(a),
+        regime.z_max - NEAR_CUTOFF,
+        tol=_ADJACENT,
     )
 
 
 def solve_return_point(regime: Regime, z0: float) -> ReturnPoint:
-    """Bundle rho(z0) and the time ratio into a :class:`ReturnPoint`."""
+    """Bundle rho(z0) and the time ratio into a :class:`ReturnPoint`.
+
+    Solves Phi(z0, a) = 0 for a = ln(z0/rho) on [ln z0, tau(0) - tau(z0) + 1]:
+    Phi is alpha(z0) - alpha(1) <= 0 at the lower end and at least 1 at the
+    upper one.
+    """
     z0 = _check_z0(regime, z0)
-    u, log_s = _log_pair(regime, z0)
-    return ReturnPoint(z0, math.exp(u), _exp_or_inf(log_s))
+    a = find_root(
+        lambda a: _mismatch(regime, z0, a),
+        math.log(z0),
+        float(_flow_time_down(regime, z0, z0)) + 1.0,
+        tol=_ADJACENT,
+    )
+    return ReturnPoint(
+        z0, z0 * math.exp(-a), _exp_or_inf(regime.coarsening_exponent * a)
+    )
 
 
-def _pair_for_ratio(regime: Regime, s: float) -> tuple[float, float]:
+def _pair_for_ratio(regime: Regime, s):
     """(z0, rho) for the time ratio ``s``: one s -> z0 solve, then
-    rho = z0 * s**(-1/gamma) from z0 * R_c(t0) = rho * R_c(t).  So z0 - rho
-    carries the exact ln(s) even where z0 - 1 is below the root tolerance."""
-    s = float(s)
+    rho = z0 * s**(-1/gamma) from z0 * R_c(t0) = rho * R_c(t).  Arrays
+    elementwise."""
     z0 = initial_size_for_ratio(regime, s)
-    return z0, z0 * math.exp(-math.log(s) / regime.coarsening_exponent)
+    return z0, z0 * np.exp(-np.log(s) / regime.coarsening_exponent)
 
 
 def return_point_for_ratio(regime: Regime, s: float) -> ReturnPoint:
     """The :class:`ReturnPoint` whose elapsed-time ratio is ``s``."""
-    # Within about 1e-12 of s = 1, z0's root tolerance (about 5e-13) can
-    # put rho above 1; the pair is capped at the fixed point.
-    z0, rho = _pair_for_ratio(regime, s)
-    return ReturnPoint(z0, min(rho, 1.0), float(s))
+    z0, rho = _pair_for_ratio(regime, float(s))
+    return ReturnPoint(z0, float(rho), float(s))
 
 
 def return_radius(regime: Regime, t: float, t0: float, r_c0: float = 0.0) -> float:

@@ -79,6 +79,19 @@ class TestDensity:
         with pytest.raises(DomainError):
             density(DIFFUSION_LIMITED, math.nan)
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_nonfinite_array_entry_rejected(self, bad):
+        # A scalar and an array entry take the same path.
+        with pytest.raises(DomainError):
+            density(DIFFUSION_LIMITED, bad)
+        with pytest.raises(DomainError):
+            density(DIFFUSION_LIMITED, np.array([1.0, bad, 0.5]))
+
+    def test_scalar_is_float(self):
+        assert type(density(DIFFUSION_LIMITED, 1.0)) is float
+        assert type(density(DIFFUSION_LIMITED, np.float64(1.0))) is float
+        assert type(density(DIFFUSION_LIMITED, np.array(1.0))) is float
+
     @pytest.mark.parametrize("regime", BOTH)
     def test_unimodal(self, regime):
         zs = np.linspace(1e-3, regime.z_max - 1e-3, 2000)
@@ -153,6 +166,22 @@ class TestMoments:
             assert d.panel_moment(3, z, width) == pytest.approx(want, abs=1e-15)
         assert d.panel_moment(3, 1.0, 0.1) is None
         assert d.panel_moment(3, regime.z_max, 1e-9) is None
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_arrays_match_scalars(self, regime):
+        # Arrays read the table entry by entry, with the scalar results;
+        # a window wider than a panel is a NaN entry.
+        d = size_distribution(regime)
+        z = np.array([0.0, 0.6, 0.3, 1.0, 1.2, regime.z_max, regime.z_max + 1.0])
+        width = np.array([0.0, 1e-6, 1e-6, 0.1, 1e-9, 1e-9, 1e-3])
+        for k in range(4):
+            m = d.cumulative_moment(k, z)
+            assert m.shape == z.shape
+            assert m.tolist() == [d.cumulative_moment(k, x) for x in z]
+            p = d.panel_moment(k, z, width)
+            want = [d.panel_moment(k, x, w) for x, w in zip(z, width)]
+            assert [None if math.isnan(v) else v for v in p] == want
+            assert want.count(None) == 3
 
 
 class TestCdf:

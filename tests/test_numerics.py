@@ -73,6 +73,37 @@ class TestFindRoot:
         with pytest.raises(DomainError):
             find_root(lambda x: math.nan, -1.0, 1.0)
 
+    def test_elementwise_arrays(self):
+        # Every entry is bisected at once, to the root each scalar call finds.
+        c = np.array([[0.25, 2.0], [3.0, 9.0]])
+        r = find_root(lambda x: x * x - c, 0.0, np.full(c.shape, 4.0))
+        assert r.shape == c.shape
+        assert np.allclose(r, np.sqrt(c), rtol=1e-12, atol=0.0)
+        for i, ci in np.ndenumerate(c):
+            assert r[i] == find_root(lambda x: x * x - ci, 0.0, 4.0)
+
+    def test_elementwise_exact_zeros_and_signs(self):
+        # Exact zeros at either end or at a midpoint, with f falling
+        # through its root.
+        lo, hi = np.array([0.0, -1.0, -1.0]), np.array([1.0, 0.0, 1.0])
+        r = find_root(lambda x: -x, lo, hi)
+        assert r.tolist() == [0.0, 0.0, 0.0]
+        r = find_root(lambda x: 0.5 - x, 0.0, np.array([1.0, 0.5, 2.0]))
+        assert r.tolist() == [0.5, 0.5, 0.5]
+
+    def test_elementwise_errors(self):
+        with pytest.raises(BracketError):
+            find_root(lambda x: x - np.array([0.5, 2.0]), np.zeros(2), 1.0)
+        with pytest.raises(DomainError):
+            find_root(lambda x: x, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        # NaN inside the bracket, where the endpoints are finite.
+        with pytest.raises(DomainError):
+            find_root(lambda x: np.where(abs(x - 0.5) < 0.2, np.nan, x - 0.5),
+                      0.0, 1.0)
+
+    def test_scalar_is_float(self):
+        assert type(find_root(lambda x: x - 0.25, 0.0, 1.0)) is float
+
     def test_iteration_budget(self):
         tight = Tolerance(abs_tol=1e-14, rel_tol=0.0, max_iter=3)
         with pytest.raises(ConvergenceError):

@@ -37,9 +37,9 @@ orders = st.integers(min_value=0, max_value=3)
 fractions = st.floats(min_value=0.0, max_value=1.0)
 
 
-def _start_size(regime, u, gap=0.0):
-    """z0 in [1 + gap, z_max - NEAR_CUTOFF], placed by u in [0, 1]."""
-    lo, hi = 1.0 + gap, regime.z_max - NEAR_CUTOFF
+def _start_size(regime, u):
+    """z0 in [1, z_max - NEAR_CUTOFF], placed by u in [0, 1]."""
+    lo, hi = 1.0, regime.z_max - NEAR_CUTOFF
     return min(lo + u * (hi - lo), hi)
 
 
@@ -58,10 +58,7 @@ def test_return_size_matches_invariant(regime, u):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(regimes, fractions)
 def test_time_ratio_round_trip(regime, u):
-    # z0 - 1 >= 1e-4 keeps clear of the flat peak of alpha at z0 = 1, where
-    # the nested bisection loses digits; ROADMAP item 2's root equation is
-    # the fix for that region.
-    z0 = _start_size(regime, u, gap=1e-4)
+    z0 = _start_size(regime, u)
     s = return_time_ratio(regime, z0)
     assume(math.isfinite(s))
     assert abs(initial_size_for_ratio(regime, s) - z0) <= 1e-10 * z0

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import ripening.return_map as return_map
 from ripening.distribution import density, size_distribution
 from ripening.errors import DomainError
 from ripening.recrystallization import (
@@ -64,6 +65,17 @@ class TestPinnedValues:
         assert initial_growth_rate(ATTACHMENT_LIMITED) == pytest.approx(
             RATE_AL, abs=1e-9
         )
+
+
+class TestPinnedToRounding:
+    # One matching equation, bisected to adjacent floats: phi meets the
+    # 40-digit references to rounding.
+    @pytest.mark.parametrize(
+        "regime,pinned", ((DIFFUSION_LIMITED, PHI_DL), (ATTACHMENT_LIMITED, PHI_AL))
+    )
+    def test_forty_digit_values(self, regime, pinned):
+        for s, want in pinned.items():
+            assert abs(new_volume_fraction(regime, s) - want) <= 1e-13, s
 
 
 class TestShape:
@@ -184,6 +196,21 @@ class TestCurve:
         assert c.s.size == 200
         assert c.fraction[0] == 0.0
         assert np.all(np.diff(c.fraction) > 0.0)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_one_solve_per_grid(self, regime, monkeypatch):
+        # The whole grid is one array solve, with the scalar values.
+        solve, brackets = return_map.find_root, []
+
+        def counting(f, lo, *args, **kwargs):
+            brackets.append(np.shape(lo))
+            return solve(f, lo, *args, **kwargs)
+
+        monkeypatch.setattr(return_map, "find_root", counting)
+        c = fraction_curve(regime)
+        monkeypatch.undo()
+        assert brackets == [(200,)]
+        assert c.fraction.tolist() == [new_volume_fraction(regime, s) for s in c.s]
 
     def test_custom_grid(self):
         c = fraction_curve(ATTACHMENT_LIMITED, [1.0, 1.5, 2.0, 3.0])

@@ -225,6 +225,30 @@ class TestReturnPointBundles:
             ReturnPoint(1.3, 0.5, 0.5)
 
 
+class TestNearUnitPair:
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_pair_next_to_one(self, regime):
+        # z0 resolves to adjacent floats, so the pair sits on the slope -1
+        # line through (1, 1), z0 - 1 = ln(s)/(2 gamma), to 4 ulps of 1, and
+        # rho = z0 s**(-1/gamma) stays at or below 1 without a cap.
+        g = regime.coarsening_exponent
+        for e in np.geomspace(1e-15, 1e-10, 11):
+            s = 1.0 + e
+            p = return_point_for_ratio(regime, s)
+            assert p.z_return <= 1.0 <= p.z0
+            assert abs(p.z0 - 1.0 - math.log(s) / (2.0 * g)) <= 8.9e-16, e
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_array_solve_matches_scalar(self, regime):
+        # One bisection serves a whole grid, entry for entry.
+        s = np.concatenate(([1.0, 1.0 + 1e-15], np.geomspace(1.001, 1e300, 40)))
+        z0 = initial_size_for_ratio(regime, s)
+        assert z0.shape == s.shape
+        assert z0.tolist() == [initial_size_for_ratio(regime, x) for x in s]
+        with pytest.raises(DomainError):
+            initial_size_for_ratio(regime, np.array([2.0, 0.5]))
+
+
 class TestReturnRadius:
     def test_baseline_at_t0(self):
         # At t = t0 the boundary sits exactly on the critical radius.
