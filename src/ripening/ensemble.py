@@ -12,94 +12,105 @@ laws become
     dl:  dy/dt = 3 (R u - 1)
     al:  dy/dt = 3 (R^2 u - R),
 
-and the mean-field definitions make sum(dy/dt) vanish identically — total
-particle volume is a linear first integral, so any Runge-Kutta step
-conserves it to rounding, with no tolerance knob involved.  Particles whose
-volume falls below the deletion threshold are removed and their volume
-moved to an explicit ledger, keeping
+and the mean-field definitions make sum(dy/dt) vanish identically: total
+particle volume is a linear first integral.  Particles whose volume falls
+below the deletion threshold are removed and their volume moved to an
+explicit ledger, keeping
 
     (4/3) pi sum(R^3) + lost_volume
 
-constant to near machine precision over a whole run.
+constant to rounding over a whole run.
 
-The stepper is Heun's method with an adaptive substep: the largest relative
-volume change per substep is capped for all particles at least half the
-critical radius.  Particles below that are in free fall toward dissolution
-(their relative rates diverge as R -> 0, and nothing that shrinks past
-R_c/2 ever comes back), so capping on them would grind the step size to
-zero.  Instead, a particle that dissolves within a substep is handed off
-to the survivors inside that substep:
+Each substep splits the state, sorted by radius, at R_c/2 with one
+``searchsorted``.
 
-* stage 1 (``k1``, the trial ``T = y + h k1``) and the step ``h`` are
-  taken under the mean field of every particle present, the dying ones
-  included;
-* a particle whose trial is at or below the deletion cut leaves, and the
-  ledger takes ``(y + T)/2`` of it, which is ``y + (h/2) k1``;
-* the survivors finish the Heun step with the ``k1`` and trial stage they
-  already have, under a stage-2 field of their own.
+* **The suffix** (R >= R_c/2) takes a Heun step whose size caps the
+  largest relative volume change of the suffix at ``3 step_fraction``.
+  Each stage is the increment ``h k`` with the step and the rate constants
+  folded into two scalars: ``h k = R (3hu) - 3h`` in dl, and in al the
+  completed square ``(3hu) (R - R_c/2)**2 - 3h R_c/4``.  The update is
+  ``y += (h k1 + h k2)/2``, one rounded increment per volume.
+* **The prefix** (R < R_c/2) is in free fall toward dissolution: its
+  relative rates diverge as R -> 0, and nothing that shrinks past R_c/2
+  ever comes back, so a step cap on it would grind the step to zero.  It
+  moves instead by the exact flow of its growth law under a frozen field.
+  With ``x = u R``, a particle dissolves after ``u**-3 g3(x)`` (dl) or
+  ``u**-2 g2(x)`` (al), where ``g3 = -(log1p(-x) + x + x**2/2)`` and
+  ``g2 = -(log1p(-x) + x)`` (``_lifetime``; a series below x = 0.05,
+  where the closed forms cancel).  The particles with ``g(x) <= u**p h``
+  dissolve inside the substep; the lifetimes rise along the sorted prefix,
+  so they are its start, found with the one threshold ``u**p h`` and
+  dropped by slicing.  The others solve ``g(x') = g(x) - u**p h`` by a
+  vectorized Newton in ``w = (p g)**(1/p)``, which is ``x`` to first order
+  (``_inverse_lifetime``).  The frozen field is the mid-step field
+  ``u + (h/2) du/dt``, its rate taken from the last full substep: the
+  stage-2 field below less the stage-1 one, over h.  (The first substep
+  freezes ``u``.)  A field exact to O(h**2) at mid-step makes the flow
+  second order, as for exponential integrators (Hochbruck & Ostermann,
+  Acta Numerica 19, 2010).
+* **The multiplier.**  The suffix's stage 2 is taken under the one field
+  for which its increments sum to minus the prefix's volume change.  Both
+  stage sums are linear in that field: ``sum(h k2) = 3h (u S1 - m)`` in dl
+  and ``3h (u S2 - S1)`` in al, with ``S1``, ``S2`` the sums of the
+  stage-2 radii and their squares over the ``m`` suffix particles.  So
+  particles plus ledger stay conserved to rounding, and the multiplier is
+  the field at the end of the step to O(h**2), as the field at a trial
+  state is.
 
-Each stage is taken as the increment ``h k``, with the step and the rate
-constants folded into two scalars: ``h k = R (3hu) - 3h`` in dl and
-``R (R (3hu) - 3h)`` in al.  The update is ``y += (h k1 + h k2)/2``, one
-rounded increment per volume, so the volume stays conserved to the
-rounding floor.
+The volume of a particle that dissolves inside a substep goes to the
+survivors through the multiplier, not to the ledger.  So
+:attr:`Ensemble.lost_volume` is the exact volume of the particles swept
+below the deletion cut at the start of a substep, >= 0; the flow carries a
+particle to zero within the substep it dissolves in, so almost none are.
 
-The survivors' stage-1 rates sum to ``-sum(k1)`` of the dying ones and
-their stage-2 rates to 0, so particles plus ledger stay conserved to
-rounding.  The trapezoid hands each dying particle's flux to the survivors
-for half a substep, which matches its expected remaining lifetime.  So the
-ledger is not the volume of the dissolved particles: it is what the
-trapezoid books beyond their actual volume, noise of either sign (about
--1e-5 of the total in dl and 5e-5 in al at N = 20 000), plus the exact
-volume of any particle that a later substep finds below the cut.  Removing
-a dying particle with all its volume at the start of the substep would
-leak an O(h) share of the volume into the ledger (2e-4 of the total in dl
-at half the default step) and make the step error first order.
+Against a run at ``step_fraction`` 5e-4 from the same draws (N = 20 000,
+seeds 1–3, ``t0`` to ``3 t0``), the largest phi step error at s = 1.5, 2, 3
+is 1.0e-8–1.2e-8 / 1.9e-7 / 7.7e-7–8.0e-7 / 3.0e-6–3.1e-6 in dl and
+5.7e-8–5.8e-8 / 9.7e-7–9.9e-7 / 3.9e-6–4.0e-6 / 1.6e-5 in al at
+``step_fraction`` 2e-3 / 8e-3 / 1.6e-2 / 3.2e-2: order 2.0 over 16x.  The
+Heun step that also stepped the prefix, its dissolving particles handed to
+the survivors inside the substep, was of order about 1.3, and at its
+default 2e-3 erred by up to 1.6e-6–3.2e-6 (dl) and 1.0e-5 (al) against the
+same fine runs, more than this scheme does at its default 1.6e-2 with an
+eighth of the substeps.
 
 The volumes are stored sorted by radius, with particle ids carried in the
 same order; ``Ensemble.ids``, ``Ensemble.radii`` and ``Ensemble.snapshot``
 present them in id order, so outputs do not depend on the storage.  Sorted
-storage makes every set the stepper needs a prefix or a suffix:
+storage makes every set the stepper needs a prefix or a suffix: the
+particles below the deletion cut, the prefix below R_c/2 and its
+dissolving start, and the step cap's window.  ``R = cbrt(y)`` and the mean
+field are computed once per update and shared by the sweep, the step cap,
+the stages, the flow and the series recorder.
 
-* the dissolved particles are the prefix below the deletion cut, found by
-  ``searchsorted`` and dropped by slicing;
-* the particles dying within a substep lie in a short prefix; in dl they
-  are that prefix's start, dropped by slicing, and in al a set that is not
-  a prefix is dropped by mask (a subsequence of a sorted array stays
-  sorted);
-* the particles the step cap watches are the suffix at or above R_c/2.
-
-``R = cbrt(y)`` and the mean field are computed once per stage and shared
-by the sweep, the rates, the step cap and the series recorder.
-
-The state is updated in place.  ``_advance`` allocates its work arrays
-(``R``, both stage increments, the trial stage and one mask) once per call,
-at the current size and on cache-line boundaries, and every elementwise
-operation writes into them in the order of the formulas, so each number is
-bitwise what the allocating form gives.  Dropping the k smallest particles
-is the view ``y[k:]``: the update ``y += dy`` writes into the buffer built
-at construction, so no stale buffer exists for a view to pin.  (When each
-update made a new array, views kept old ones alive and fragmented the
-heap.)  The step cap reads one particle (dl) or a rounding band of them
-(al), and the dying test a prefix (see :class:`Ensemble`); stage 1 is
-taken once, over the whole state, after the step cap.
+The state is updated in place.  ``_advance`` allocates its full-size work
+arrays once per call, at the current size and on cache-line boundaries, and
+every elementwise operation on the suffix writes into them.  Dropping the k
+smallest particles is the view ``y[k:]``: the update writes into the buffer
+built at construction, so no stale buffer exists for a view to pin.  (When
+each update made a new array, views kept old ones alive and fragmented the
+heap.)  The prefix, a few percent of the state, is worked on in small
+arrays of its own.
 
 The exact dynamics preserve the order of radii (every particle obeys one
 growth law, monotone in R, under one mean field), but the discrete step
-need not.  In dl every operation of a substep is monotone in y under one
-scalar field: ``cbrt``, ``R (3hu) - 3h``, the trial, the sum of two
-monotone increments, its half and the update, and rounding is monotone.
-The dying set is then a prefix, so the survivors' order is untouched, and
-the order always survives; dl is not checked.  In al the update is not
-monotone for small particles, whose step is not resolved (the step cap
-watches only R >= R_c/2): at N = 20 000 the order broke on about 20% of
-substeps (450 of 2 195 at seed 1), among particles up to about 0.04 R_c.
-So each al update is checked and, when out of order, the prefix that holds
-the inversions is re-sorted with a stable argsort, which gives the whole
-array's stable argsort bit for bit (see ``Ensemble._resort``).  At seed 1
-those prefixes hold 3 particles on average, against about 10 000 in the
-whole state.  ``Ensemble.work`` counts the re-sorts and the particles they
-pass through.
+need not.  The suffix update keeps the order: in dl every operation is
+monotone in y under one scalar field (``cbrt``, ``R (3hu) - 3h``, the
+trial, the sum of two monotone increments, its half and the update, and
+rounding is monotone).  In al so is every operation of the completed
+square ``(3hu) (R - a)**2 - b`` while ``R >= a``; stage 1 has
+``a = R_c/2``, which holds over the suffix, and stage 2 ``a = 1/(2 u_m)``
+of the multiplier ``u_m``, which fails for the few stage radii just below
+it, a run at the start of the sorted stage.  (The product form
+``R (R (3hu) - 3h)`` is not monotone under rounding below R_c, where a
+rounded negative factor can repeat while ``R`` grows.)  The flowed prefix
+is not proven in order (Newton's rounding), nor is the seam where the flow
+meets the Heun step.  So the prefix, the seam and, in al, that run are
+checked, and when out of order the prefix that holds the inversions is
+re-sorted with a stable argsort, which gives the whole array's stable
+argsort bit for bit (see ``Ensemble._resort``).  At N = 20 000, seeds 1–3,
+no update needed one.  ``Ensemble.work`` counts the re-sorts and the
+particles they pass through.
 """
 
 from __future__ import annotations
@@ -145,6 +156,15 @@ _CAP_BOUND = {  # kind -> (power, bound)
     "al": (2, 3.0 * max((1.0 - _X) / _X**2, 0.25)),
 }
 _sum = np.add.reduce
+# The dissolution times g_p are summed as a series below x = _SERIES_TOP,
+# where their closed forms cancel; 12 terms reach 5e-17 relative there.
+_SERIES_TOP = 0.05
+_SERIES_TERMS = 12
+# Newton steps of the inverse flow: from the series start, 2 reach the
+# rounding of g_p (against 50-digit references) up to x = 0.5, the top of
+# the prefix.
+_NEWTON_STEPS = 2
+_TINY = np.finfo(float).tiny
 # In al the window's maximum of |k1|/y is read over y <= y_j * _BAND above
 # its first particle j, a band far wider than the rounding of |k1|/y.
 _BAND = 1.0 + 1e-9
@@ -222,25 +242,32 @@ class Ensemble:
     The volumes are stored sorted by radius, with the particle ids carried
     in the same order; ``ids``, ``radii`` and :meth:`snapshot` present them
     in id order.  Sorted storage turns every set the stepper needs into a
-    prefix or a suffix: the dissolved particles are the prefix below the
-    deletion cut (dropped by slicing), and the particles the step cap
-    watches are the suffix at or above half the critical radius.  A
-    particle that dissolves within a substep is handed off: it leaves after
-    stage 1, the ledger takes ``(y + T)/2`` of it (``T = y + h k1``, its
-    trial), and the survivors finish the step with the stage 1 they have
-    (see the module docstring).  Each substep takes one step size and one
-    stage 1; the sweep of the particles already below the cut may drop some
-    before the hand-off drops the dying ones.  :attr:`lost_volume` is noise
-    of either sign, not the volume of the dissolved particles.  An update
-    that leaves the volumes out of order (al only, on about 20% of
-    substeps) is mended by re-sorting the prefix that holds the
-    inversions.  :attr:`work` counts substeps, deletions, re-sorts and the
-    particles those re-sorts passed through.
+    prefix or a suffix.  A substep (see the module docstring):
 
-    The state arrays are those built here: updates, re-sorts and the
-    compaction of a drop by mask write into them, and a prefix drop takes
-    the view ``y[k:]``.  Three passes read only part of the state, and each
-    equals the full pass bit for bit:
+    1. sweeps the particles below the deletion cut into the ledger;
+    2. splits the state at R_c/2, and takes the step size from the suffix
+       at or above it and stage 1 of the suffix's Heun step;
+    3. moves the prefix below R_c/2 by the exact flow of its growth law
+       under the predicted mid-step field: its first ``k`` particles, whose
+       lifetime ``u**-p g_p(u R)`` ends within the step, dissolve and are
+       dropped by slicing, and the rest invert ``g_p`` at their remaining
+       lifetime;
+    4. finishes the suffix's step with stage 2 under the multiplier, the
+       one field for which the suffix's increments sum to minus the
+       prefix's volume change (dissolved volume included);
+    5. checks the order over the flowed prefix and the seam and re-sorts
+       the prefix that holds any inversions.
+
+    :attr:`lost_volume` is the exact volume of the particles swept below
+    the cut, so it is >= 0; a particle that dissolves inside a substep
+    hands its whole volume to the survivors through the multiplier.
+    :attr:`work` counts substeps, deletions, re-sorts, the particles those
+    re-sorts passed through, the prefix particles moved by the flow and the
+    particles that dissolved inside a substep.
+
+    The state arrays are those built here: updates and re-sorts write into
+    them, and a drop takes the view ``y[k:]``.  Two passes read only part
+    of the state, and each equals the full pass bit for bit:
 
     * **Step cap.**  With ``R = x R_c``, ``|k1|/y`` is
       ``3 |x - 1| / (x**3 R_c**3)`` in dl and ``3 |x - 1| / (x**2 R_c**2)``
@@ -253,7 +280,7 @@ class Ensemble:
       which covers the rounding of the window edge.  So the maximum is
       read over the window ``R_c/2 <= R < 0.75 R_c``, and there it is read
       in O(1): ``|k1|/y`` falls with ``R`` over the window, so its first
-      particle ``j`` holds the maximum.
+      particle ``j``, the suffix's first, holds the maximum.
 
       - In dl this holds bit for bit: ``R = cbrt(y)``, ``R u - 1 < 0``,
         its absolute value, the factor 3 and the division by the growing
@@ -275,22 +302,17 @@ class Ensemble:
       hold it, and the window's maximum is the suffix's.  Otherwise the
       rest of the suffix is read too.  The band may reach past the window:
       what it adds belongs to the suffix and is read by that pass anyway.
-    * **Dying set.**  For ``R >= 0``, ``h k1 = R (3hu) - 3h >= -3h`` in dl,
-      exactly also in floating point, and ``h k1 = 3h R (R u - 1) >=
-      -0.75 R_c h`` in al (the minimum is at ``R = R_c/2``), to a few ulps.
-      With ``reach`` that bound over ``h`` and ``d = reach h``, rounding is
-      monotone, so the trial ``y + h k1`` is at least ``fl(y - d)`` (al:
-      less a few ulps of ``d``).  A float ``y`` above the threshold
-      ``T = fl(cut + 2 d)`` is at least ``T`` plus one float spacing ``s``,
-      so ``y - d >= cut + d + s/2``, more than half a spacing above
-      ``cut``.  So the trial stays above ``cut``, and only the prefix
-      ``y <= T`` is tested.
-    * **Re-sort.**  Past the last inversion ``y[i + 1] < y[i]`` the
-      volumes are sorted; the prefix up to there grows to take in every
-      later volume below the prefix's maximum.  The rest is then sorted
-      and no smaller than the prefix, and its volumes equal to that
-      maximum come later in the stable order too, so sorting the prefix
-      stably moves every particle where the whole stable argsort does.
+    * **Re-sort.**  The suffix's update is monotone in ``y`` operation by
+      operation, except in al where a stage-2 radius lies below
+      ``1/(2 u_m)``: those radii are a run at the start of the sorted
+      stage.  So only the flowed prefix, the seam and that run can hold an
+      inversion ``y[i + 1] < y[i]``, and only they are checked.  Past the
+      last inversion the volumes are sorted; the prefix up to there grows
+      to take in every later volume below the prefix's maximum.  The rest
+      is then sorted and no smaller than the prefix, and its volumes equal
+      to that maximum come later in the stable order too, so sorting the
+      prefix stably moves every particle where the whole stable argsort
+      does.
 
     Parameters
     ----------
@@ -301,11 +323,14 @@ class Ensemble:
     start_time:
         Clock value of the initial state.
     deletion_fraction:
-        A particle is removed once its radius falls, or its stage-1 trial
-        would fall, below this fraction of the current critical radius.
+        A particle is removed once its radius falls below this fraction of
+        the current critical radius.
     step_fraction:
         Cap on ``|dR|/R`` per substep for particles above half the critical
-        radius; sets the adaptive substep.
+        radius; sets the adaptive substep.  The default 1.6e-2 keeps the
+        step error of phi below 1e-6 (dl) and 4e-6 (al) at N = 20 000 in
+        about 620 (dl) and 280 (al) substeps over ``t0`` to ``3 t0``; the
+        error is second order in it (see the module docstring).
     """
 
     def __init__(
@@ -315,7 +340,7 @@ class Ensemble:
         *,
         start_time: float = 0.0,
         deletion_fraction: float = 1e-4,
-        step_fraction: float = 2e-3,
+        step_fraction: float = 1.6e-2,
     ):
         radii = np.asarray(radii, dtype=float)
         if radii.ndim != 1 or radii.size < 2:
@@ -338,6 +363,10 @@ class Ensemble:
         self._deletions = 0
         self._resorts = 0
         self._resorted = 0
+        self._flowed = 0
+        self._dissolved = 0
+        # du/dt over the last full substep: the mid-step field's predictor.
+        self._field_rate = 0.0
 
     # -- read-only views ---------------------------------------------------
 
@@ -365,14 +394,17 @@ class Ensemble:
     @property
     def work(self) -> dict:
         """Deterministic work counts since construction: substeps taken,
-        particles deleted, re-sorts of the state after an update, and the
-        particles those re-sorts passed through (the sorted prefixes'
-        lengths)."""
+        particles deleted (swept or dissolved), re-sorts of the state after
+        an update, the particles those re-sorts passed through (the sorted
+        prefixes' lengths), the prefix particles moved by the exact flow,
+        and the particles that dissolved inside a substep."""
         return {
             "substeps": self._substeps,
             "deletions": self._deletions,
             "resorts": self._resorts,
             "resorted": self._resorted,
+            "flowed": self._flowed,
+            "dissolved": self._dissolved,
         }
 
     @property
@@ -429,73 +461,45 @@ class Ensemble:
         return self._rates(r, self._field(r))
 
     def _fastest(self, y, r, u, buf) -> float:
-        """Largest ``|k1|/y`` over the watched suffix ``y >= (R_c/2)**3``,
+        """Largest ``|k1|/y`` over the suffix ``y, r`` at or above R_c/2,
         read from the first particles of the window below ``0.75 R_c``
         alone when that suffices (see :class:`Ensemble`).  ``buf`` is
         overwritten over the rest of the suffix when that is read."""
         r_c = 1.0 / u
         n = y.size
-        j = int(y.searchsorted((0.5 * r_c) ** 3))
 
         def largest(a, b):
             q = np.abs(self._rates(r[a:b], u, out=buf[a:b]), out=buf[a:b])
             q /= y[a:b]
             return float(q.max())
 
-        if j == n:  # defensive; the largest particle always is watched
-            return largest(0, n)
         # The window's maximum sits at its first particle in dl, and within
         # the rounding band above it in al.  The band's rates are taken in
         # the order of _rates, on Python floats, so they are bitwise its.
         dl = self.regime.kind == "dl"
-        top = j + 1 if dl else int(y.searchsorted(y[j] * _BAND, side="right"))
+        top = 1 if dl else int(y.searchsorted(y[0] * _BAND, side="right"))
         fastest = 0.0
-        for ri, yi in zip(r[j:top].tolist(), y[j:top].tolist()):
+        for ri, yi in zip(r[:top].tolist(), y[:top].tolist()):
             k1 = 3.0 * (ri * u - 1.0) if dl else 3.0 * (ri * ri * u - ri)
             fastest = max(fastest, abs(k1) / yi)
         power, bound = _CAP_BOUND[self.regime.kind]
         if not fastest > (1.0 + 1e-9) * bound * u**power:
-            m = max(j, int(y.searchsorted((_WINDOW_TOP * r_c) ** 3)))
+            m = int(y.searchsorted((_WINDOW_TOP * r_c) ** 3))
             if m < n:
                 fastest = max(fastest, largest(m, n))
         return fastest
 
-    def _dying_prefix(self, y, u, h) -> int:
-        """Length of the only prefix whose trial ``y + h k1`` can reach the
-        deletion cut (see :class:`Ensemble`); past it nobody dies."""
-        r_c = 1.0 / u
-        cut = (self.deletion_fraction * r_c) ** 3
-        reach = 3.0 if self.regime.kind == "dl" else 0.75 * r_c
-        return int(y.searchsorted(cut + 2.0 * reach * h, side="right"))
-
-    def _drop(self, r: np.ndarray, k: int, dying=None, volumes=None,
-              carry=()) -> np.ndarray:
-        """Remove the ``k`` smallest particles, or the ``k`` flagged by
-        ``dying`` (a mask over a prefix of the state) when they are not the
-        smallest; return the survivors' radii.  The ledger takes their
-        ``volumes`` (an array aligned with the state; their own volumes
-        when None).  The arrays in ``carry``, aligned with the state too,
-        are compacted alike: their survivors are their ``[k:]``."""
-        y = self._y
-        if volumes is None:
-            volumes = y
-        if dying is None:
-            gone = volumes[:k]
-        else:
-            # Move the prefix's survivors up against the rest, in order, so
-            # that the dropped particles become the first k.
-            p = dying.size
-            gone = volumes[:p][dying]
-            keep = ~dying
-            for a in (y, self._ids, r, *carry):
-                a[k:p] = a[:p][keep]
-        # Ledger the given volumes (a late overshoot may be slightly
-        # negative) so the conservation identity stays exact.
-        self._lost += FOUR_THIRDS_PI * float(_sum(gone))
+    def _drop(self, r: np.ndarray, k: int, ledger: bool = True) -> np.ndarray:
+        """Remove the ``k`` smallest particles and return the survivors'
+        radii.  With ``ledger`` the ledger takes their volume (the sweep
+        below the deletion cut); without, it went to the survivors (a
+        dissolution inside a substep)."""
+        if ledger:
+            self._lost += FOUR_THIRDS_PI * float(_sum(self._y[:k]))
         self._deletions += k
         # Views: the state is updated in place and never rebuilt, so a view
         # pins no stale buffer.
-        self._y = y[k:]
+        self._y = self._y[k:]
         self._ids = self._ids[k:]
         if self._y.size < 2:
             raise StateError(
@@ -506,7 +510,8 @@ class Ensemble:
 
     def _resort(self, inverted: np.ndarray):
         """Restore the radius order after an update; ``inverted`` flags
-        ``y[i + 1] < y[i]``.  Only the prefix that holds the displaced
+        ``y[i + 1] < y[i]`` over a prefix of the state, past which the
+        state is sorted.  Only the prefix that holds the displaced
         particles is sorted, which gives the whole stable argsort bit for
         bit: past the last inversion the state is sorted, and the prefix
         grows to take in every later volume below its maximum."""
@@ -519,19 +524,36 @@ class Ensemble:
         self._resorts += 1
         self._resorted += q
 
+    def _flow(self, r, u, h):
+        """Move the prefix of radii ``r`` (below R_c/2) by the exact flow
+        of the growth law under the frozen field ``u`` for ``h``.  Returns
+        the number ``k`` of particles that dissolve, the first ones, and
+        the survivors' new volumes."""
+        p = 2 if self.regime.kind == "al" else 3
+        c = u**p * h  # the substep on the lifetime clock u**-p
+        x = r * u
+        lifetime = _lifetime(x, p)
+        k = int(lifetime.searchsorted(c, side="right"))
+        remaining = lifetime[k:]
+        remaining -= c
+        np.maximum(remaining, 0.0, out=remaining)
+        x = _inverse_lifetime(remaining, p)
+        x *= 1.0 / u
+        return k, x * x * x
+
     def _advance(self, t_target: float, recorder=None):
         # r = cbrt(y) and the mean field u are taken once per update and
-        # reused by the sweep, the step cap, stage 1 and the recorder; a
+        # reused by the sweep, the step cap, the stages and the recorder; a
         # sweep recomputes u from the surviving r without another cbrt.
-        # Every array a substep writes is a buffer allocated here, at the
-        # current size and on a cache-line boundary, and taken from its
-        # start at the size of the moment: an out-of-place pass runs about
-        # twice as long into an output that straddles cache lines.  Only a
-        # re-sort (its permutation) and a drop by mask allocate.
+        # Every full-size array a substep writes is a buffer allocated
+        # here, at the current size and on a cache-line boundary, and taken
+        # from its start at the size of the moment: an out-of-place pass
+        # runs about twice as long into an output that straddles cache
+        # lines.  The prefix below R_c/2 (a few percent of the state) and a
+        # re-sort allocate.
         al = self.regime.kind == "al"
         n = self._y.size
-        r_buf, hk1_buf, hk2_buf, trial_buf = (_aligned(n) for _ in range(4))
-        mask = np.empty(n, dtype=bool)
+        r_buf, hk1_buf, hk2_buf = (_aligned(n) for _ in range(3))
         r = np.cbrt(self._y, out=r_buf)
         u = self._field(r, hk2_buf)
         while True:
@@ -546,59 +568,69 @@ class Ensemble:
                 break
             y = self._y
             n = y.size
-            hk1, hk2, trial = hk1_buf[:n], hk2_buf[:n], trial_buf[:n]
-            # The step and stage 1 come from the field of every particle
-            # present, the dying ones included, with h and the rate
-            # constants folded into the stage: h k1 = r (3hu) - 3h, times r
-            # in al.  hk2 is scratch until stage 2.
-            fastest = self._fastest(y, r, u, hk2)
+            # The prefix j below R_c/2 moves by its exact flow; the suffix
+            # takes the Heun step, whose size the suffix alone sets.
+            j = int(y.searchsorted((0.5 / u) ** 3))
+            ys, rs = y[j:], r[j:]
+            m = n - j
+            hk1, hk2 = hk1_buf[:m], hk2_buf[:m]
+            fastest = self._fastest(ys, rs, u, hk2)
             h = remaining
             if fastest > 0.0:
                 h = min(3.0 * self.step_fraction / fastest, remaining)
             h3 = 3.0 * h
-            np.multiply(r, h3 * u, out=hk1)
-            hk1 -= h3
+            # Stage 1 of the suffix, with h and the rate constants folded
+            # in: h k1 = r (3hu) - 3h in dl, and in al the completed square
+            # (3hu) (r - R_c/2)**2 - 3h R_c/4, each operation monotone in r
+            # above R_c/2.
+            _stage(rs, u, h3, al, hk1)
+            trial = np.add(ys, hk1, out=hk2)
+            stage = np.cbrt(trial, out=trial)
+            s1 = float(_sum(stage))
+            sum_hk1 = float(_sum(hk1))
+            dissolved, dy = 0, 0.0
+            if j:
+                # The prefix flows under the mid-step field, the end of the
+                # step's field predicted by an Euler step of the field at
+                # the last full substep's rate (see the module docstring).
+                yp = y[:j]
+                dissolved, flowed = self._flow(
+                    r[:j], u + 0.5 * h * self._field_rate, h)
+                dy = float(_sum(flowed)) - float(_sum(yp))
+                yp[dissolved:] = flowed
+            # Stage 2 of the suffix takes the one field under which the
+            # suffix's increments sum to minus the prefix's: conserved.
+            seam = j - dissolved + 1
             if al:
-                hk1 *= r
-            np.add(y, hk1, out=trial)
-            p = self._dying_prefix(y, u, h)
-            dying = np.less_equal(
-                trial[:p], (self.deletion_fraction * (1.0 / u)) ** 3,
-                out=mask[:p],
-            )
-            k = int(np.count_nonzero(dying))
-            if k:
-                # Hand the dying particles' flux to the survivors for half a
-                # substep: the ledger takes (y + trial)/2 of each, and the
-                # survivors keep their stage 1 and trial stage (see the
-                # module docstring).
-                volumes = np.add(y[:p], trial[:p], out=hk2[:p])
-                volumes *= 0.5
-                prefix = np.count_nonzero(dying[:k]) == k
-                self._drop(r, k, None if prefix else dying, volumes,
-                           (hk1, trial))
-                y, hk1, trial = self._y, hk1[k:], trial[k:]
-                n = y.size
-            t_next = t_target if h >= remaining else self._t + h
-            # Stage 2 writes its radii where r was, which is not read again.
-            stage = np.cbrt(trial, out=r_buf[:n])
-            hk2 = hk2_buf[:n]
-            np.multiply(stage, h3 * self._field(stage, hk2), out=hk2)
-            hk2 -= h3
-            if al:
-                hk2 *= stage
+                # r is not read again before the update: its buffer is free.
+                s2 = float(_sum(np.multiply(stage, stage, out=r_buf[:m])))
+                um = (h3 * s1 - sum_hk1 - 2.0 * dy) / (h3 * s2)
+                # al's stage 2 falls with R below 1/(2 um): a run at the
+                # start of the sorted stage, checked with the seam.
+                seam += int(stage.searchsorted(0.5 / um))
+            else:
+                um = (h3 * m - sum_hk1 - 2.0 * dy) / (h3 * s1)
+            if h < remaining:
+                self._field_rate = (um - u) / h
+            hk2 = _stage(stage, um, h3, al, stage)
             hk2 += hk1
             hk2 *= 0.5
-            y += hk2
-            # The exact dynamics keep the radii in order, but the discrete
-            # step does not always in al; in dl it does (see the module
-            # docstring), so only al is checked.
-            if al and np.less(y[1:], y[:-1], out=mask[:n - 1]).any():
-                self._resort(mask[:n - 1])
+            ys += hk2
+            t_next = t_target if h >= remaining else self._t + h
+            if dissolved:
+                r = self._drop(r, dissolved, ledger=False)
+                self._dissolved += dissolved
+            self._flowed += j - dissolved
+            y = self._y
+            n = y.size
+            seam = min(seam, n)
+            inverted = y[1:seam] < y[:seam - 1]
+            if inverted.any():
+                self._resort(inverted)
             self._t = t_next
             self._substeps += 1
             r = np.cbrt(y, out=r_buf[:n])
-            u = self._field(r, hk2)
+            u = self._field(r, hk2_buf[:n])
             if recorder is not None:
                 recorder(t_next, n, 1.0 / u, float(_sum(y)), self._lost)
 
@@ -641,6 +673,75 @@ class Ensemble:
         if t_end > self._t:
             self._advance(t_end, recorder.add)
         return snapshots, recorder.build()
+
+
+def _stage(r, u, h3, al, out=None):
+    """The stage increment ``h k`` of the radii ``r`` under the field
+    ``u``, with ``h3 = 3h`` folded in: ``r (3hu) - 3h`` in dl and the
+    completed square ``(3hu) (r - 1/(2u))**2 - (3h)/(4u)`` in al, written
+    into ``out`` (a new array when None)."""
+    if al:
+        out = np.subtract(r, 0.5 / u, out=out)
+        out *= out
+        out *= h3 * u
+        out -= 0.25 * h3 / u
+    else:
+        out = np.multiply(r, h3 * u, out=out)
+        out -= h3
+    return out
+
+
+def _lifetime(x, p: int) -> np.ndarray:
+    """``g_p(x)``, the time a particle at ``x = u R < 1`` takes to dissolve
+    under the frozen field ``u``, in units of ``u**-p``:
+    ``-(log1p(-x) + x + x**2/2)`` for ``p = 3`` (dl) and
+    ``-(log1p(-x) + x)`` for ``p = 2`` (al), elementwise over a 1-d
+    array.  Below ``x = 0.05`` the terms cancel, and the series
+    ``x**p sum_k x**k/(k + p)`` is summed instead."""
+    x = np.asarray(x, dtype=float)
+    g = np.log1p(-x)
+    g += x * (1.0 + 0.5 * x) if p == 3 else x
+    np.negative(g, out=g)
+    small = x < _SERIES_TOP
+    if small.any():
+        xs = x[small]
+        acc = np.full_like(xs, 1.0 / (_SERIES_TERMS - 1 + p))
+        for k in range(_SERIES_TERMS - 2, -1, -1):
+            acc *= xs
+            acc += 1.0 / (k + p)
+        g[small] = acc * xs**p
+    return g
+
+
+def _inverse_lifetime(tau, p: int) -> np.ndarray:
+    """The ``x`` in ``[0, 1)`` with ``g_p(x) = tau`` (``tau >= 0``),
+    elementwise over a 1-d array: Newton in ``w = (p g)**(1/p)``, which is
+    ``x`` to first order, from the series inverse of ``w(x)`` to fourth
+    order."""
+    tau = np.asarray(tau, dtype=float)
+    if p == 3:
+        target = np.cbrt(3.0 * tau)
+        x = target * (1.0 - target * (0.25 + target * (1.0 / 80.0
+                                                     - target / 960.0)))
+    else:
+        target = np.sqrt(2.0 * tau)
+        x = target * (1.0 - target * (1.0 / 3.0 - target * (1.0 / 36.0
+                                                           + target / 270.0)))
+    # A zero target stays at the smallest normal float: w/x is then 0, not
+    # 0/0, and the volume (x/u)**3 underflows to 0.
+    np.maximum(x, _TINY, out=x)
+    for _ in range(_NEWTON_STEPS):
+        w = _lifetime(x, p)
+        w *= p
+        w = np.cbrt(w, out=w) if p == 3 else np.sqrt(w, out=w)
+        dxdw = w / x  # dx/dw = (w/x)**(p-1) (1 - x)
+        if p == 3:
+            dxdw *= dxdw
+        dxdw *= 1.0 - x
+        w -= target
+        w *= dxdw
+        x -= w
+    return x
 
 
 def _aligned(n: int) -> np.ndarray:
@@ -814,16 +915,19 @@ def simulate_late_stage(
         np.polyfit(t0 + series.t, series.rc_estimate**gamma, 1)[0]
     )
 
+    ratios = [ts / t0 for ts in times]
+    # One solve for every snapshot; each value is the scalar call's, bit
+    # for bit.
+    phis = new_volume_fraction(regime, np.array(ratios)).tolist() if times else []
     comparisons = []
-    for ts, snap in zip(times, snapshots):
-        s = ts / t0
+    for ts, s, phi, snap in zip(times, ratios, phis, snapshots):
         measured = measure_new_volume(base, snap)
         comparisons.append(
             LateStageComparison(
                 t=ts,
                 s=s,
                 new_fraction_empirical=measured.fraction,
-                new_fraction_analytic=new_volume_fraction(regime, s),
+                new_fraction_analytic=phi,
                 boundary_radius_empirical=empirical_return_radius(base, snap),
                 boundary_radius_analytic=return_radius(regime, ts, t0, 0.0),
             )

@@ -421,15 +421,23 @@ class TestSimulate:
         )
         assert rc == 0
         work = json.loads((out_dir / "report.json").read_text())["work"]
-        assert sorted(work) == ["deletions", "resorted", "resorts", "substeps"]
+        assert sorted(work) == ["deletions", "dissolved", "flowed",
+                                "resorted", "resorts", "substeps"]
         n = np.loadtxt(out_dir / "series.csv", delimiter=",", skiprows=2,
                        usecols=(1,), dtype=np.int64)
         assert work["substeps"] == n.size - 1
         assert work["deletions"] == 1000 - n[-1] > 0
+        # the flow carries particles to zero inside a substep, so almost
+        # every deletion is a dissolution, not a sweep below the cut
+        assert 0.99 * work["deletions"] <= work["dissolved"] <= work["deletions"]
+        # the prefix below R_c/2 is moved by the flow on every substep
+        assert work["substeps"] <= work["flowed"] <= n[:-1].sum()
         # each re-sort passes at least the two particles of one inversion
         assert 2 * work["resorts"] <= work["resorted"] <= n[0] * work["resorts"]
-        if regime == "dl":
-            assert work["resorts"] == 0
+        # Only the flowed prefix and the seam can invert (see the ensemble
+        # module docstring), and only volumes within the flow's rounding of
+        # each other: drawn volumes are far apart, in either regime.
+        assert work["resorts"] == 0
 
     @pytest.mark.parametrize("times, message", [
         pytest.param(("--snapshot", "inf"),
