@@ -40,14 +40,23 @@ Each substep splits the state, sorted by radius, at R_c/2 with one
   where the closed forms cancel).  The particles with ``g(x) <= u**p h``
   dissolve inside the substep; the lifetimes rise along the sorted prefix,
   so they are its start, found with the one threshold ``u**p h`` and
-  dropped by slicing.  The others solve ``g(x') = g(x) - u**p h`` by a
-  vectorized Newton in ``w = (p g)**(1/p)``, which is ``x`` to first order
-  (``_inverse_lifetime``).  The frozen field is the mid-step field
-  ``u + (h/2) du/dt``, its rate taken from the last full substep: the
-  stage-2 field below less the stage-1 one, over h.  (The first substep
-  freezes ``u``.)  A field exact to O(h**2) at mid-step makes the flow
-  second order, as for exponential integrators (Hochbruck & Ostermann,
-  Acta Numerica 19, 2010).
+  dropped by slicing.  The others solve ``g(x') = g(x) - u**p h`` by one
+  fixed polynomial, with no iteration: ``x' = w Q_p(w)`` in
+  ``w = (p g)**(1/p)``, which is ``x`` to first order
+  (``_inverse_lifetime``).  On the flow's range ``0 <= x <= 0.75`` the
+  inverse is analytic, so ``Q_p``, a 16-term Chebyshev fit of ``x/w``
+  evaluated by Horner, meets it to rounding (Trefethen, *Approximation
+  Theory and Approximation Practice*, 2013, ch. 8): within 1e-15 relative
+  of 50-digit references for x from 1e-90 to 0.75.  The frozen field is
+  the mid-step field ``u + (h/2) du/dt``, its rate taken from the last
+  full substep: the stage-2 field below less the stage-1 one, over h.
+  (The first substep freezes ``u``.)  A field exact to O(h**2) at
+  mid-step makes the flow second order, as for exponential integrators
+  (Hochbruck & Ostermann, Acta Numerica 19, 2010).  The field is capped
+  at ``1.5 u``: a prefix particle has ``u R < 1/2``, so it starts below
+  ``x = 0.75`` and the flow only shrinks it.  The cap does not bind in
+  practice; over seeds 1–2 at N = 20 000 and ``step_fraction`` 1.6e-2 and
+  0.1, the largest mid-step field is 1.00027 u.
 * **The multiplier.**  The suffix's stage 2 is taken under the one field
   for which its increments sum to minus the prefix's volume change.  Both
   stage sums are linear in that field: ``sum(h k2) = 3h (u S1 - m)`` in dl
@@ -104,13 +113,13 @@ of the multiplier ``u_m``, which fails for the few stage radii just below
 it, a run at the start of the sorted stage.  (The product form
 ``R (R (3hu) - 3h)`` is not monotone under rounding below R_c, where a
 rounded negative factor can repeat while ``R`` grows.)  The flowed prefix
-is not proven in order (Newton's rounding), nor is the seam where the flow
-meets the Heun step.  So the prefix, the seam and, in al, that run are
-checked, and when out of order the prefix that holds the inversions is
-re-sorted with a stable argsort, which gives the whole array's stable
-argsort bit for bit (see ``Ensemble._resort``).  At N = 20 000, seeds 1–3,
-no update needed one.  ``Ensemble.work`` counts the re-sorts and the
-particles they pass through.
+is not proven in order (the rounding of its lifetimes and their inverse),
+nor is the seam where the flow meets the Heun step.  So the prefix, the
+seam and, in al, that run are checked, and when out of order the prefix
+that holds the inversions is re-sorted with a stable argsort, which gives
+the whole array's stable argsort bit for bit (see ``Ensemble._resort``).
+At N = 20 000, seeds 1–3, no update needed one.  ``Ensemble.work`` counts
+the re-sorts and the particles they pass through.
 """
 
 from __future__ import annotations
@@ -160,11 +169,32 @@ _sum = np.add.reduce
 # where their closed forms cancel; 12 terms reach 5e-17 relative there.
 _SERIES_TOP = 0.05
 _SERIES_TERMS = 12
-# Newton steps of the inverse flow: from the series start, 2 reach the
-# rounding of g_p (against 50-digit references) up to x = 0.5, the top of
-# the prefix.
-_NEWTON_STEPS = 2
-_TINY = np.finfo(float).tiny
+# The flow's frozen field is at most _FIELD_CAP u, so a prefix particle,
+# R < R_c/2, starts at x = u R < 0.5 _FIELD_CAP = 0.75 and only shrinks.
+_FIELD_CAP = 1.5
+# The inverse of the flow's lifetime, x(w) with w = (p g_p(x))**(1/p), is
+# analytic on the flow's range 0 <= x <= 0.75 and is x = w Q_p(w): Q_p is
+# the 16-term mpmath chebyfit of x/w on [0, w_p(0.75)] (w_3(0.75) = 1.0213,
+# w_2(0.75) = 1.1281), fit error 6.4e-18 (dl) and 3.1e-19 (al), highest
+# degree first for Horner.  scripts/fit_flow_inverse.py regenerates them.
+_INVERSE = {
+    3: (3.700149824010723e-08, -1.1958346196393741e-07,
+        2.1819404674232536e-07, -3.91363437728776e-07,
+        -1.4696636447491636e-07, -1.1863825200812704e-06,
+        -1.832934451448381e-06, -9.177382887381298e-08,
+        1.820925035196069e-05, 0.0001010660590097353,
+        0.00037388395329998814, 0.0009970238097929743,
+        0.0010416666665368614, -0.012499999999993688,
+        -0.2500000000000001, 1.0),
+    2: (3.205394768682721e-10, -2.511509340887335e-09,
+        5.600458355281073e-09, -1.0744482715952881e-08,
+        2.8386078489514556e-08, 6.361825655282877e-08,
+        1.9280976341531357e-07, -2.462128514526957e-07,
+        -4.89795792979984e-06, -2.5536713193874344e-05,
+        -5.878890482102304e-05, 0.00023148147692502566,
+        0.003703703703996148, 0.027777777777767933,
+        -0.3333333333333332, 1.0),
+}
 # In al the window's maximum of |k1|/y is read over y <= y_j * _BAND above
 # its first particle j, a band far wider than the rounding of |k1|/y.
 _BAND = 1.0 + 1e-9
@@ -248,10 +278,11 @@ class Ensemble:
     2. splits the state at R_c/2, and takes the step size from the suffix
        at or above it and stage 1 of the suffix's Heun step;
     3. moves the prefix below R_c/2 by the exact flow of its growth law
-       under the predicted mid-step field: its first ``k`` particles, whose
-       lifetime ``u**-p g_p(u R)`` ends within the step, dissolve and are
-       dropped by slicing, and the rest invert ``g_p`` at their remaining
-       lifetime;
+       under the predicted mid-step field, capped at ``1.5 u``: its first
+       ``k`` particles, whose lifetime ``u**-p g_p(u R)`` ends within the
+       step, dissolve and are dropped by slicing, and the rest invert
+       ``g_p`` at their remaining lifetime by one fixed polynomial, within
+       1e-15 relative on the flow's range ``u R <= 0.75``;
     4. finishes the suffix's step with stage 2 under the multiplier, the
        one field for which the suffix's increments sum to minus the
        prefix's volume change (dissolved volume included);
@@ -321,7 +352,7 @@ class Ensemble:
     radii:
         Initial particle radii, all positive, at least two.
     start_time:
-        Clock value of the initial state.
+        Clock value of the initial state; finite.
     deletion_fraction:
         A particle is removed once its radius falls below this fraction of
         the current critical radius.
@@ -351,10 +382,12 @@ class Ensemble:
             raise DomainError("deletion_fraction must lie in (0, 0.5)")
         if not 0.0 < step_fraction <= 0.1:
             raise DomainError("step_fraction must lie in (0, 0.1]")
+        start_time = float(start_time)
+        _require_finite("start_time", [start_time])
         self.regime = regime
         self.deletion_fraction = float(deletion_fraction)
         self.step_fraction = float(step_fraction)
-        self._t = float(start_time)
+        self._t = start_time
         y = radii ** 3
         self._ids = np.argsort(y, kind="stable").astype(np.int64, copy=False)
         self._y = y[self._ids]
@@ -592,10 +625,13 @@ class Ensemble:
             if j:
                 # The prefix flows under the mid-step field, the end of the
                 # step's field predicted by an Euler step of the field at
-                # the last full substep's rate (see the module docstring).
+                # the last full substep's rate (see the module docstring),
+                # capped at 1.5 u so that u R stays within the inverse
+                # lifetime's range.
                 yp = y[:j]
                 dissolved, flowed = self._flow(
-                    r[:j], u + 0.5 * h * self._field_rate, h)
+                    r[:j], min(u + 0.5 * h * self._field_rate, _FIELD_CAP * u),
+                    h)
                 dy = float(_sum(flowed)) - float(_sum(yp))
                 yp[dissolved:] = flowed
             # Stage 2 of the suffix takes the one field under which the
@@ -714,33 +750,18 @@ def _lifetime(x, p: int) -> np.ndarray:
 
 
 def _inverse_lifetime(tau, p: int) -> np.ndarray:
-    """The ``x`` in ``[0, 1)`` with ``g_p(x) = tau`` (``tau >= 0``),
-    elementwise over a 1-d array: Newton in ``w = (p g)**(1/p)``, which is
-    ``x`` to first order, from the series inverse of ``w(x)`` to fourth
-    order."""
-    tau = np.asarray(tau, dtype=float)
-    if p == 3:
-        target = np.cbrt(3.0 * tau)
-        x = target * (1.0 - target * (0.25 + target * (1.0 / 80.0
-                                                     - target / 960.0)))
-    else:
-        target = np.sqrt(2.0 * tau)
-        x = target * (1.0 - target * (1.0 / 3.0 - target * (1.0 / 36.0
-                                                           + target / 270.0)))
-    # A zero target stays at the smallest normal float: w/x is then 0, not
-    # 0/0, and the volume (x/u)**3 underflows to 0.
-    np.maximum(x, _TINY, out=x)
-    for _ in range(_NEWTON_STEPS):
-        w = _lifetime(x, p)
-        w *= p
-        w = np.cbrt(w, out=w) if p == 3 else np.sqrt(w, out=w)
-        dxdw = w / x  # dx/dw = (w/x)**(p-1) (1 - x)
-        if p == 3:
-            dxdw *= dxdw
-        dxdw *= 1.0 - x
-        w -= target
-        w *= dxdw
-        x -= w
+    """The ``x`` in ``[0, 0.75]`` with ``g_p(x) = tau``, for ``tau`` in
+    ``[0, g_p(0.75)]``, elementwise over a 1-d array: ``x = w Q_p(w)`` in
+    ``w = (p tau)**(1/p)``, which is ``x`` to first order, with the fixed
+    polynomial ``Q_p`` of ``_INVERSE`` by Horner.  Within 1e-15 relative of
+    the exact inverse (see ``_INVERSE``); ``tau = 0`` gives ``x = 0``."""
+    w = np.multiply(tau, float(p))
+    w = np.cbrt(w, out=w) if p == 3 else np.sqrt(w, out=w)
+    coeffs = _INVERSE[p]
+    x = np.multiply(w, coeffs[0])
+    for c in coeffs[1:]:
+        x += c
+        x *= w
     return x
 
 
@@ -916,11 +937,12 @@ def simulate_late_stage(
     )
 
     ratios = [ts / t0 for ts in times]
-    # One solve for every snapshot; each value is the scalar call's, bit
-    # for bit.
+    # One solve for every snapshot's phi and one for its boundary radius;
+    # each value is the scalar call's, bit for bit.
     phis = new_volume_fraction(regime, np.array(ratios)).tolist() if times else []
+    radii = return_radius(regime, np.array(times), t0, 0.0).tolist() if times else []
     comparisons = []
-    for ts, s, phi, snap in zip(times, ratios, phis, snapshots):
+    for ts, s, phi, radius, snap in zip(times, ratios, phis, radii, snapshots):
         measured = measure_new_volume(base, snap)
         comparisons.append(
             LateStageComparison(
@@ -929,7 +951,7 @@ def simulate_late_stage(
                 new_fraction_empirical=measured.fraction,
                 new_fraction_analytic=phi,
                 boundary_radius_empirical=empirical_return_radius(base, snap),
-                boundary_radius_analytic=return_radius(regime, ts, t0, 0.0),
+                boundary_radius_analytic=radius,
             )
         )
 

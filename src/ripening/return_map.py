@@ -190,7 +190,7 @@ def return_point_for_ratio(regime: Regime, s: float) -> ReturnPoint:
     return ReturnPoint(z0, float(rho), float(s))
 
 
-def return_radius(regime: Regime, t: float, t0: float, r_c0: float = 0.0) -> float:
+def return_radius(regime: Regime, t, t0: float, r_c0: float = 0.0):
     """Radius of the particle that returns to its initial size at time ``t``.
 
     Among all particles present at ``t0``, one boundary radius separates
@@ -202,14 +202,19 @@ def return_radius(regime: Regime, t: float, t0: float, r_c0: float = 0.0) -> flo
     with s = (R_c(t)/R_c(t0))**gamma = (t + c)/(t0 + c) and
     c = r_c0**gamma * nu/gamma the clock offset of the critical radius.  The
     rescaled flow is autonomous in ln R_c, so this is exact for every
-    ``r_c0``; with the default ``r_c0 = 0`` the ratio is t/t0.
+    ``r_c0``; with the default ``r_c0 = 0`` the ratio is t/t0.  Accepts a
+    scalar ``t`` or a numpy array of them: an array makes one solve for all
+    of its entries, each equal to the scalar call's value.
     """
-    t = float(t)
+    t = np.asarray(t, dtype=float)
     t0 = float(t0)
     if not (t0 > 0.0 and math.isfinite(t0)):
         raise DomainError(f"t0 must be positive and finite, got {t0!r}")
-    if not (t >= t0 and math.isfinite(t)):
-        raise DomainError(f"t must be >= t0, got t={t!r}, t0={t0!r}")
+    bad = ~((t >= t0) & np.isfinite(t))
+    if bad.any():
+        raise DomainError(
+            f"t must be >= t0, got t={float(t[bad][0])!r}, t0={t0!r}"
+        )
     r_c = critical_radius(regime, r_c0, t0)
     c = float(r_c0) ** regime.coarsening_exponent / coarsening_slope(regime)
     return initial_size_for_ratio(regime, (t + c) / (t0 + c)) * r_c

@@ -13,6 +13,7 @@ import pytest
 from ripening.ensemble import (
     _BAND,
     _CAP_BOUND,
+    _INVERSE,
     _WINDOW_TOP,
     FOUR_THIRDS_PI,
     _aligned,
@@ -39,6 +40,7 @@ from ripening.regime import (
     coarsening_slope,
     critical_radius,
 )
+from ripening.return_map import return_radius
 
 BOTH = (DIFFUSION_LIMITED, ATTACHMENT_LIMITED)
 
@@ -63,6 +65,13 @@ class TestConstruction:
             Ensemble(DIFFUSION_LIMITED, [1.0, 2.0], deletion_fraction=0.5)
         with pytest.raises(DomainError):
             Ensemble(DIFFUSION_LIMITED, [1.0, 2.0], step_fraction=0.2)
+
+    @pytest.mark.parametrize("start_time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_time(self, start_time):
+        # Refused at construction: a step from it would run the particles
+        # to collapse and fail there with a StateError.
+        with pytest.raises(DomainError, match="start_time must be finite"):
+            Ensemble(DIFFUSION_LIMITED, [1.0, 2.0], start_time=start_time)
 
     def test_initial_state(self):
         ens = Ensemble(DIFFUSION_LIMITED, [1.0, 2.0, 3.0], start_time=5.0)
@@ -156,24 +165,13 @@ def _ref_lifetime(x, p):
 
 
 def _ref_inverse_lifetime(tau, p):
-    """x with g_p(x) = tau: two Newton steps in w = (p g)**(1/p) from the
-    series inverse of w(x) to fourth order."""
-    if p == 3:
-        target = np.cbrt(3.0 * tau)
-        x = target * (1.0 - target * (0.25 + target * (1.0 / 80.0
-                                                         - target / 960.0)))
-    else:
-        target = np.sqrt(2.0 * tau)
-        x = target * (1.0 - target * (1.0 / 3.0 - target * (1.0 / 36.0
-                                                               + target / 270.0)))
-    x = np.maximum(x, np.finfo(float).tiny)
-    for _ in range(2):
-        w = p * _ref_lifetime(x, p)
-        w = np.cbrt(w) if p == 3 else np.sqrt(w)
-        dxdw = w / x
-        if p == 3:
-            dxdw = dxdw * dxdw
-        x = x - (w - target) * (dxdw * (1.0 - x))
+    """x with g_p(x) = tau: w Q_p(w) in w = (p tau)**(1/p), with the fixed
+    polynomial Q_p of the package by Horner, a new array per operation."""
+    w = np.cbrt(3.0 * tau) if p == 3 else np.sqrt(2.0 * tau)
+    coeffs = _INVERSE[p]
+    x = w * coeffs[0]
+    for c in coeffs[1:]:
+        x = (x + c) * w
     return x
 
 
@@ -240,7 +238,7 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
         dissolved = np.zeros(y.size, dtype=bool)
         flowed = y.copy()
         if prefix.any():
-            ub = u + 0.5 * h * rate
+            ub = min(u + 0.5 * h * rate, 1.5 * u)
             c = ub**p * h
             life = _ref_lifetime(r[prefix] * ub, p)
             dying = life <= c
@@ -315,7 +313,7 @@ def _unfolded_reference_run(regime, radii, duration, deletion_fraction=1e-4,
         dissolved = np.zeros(y.size, dtype=bool)
         flowed = y.copy()
         if prefix.any():
-            ub = u + 0.5 * h * rate
+            ub = min(u + 0.5 * h * rate, 1.5 * u)
             c = ub**p * h
             life = _ref_lifetime(r[prefix] * ub, p)
             dying = life <= c
@@ -396,7 +394,7 @@ class _AllocatingEnsemble(Ensemble):
             keep = np.ones(y.size, dtype=bool)
             dy = 0.0
             if prefix.any():
-                ub = u + 0.5 * h * self._field_rate
+                ub = min(u + 0.5 * h * self._field_rate, 1.5 * u)
                 c = ub**p * h
                 life = _ref_lifetime(r[prefix] * ub, p)
                 dying = np.arange(life.size) < np.searchsorted(
@@ -777,9 +775,11 @@ class TestExactFlow:
             return +(-(mp.log1p(-x) + x + (x * x / 2 if p == 3 else 0)))
 
     # x spans the series (below 0.05), its edge and the closed form up to
-    # the prefix's top, x = 1/2.
-    X = np.concatenate([np.geomspace(1e-90, 0.5, 120),
-                        np.linspace(0.045, 0.055, 11)])
+    # the flow's top, x = 0.75 (a prefix particle starts below 1/2 under
+    # a field capped at 1.5 u).
+    X = np.concatenate([np.geomspace(1e-90, 0.75, 150),
+                        np.linspace(0.045, 0.055, 11),
+                        np.linspace(0.7, 0.75, 6)])
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_lifetime_against_mpmath(self, p):
@@ -790,21 +790,59 @@ class TestExactFlow:
             want = self._g(mp, float(x), p)
             assert abs(mp.mpf(float(g)) - want) <= 1e-12 * want, x
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_inverse_against_mpmath(self, p):
-        mp = pytest.importorskip("mpmath").mp
-        mp.dps = 50
-        tau = np.array([float(self._g(mp, float(x), p)) for x in self.X])
-        got = _inverse_lifetime(tau, p)
+    def _assert_inverts(self, mp, tau, got, p):
+        """Each ``got`` within 1e-15 relative of the x with g_p(x) = tau."""
         for t, x in zip(tau, got):
-            # g rises: bisect a bracket of 2e-9 relative around x to 1e-17.
+            # g rises: bisect a bracket of 2e-9 relative around x to 2e-18.
             lo, hi = mp.mpf(float(x)) * (1 - 1e-9), mp.mpf(float(x)) * (1 + 1e-9)
             assert self._g(mp, lo, p) < t < self._g(mp, hi, p)
             for _ in range(30):
                 mid = (lo + hi) / 2
                 lo, hi = (mid, hi) if self._g(mp, mid, p) < t else (lo, mid)
-            assert abs(mp.mpf(float(x)) - lo) <= 1e-12 * lo, t
+            assert abs(mp.mpf(float(x)) - lo) <= 1e-15 * lo, t
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_inverse_against_mpmath(self, p):
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 50
+        tau = np.array([float(self._g(mp, float(x), p)) for x in self.X])
+        self._assert_inverts(mp, tau, _inverse_lifetime(tau, p), p)
         assert _inverse_lifetime(np.zeros(1), p)[0] ** 3 == 0.0
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_inverse_at_the_range_bound(self, p):
+        # The polynomial is fitted up to x = 0.75; rounding can carry the
+        # flow's x a few ulps past it, and the inverse holds there too.
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 50
+        x = 0.75 * (1.0 + np.array([-1e-15, 0.0, 1e-15, 1e-14]))
+        tau = np.array([float(self._g(mp, float(v), p)) for v in x])
+        got = _inverse_lifetime(tau, p)
+        self._assert_inverts(mp, tau, got, p)
+        assert np.all(np.abs(got - x) <= 1e-15 * x)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_flow_field_capped(self, regime, monkeypatch):
+        # The predicted mid-step field is capped at 1.5 u, so the flow's
+        # x = u R starts below 0.75 (the inverse's range) even under a
+        # wild field rate; seeds 1-2 at N = 20 000 reach 1.00027 u.
+        ens = init_ensemble(regime, 500, 1.0, seed=1)
+        start = ens.conserved_total()
+        seen = []
+        flow = Ensemble._flow
+
+        def spy(self, r, u, h):
+            u0 = self.mean_field()[0]
+            seen.append((u / u0, float(r.max()) * u))
+            return flow(self, r, u, h)
+
+        monkeypatch.setattr(Ensemble, "_flow", spy)
+        ens._field_rate = 1e6
+        ens.step(0.5)
+        assert seen[0][0] == 1.5
+        assert max(x for _, x in seen) <= 0.75 * (1.0 + 1e-15)
+        assert np.all(ens._y[1:] >= ens._y[:-1])
+        assert abs(ens.conserved_total() - start) <= 1e-13 * start
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_second_order(self, regime):
@@ -1041,23 +1079,31 @@ class TestLateStage:
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_snapshot_phis_in_one_call(self, regime, monkeypatch):
-        # One array call for every snapshot, each value the scalar call's
-        # bit for bit, so report.json does not move.
+        # One array call for every snapshot's phi and one for its boundary
+        # radius, each value the scalar call's bit for bit, so report.json
+        # does not move.
         calls = []
 
         def counted(regime, s):
-            calls.append(np.size(s))
+            calls.append(("phi", np.size(s)))
             return new_volume_fraction(regime, s)
 
+        def counted_radius(regime, t, t0, r_c0):
+            calls.append(("radius", np.size(t)))
+            return return_radius(regime, t, t0, r_c0)
+
         monkeypatch.setattr("ripening.ensemble.new_volume_fraction", counted)
+        monkeypatch.setattr("ripening.ensemble.return_radius", counted_radius)
         t0 = 225.0 if regime.kind == "dl" else 200.0
         times = [1.0001 * t0, 1.5 * t0, 2.0 * t0, 3.0 * t0]
         res = simulate_late_stage(regime, 300, t0, 3.0 * t0, times, seed=3)
-        assert calls == [4]
+        assert calls == [("phi", 4), ("radius", 4)]
         for c in res.comparisons:
             want = new_volume_fraction(regime, c.s)
             assert type(c.new_fraction_analytic) is float
             assert c.new_fraction_analytic == want
+            assert type(c.boundary_radius_analytic) is float
+            assert c.boundary_radius_analytic == return_radius(regime, c.t, t0)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -265,6 +265,23 @@ class TestReturnRadius:
                 want, rel=1e-14
             )
 
+    @pytest.mark.parametrize("regime", BOTH)
+    @pytest.mark.parametrize("r_c0", [0.0, 1.0])
+    def test_array_of_times(self, regime, r_c0):
+        # One solve for an array of t, each entry the scalar call's bit for
+        # bit; a scalar t still gives a float.
+        t0 = 5.0
+        t = t0 * np.array([1.0, 1.0001, 1.5, 2.0, 3.0, 1e3])
+        got = return_radius(regime, t, t0, r_c0)
+        assert got.shape == t.shape
+        scalar = [return_radius(regime, ts, t0, r_c0) for ts in t.tolist()]
+        assert all(type(r) is float for r in scalar)
+        assert got.tolist() == scalar
+        with pytest.raises(DomainError):
+            return_radius(regime, np.array([2.0 * t0, 0.5 * t0]), t0)
+        with pytest.raises(DomainError):
+            return_radius(regime, np.array([2.0 * t0, math.inf]), t0)
+
     def test_nonzero_baseline_radius(self):
         # r_c0 enters through the critical radius and through the clock
         # ratio s = (R_c(t)/R_c(t0))**gamma = (t + c)/(t0 + c).
