@@ -202,11 +202,14 @@ class SizeDistribution:
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n independent draws from the density via inverse-CDF lookup.
 
-        Deterministic for a fixed seed; every sample lies in (0, z_max).
+        Deterministic for a fixed seed, which must be >= 0; every sample
+        lies in (0, z_max).
         """
         n = int(n)
         if n < 1:
             raise DomainError(f"sample size must be >= 1, got {n!r}")
+        if isinstance(seed, (int, np.integer)) and seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed!r}")
         z_tab, h_tab = self.cdf_table
         rng = np.random.default_rng(seed)
         u = rng.random(n)

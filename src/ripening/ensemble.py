@@ -115,11 +115,10 @@ it, a run at the start of the sorted stage.  (The product form
 rounded negative factor can repeat while ``R`` grows.)  The flowed prefix
 is not proven in order (the rounding of its lifetimes and their inverse),
 nor is the seam where the flow meets the Heun step.  So the prefix, the
-seam and, in al, that run are checked, and when out of order the prefix
-that holds the inversions is re-sorted with a stable argsort, which gives
-the whole array's stable argsort bit for bit (see ``Ensemble._resort``).
-At N = 20 000, seeds 1–3, no update needed one.  ``Ensemble.work`` counts
-the re-sorts and the particles they pass through.
+seam and, in al, that run are checked, and when out of order the whole
+state is re-sorted with a stable argsort.  This is a safety net: in the
+default runs at N = 20 000, seeds 1–5, no update needed one.
+``Ensemble.work`` counts the re-sorts.
 """
 
 from __future__ import annotations
@@ -286,19 +285,18 @@ class Ensemble:
     4. finishes the suffix's step with stage 2 under the multiplier, the
        one field for which the suffix's increments sum to minus the
        prefix's volume change (dissolved volume included);
-    5. checks the order over the flowed prefix and the seam and re-sorts
-       the prefix that holds any inversions.
+    5. checks the order over the flowed prefix and the seam, and re-sorts
+       the whole state when it finds an inversion.
 
     :attr:`lost_volume` is the exact volume of the particles swept below
     the cut, so it is >= 0; a particle that dissolves inside a substep
     hands its whole volume to the survivors through the multiplier.
-    :attr:`work` counts substeps, deletions, re-sorts, the particles those
-    re-sorts passed through, the prefix particles moved by the flow and the
-    particles that dissolved inside a substep.
+    :attr:`work` counts substeps, deletions, re-sorts, the prefix particles
+    moved by the flow and the particles that dissolved inside a substep.
 
     The state arrays are those built here: updates and re-sorts write into
-    them, and a drop takes the view ``y[k:]``.  Two passes read only part
-    of the state, and each equals the full pass bit for bit:
+    them, and a drop takes the view ``y[k:]``.  One pass reads only part of
+    the state, and equals the full pass bit for bit:
 
     * **Step cap.**  With ``R = x R_c``, ``|k1|/y`` is
       ``3 |x - 1| / (x**3 R_c**3)`` in dl and ``3 |x - 1| / (x**2 R_c**2)``
@@ -333,17 +331,6 @@ class Ensemble:
       hold it, and the window's maximum is the suffix's.  Otherwise the
       rest of the suffix is read too.  The band may reach past the window:
       what it adds belongs to the suffix and is read by that pass anyway.
-    * **Re-sort.**  The suffix's update is monotone in ``y`` operation by
-      operation, except in al where a stage-2 radius lies below
-      ``1/(2 u_m)``: those radii are a run at the start of the sorted
-      stage.  So only the flowed prefix, the seam and that run can hold an
-      inversion ``y[i + 1] < y[i]``, and only they are checked.  Past the
-      last inversion the volumes are sorted; the prefix up to there grows
-      to take in every later volume below the prefix's maximum.  The rest
-      is then sorted and no smaller than the prefix, and its volumes equal
-      to that maximum come later in the stable order too, so sorting the
-      prefix stably moves every particle where the whole stable argsort
-      does.
 
     Parameters
     ----------
@@ -395,7 +382,6 @@ class Ensemble:
         self._substeps = 0
         self._deletions = 0
         self._resorts = 0
-        self._resorted = 0
         self._flowed = 0
         self._dissolved = 0
         # du/dt over the last full substep: the mid-step field's predictor.
@@ -428,14 +414,12 @@ class Ensemble:
     def work(self) -> dict:
         """Deterministic work counts since construction: substeps taken,
         particles deleted (swept or dissolved), re-sorts of the state after
-        an update, the particles those re-sorts passed through (the sorted
-        prefixes' lengths), the prefix particles moved by the exact flow,
-        and the particles that dissolved inside a substep."""
+        an update, the prefix particles moved by the exact flow, and the
+        particles that dissolved inside a substep."""
         return {
             "substeps": self._substeps,
             "deletions": self._deletions,
             "resorts": self._resorts,
-            "resorted": self._resorted,
             "flowed": self._flowed,
             "dissolved": self._dissolved,
         }
@@ -541,21 +525,13 @@ class Ensemble:
             )
         return r[k:]
 
-    def _resort(self, inverted: np.ndarray):
-        """Restore the radius order after an update; ``inverted`` flags
-        ``y[i + 1] < y[i]`` over a prefix of the state, past which the
-        state is sorted.  Only the prefix that holds the displaced
-        particles is sorted, which gives the whole stable argsort bit for
-        bit: past the last inversion the state is sorted, and the prefix
-        grows to take in every later volume below its maximum."""
-        y = self._y
-        q = int(inverted.nonzero()[0][-1]) + 1
-        q += int(y[q:].searchsorted(y[:q].max()))
-        order = y[:q].argsort(kind="stable")
-        y[:q] = y[:q][order]
-        self._ids[:q] = self._ids[:q][order]
+    def _resort(self):
+        """Restore the radius order after an update: a stable argsort of
+        the whole state, written into the state arrays."""
+        order = self._y.argsort(kind="stable")
+        self._y[:] = self._y[order]
+        self._ids[:] = self._ids[order]
         self._resorts += 1
-        self._resorted += q
 
     def _flow(self, r, u, h):
         """Move the prefix of radii ``r`` (below R_c/2) by the exact flow
@@ -660,9 +636,8 @@ class Ensemble:
             y = self._y
             n = y.size
             seam = min(seam, n)
-            inverted = y[1:seam] < y[:seam - 1]
-            if inverted.any():
-                self._resort(inverted)
+            if (y[1:seam] < y[:seam - 1]).any():
+                self._resort()
             self._t = t_next
             self._substeps += 1
             r = np.cbrt(y, out=r_buf[:n])

@@ -422,7 +422,7 @@ class TestSimulate:
         assert rc == 0
         work = json.loads((out_dir / "report.json").read_text())["work"]
         assert sorted(work) == ["deletions", "dissolved", "flowed",
-                                "resorted", "resorts", "substeps"]
+                                "resorts", "substeps"]
         n = np.loadtxt(out_dir / "series.csv", delimiter=",", skiprows=2,
                        usecols=(1,), dtype=np.int64)
         assert work["substeps"] == n.size - 1
@@ -432,8 +432,6 @@ class TestSimulate:
         assert 0.99 * work["deletions"] <= work["dissolved"] <= work["deletions"]
         # the prefix below R_c/2 is moved by the flow on every substep
         assert work["substeps"] <= work["flowed"] <= n[:-1].sum()
-        # each re-sort passes at least the two particles of one inversion
-        assert 2 * work["resorts"] <= work["resorted"] <= n[0] * work["resorts"]
         # Only the flowed prefix and the seam can invert (see the ensemble
         # module docstring), and only volumes within the flow's rounding of
         # each other: drawn volumes are far apart, in either regime.
@@ -466,6 +464,16 @@ class TestSimulate:
         )
         assert rc == 2
         assert message in err
+        assert not out_dir.exists()
+
+    def test_negative_seed(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"
+        rc, _, err = run_cli(
+            capsys, "simulate", "--regime", "dl", "--n", "100",
+            "--seed", "-1", "--out-dir", out_dir,
+        )
+        assert rc == 2
+        assert "seed must be >= 0, got -1" in err
         assert not out_dir.exists()
 
     def test_bad_snapshot_time(self, capsys, tmp_path):

@@ -255,6 +255,12 @@ class TestSampling:
         with pytest.raises(DomainError):
             size_distribution(DIFFUSION_LIMITED).sample(0, seed=1)
 
+    def test_negative_seed(self):
+        # numpy's generator refuses it with a ValueError; the package's
+        # input errors are DomainErrors.
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            size_distribution(DIFFUSION_LIMITED).sample(10, seed=-1)
+
 
 def test_shared_instances():
     assert size_distribution(DIFFUSION_LIMITED) is size_distribution(

@@ -10,16 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from ripening.distribution import size_distribution
 from ripening.ensemble import (
-    _BAND,
-    _CAP_BOUND,
     _INVERSE,
-    _WINDOW_TOP,
     FOUR_THIRDS_PI,
-    _aligned,
     _inverse_lifetime,
     _lifetime,
-    _sum,
     Ensemble,
     NewVolume,
     Snapshot,
@@ -185,12 +181,22 @@ def _ref_stage(r, u, h3, al):
 
 
 def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
-                   step_fraction=1.6e-2):
+                   step_fraction=1.6e-2, folded=True):
     """The stepper on id-ordered state with masks for every set: the sweep
     below the cut, the prefix below R_c/2 moved by the exact flow under the
     predicted mid-step field, its dissolving particles, and the suffix's
-    Heun step with the folded stage arithmetic under the volume-conserving
-    multiplier.  Returns (substeps, ids, radii, lost volume).
+    Heun step under the volume-conserving multiplier.  Returns (substeps,
+    ids, radii, lost volume).
+
+    With ``folded`` the suffix's stages take the folded arithmetic of the
+    package: the increments ``h k`` of :func:`_ref_stage`, the update
+    ``y + (h k1 + h k2)/2``, the multiplier from
+    ``sum(h k2) = 3h (u S1 - m)`` (dl) or ``3h (u S2 - S1)`` (al), and the
+    flowed volume ``x' x' x'`` of ``x' = x (1/u)``.  Without, they take
+    the arithmetic from before h and the rate constants were folded in:
+    ``h k`` with ``k = 3 (r u - 1)`` (dl) or ``3 (r r u - r)`` (al), the
+    update ``y + (h/2) (k1 + k2)``, the multiplier from
+    ``sum(k2) = 3 (u S1 - m)`` or ``3 (u S2 - S1)``, and ``(x/u)**3``.
 
     Its sums run over the particles in ascending volume, as the sorted
     state's do, so the two steppers round alike."""
@@ -227,10 +233,11 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
         u = field(r, y)
         prefix = y < (0.5 / u) ** 3
         ys, rs = y[~prefix], r[~prefix]
-        fastest = float(np.max(np.abs(rates(rs, u)) / ys))
+        k1 = rates(rs, u)
+        fastest = float(np.max(np.abs(k1) / ys))
         h = min(3.0 * step_fraction / fastest, remaining)
         h3 = 3.0 * h
-        hk1 = _ref_stage(rs, u, h3, al)
+        hk1 = _ref_stage(rs, u, h3, al) if folded else h * k1
         stage = np.cbrt(ys + hk1)
         s1 = ordered_sum(stage, ys)
         s2 = ordered_sum(stage * stage, ys)
@@ -243,95 +250,27 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
             life = _ref_lifetime(r[prefix] * ub, p)
             dying = life <= c
             x = _ref_inverse_lifetime(np.maximum(life[~dying] - c, 0.0), p)
-            x = x * (1.0 / ub)
             survivors = np.flatnonzero(prefix)[~dying]
-            flowed[survivors] = x * x * x
+            if folded:
+                x = x * (1.0 / ub)
+                flowed[survivors] = x * x * x
+            else:
+                flowed[survivors] = (x / ub) ** 3
             dissolved[np.flatnonzero(prefix)[dying]] = True
             dy = (ordered_sum(flowed[survivors], y[survivors])
                   - ordered_sum(y[prefix], y[prefix]))
-        sum_hk1 = ordered_sum(hk1, ys)
-        if al:
-            um = (h3 * s1 - sum_hk1 - 2.0 * dy) / (h3 * s2)
+        a, b = (s1, s2) if al else (ys.size, s1)
+        if folded:
+            um = (h3 * a - ordered_sum(hk1, ys) - 2.0 * dy) / (h3 * b)
         else:
-            um = (h3 * ys.size - sum_hk1 - 2.0 * dy) / (h3 * s1)
+            # sum((h/2) (k1 + k2)) = -dy, with sum(k2) linear in the field
+            um = ((-2.0 * dy / h - ordered_sum(k1, ys)) / 3.0 + a) / b
         if h < remaining:
             rate = (um - u) / h
-        flowed[~prefix] = ys + 0.5 * (hk1 + _ref_stage(stage, um, h3, al))
-        y, ids = flowed[~dissolved], ids[~dissolved]
-        t = duration if h >= remaining else t + h
-        substeps += 1
-
-
-def _unfolded_reference_run(regime, radii, duration, deletion_fraction=1e-4,
-                            step_fraction=1.6e-2):
-    """:func:`_reference_run` with the suffix's stage arithmetic before h
-    and the rate constants were folded into it: ``k = 3 (r u - 1)`` (dl)
-    or ``3 (r r u - r)`` (al), the trial ``y + h k1``, the update
-    ``y + (h/2) (k1 + k2)``, and the multiplier from
-    ``sum(k2) = 3 (u S1 - m)`` (dl) or ``3 (u S2 - S1)`` (al).  Returns
-    (substeps, ids, radii, lost volume)."""
-    al = regime.kind == "al"
-    p = 2 if al else 3
-    y = np.asarray(radii, dtype=float) ** 3
-    ids = np.arange(y.size)
-    lost = 0.0
-    t = 0.0
-    rate = 0.0
-    substeps = 0
-
-    def ordered_sum(a, y):
-        return float(np.sum(a[np.argsort(y, kind="stable")]))
-
-    def field(r, y):
-        if regime.kind == "dl":
-            return r.size / ordered_sum(r, y)
-        return ordered_sum(r, y) / ordered_sum(r * r, y)
-
-    def rates(r, u):
-        if regime.kind == "dl":
-            return 3.0 * (r * u - 1.0)
-        return 3.0 * (r * r * u - r)
-
-    while True:
-        dead = y < (deletion_fraction / field(np.cbrt(y), y)) ** 3
-        lost += FOUR_THIRDS_PI * ordered_sum(y[dead], y[dead])
-        y, ids = y[~dead], ids[~dead]
-        remaining = duration - t
-        if remaining <= 0.0:
-            return substeps, ids, np.cbrt(y), lost
-        r = np.cbrt(y)
-        u = field(r, y)
-        prefix = y < (0.5 / u) ** 3
-        ys, rs = y[~prefix], r[~prefix]
-        k1 = rates(rs, u)
-        fastest = float(np.max(np.abs(k1) / ys))
-        h = min(3.0 * step_fraction / fastest, remaining)
-        stage = np.cbrt(ys + h * k1)
-        s1 = ordered_sum(stage, ys)
-        s2 = ordered_sum(stage * stage, ys)
-        dy = 0.0
-        dissolved = np.zeros(y.size, dtype=bool)
-        flowed = y.copy()
-        if prefix.any():
-            ub = min(u + 0.5 * h * rate, 1.5 * u)
-            c = ub**p * h
-            life = _ref_lifetime(r[prefix] * ub, p)
-            dying = life <= c
-            x = _ref_inverse_lifetime(np.maximum(life[~dying] - c, 0.0), p)
-            survivors = np.flatnonzero(prefix)[~dying]
-            flowed[survivors] = (x / ub) ** 3
-            dissolved[np.flatnonzero(prefix)[dying]] = True
-            dy = (ordered_sum(flowed[survivors], y[survivors])
-                  - ordered_sum(y[prefix], y[prefix]))
-        # sum((h/2) (k1 + k2)) = -dy, with sum(k2) linear in the field
-        total = -2.0 * dy / h - ordered_sum(k1, ys)
-        if al:
-            um = (total / 3.0 + s1) / s2
+        if folded:
+            flowed[~prefix] = ys + 0.5 * (hk1 + _ref_stage(stage, um, h3, al))
         else:
-            um = (total / 3.0 + ys.size) / s1
-        if h < remaining:
-            rate = (um - u) / h
-        flowed[~prefix] = ys + (0.5 * h) * (k1 + rates(stage, um))
+            flowed[~prefix] = ys + (0.5 * h) * (k1 + rates(stage, um))
         y, ids = flowed[~dissolved], ids[~dissolved]
         t = duration if h >= remaining else t + h
         substeps += 1
@@ -341,8 +280,7 @@ class _AllocatingEnsemble(Ensemble):
     """The sorted stepper as the bitwise reference: every array operation
     makes a new array, the flow's sets are masks over the prefix, every
     drop copies the survivors, the step cap reads the whole suffix, the
-    order check reads the whole state, and a re-sort sorts the whole
-    state."""
+    order check reads the whole state, and a re-sort builds new arrays."""
 
     def _ref_field(self, r):
         if self.regime.kind == "dl":
@@ -422,12 +360,9 @@ class _AllocatingEnsemble(Ensemble):
             y = self._y
             if (y[1:] < y[:-1]).any():
                 order = np.argsort(y, kind="stable")
-                moved = np.flatnonzero(order != np.arange(y.size))
                 self._y = y[order]
                 self._ids = self._ids[order]
                 self._resorts += 1
-                # the particles from the first up to the last one moved
-                self._resorted += int(moved[-1]) + 1
             self._t = t_next
             self._substeps += 1
             r = np.cbrt(self._y)
@@ -435,174 +370,6 @@ class _AllocatingEnsemble(Ensemble):
             if recorder is not None:
                 recorder(t_next, self._y.size, 1.0 / u,
                          float(np.sum(self._y)), self._lost)
-
-
-class _HandOffEnsemble(Ensemble):
-    """The stepper the prefix's exact flow replaced, verbatim: Heun over
-    every particle, the prefix below R_c/2 stepped unresolved, and each
-    particle whose stage-1 trial reaches the deletion cut handed to the
-    survivors inside the substep with the trapezoid ledger
-    ``(y + T)/2``.  Its default ``step_fraction`` was 2e-3; it is of order
-    about 1.3."""
-
-    def _fastest(self, y, r, u, buf) -> float:
-        """Largest ``|k1|/y`` over the watched suffix ``y >= (R_c/2)**3``,
-        read from the first particles of the window below ``0.75 R_c``
-        alone when that suffices (see :class:`Ensemble`).  ``buf`` is
-        overwritten over the rest of the suffix when that is read."""
-        r_c = 1.0 / u
-        n = y.size
-        j = int(y.searchsorted((0.5 * r_c) ** 3))
-
-        def largest(a, b):
-            q = np.abs(self._rates(r[a:b], u, out=buf[a:b]), out=buf[a:b])
-            q /= y[a:b]
-            return float(q.max())
-
-        if j == n:  # defensive; the largest particle always is watched
-            return largest(0, n)
-        # The window's maximum sits at its first particle in dl, and within
-        # the rounding band above it in al.  The band's rates are taken in
-        # the order of _rates, on Python floats, so they are bitwise its.
-        dl = self.regime.kind == "dl"
-        top = j + 1 if dl else int(y.searchsorted(y[j] * _BAND, side="right"))
-        fastest = 0.0
-        for ri, yi in zip(r[j:top].tolist(), y[j:top].tolist()):
-            k1 = 3.0 * (ri * u - 1.0) if dl else 3.0 * (ri * ri * u - ri)
-            fastest = max(fastest, abs(k1) / yi)
-        power, bound = _CAP_BOUND[self.regime.kind]
-        if not fastest > (1.0 + 1e-9) * bound * u**power:
-            m = max(j, int(y.searchsorted((_WINDOW_TOP * r_c) ** 3)))
-            if m < n:
-                fastest = max(fastest, largest(m, n))
-        return fastest
-
-    def _dying_prefix(self, y, u, h) -> int:
-        """Length of the only prefix whose trial ``y + h k1`` can reach the
-        deletion cut (see :class:`Ensemble`); past it nobody dies."""
-        r_c = 1.0 / u
-        cut = (self.deletion_fraction * r_c) ** 3
-        reach = 3.0 if self.regime.kind == "dl" else 0.75 * r_c
-        return int(y.searchsorted(cut + 2.0 * reach * h, side="right"))
-
-    def _drop(self, r: np.ndarray, k: int, dying=None, volumes=None,
-              carry=()) -> np.ndarray:
-        """Remove the ``k`` smallest particles, or the ``k`` flagged by
-        ``dying`` (a mask over a prefix of the state) when they are not the
-        smallest; return the survivors' radii.  The ledger takes their
-        ``volumes`` (an array aligned with the state; their own volumes
-        when None).  The arrays in ``carry``, aligned with the state too,
-        are compacted alike: their survivors are their ``[k:]``."""
-        y = self._y
-        if volumes is None:
-            volumes = y
-        if dying is None:
-            gone = volumes[:k]
-        else:
-            # Move the prefix's survivors up against the rest, in order, so
-            # that the dropped particles become the first k.
-            p = dying.size
-            gone = volumes[:p][dying]
-            keep = ~dying
-            for a in (y, self._ids, r, *carry):
-                a[k:p] = a[:p][keep]
-        # Ledger the given volumes (a late overshoot may be slightly
-        # negative) so the conservation identity stays exact.
-        self._lost += FOUR_THIRDS_PI * float(_sum(gone))
-        self._deletions += k
-        # Views: the state is updated in place and never rebuilt, so a view
-        # pins no stale buffer.
-        self._y = y[k:]
-        self._ids = self._ids[k:]
-        if self._y.size < 2:
-            raise StateError(
-                f"ensemble collapsed to {self._y.size} particle(s) at "
-                f"t={self._t!r}"
-            )
-        return r[k:]
-
-    def _advance(self, t_target: float, recorder=None):
-        # r = cbrt(y) and the mean field u are taken once per update and
-        # reused by the sweep, the step cap, stage 1 and the recorder; a
-        # sweep recomputes u from the surviving r without another cbrt.
-        # Every array a substep writes is a buffer allocated here, at the
-        # current size and on a cache-line boundary, and taken from its
-        # start at the size of the moment: an out-of-place pass runs about
-        # twice as long into an output that straddles cache lines.  Only a
-        # re-sort (its permutation) and a drop by mask allocate.
-        al = self.regime.kind == "al"
-        n = self._y.size
-        r_buf, hk1_buf, hk2_buf, trial_buf = (_aligned(n) for _ in range(4))
-        mask = np.empty(n, dtype=bool)
-        r = np.cbrt(self._y, out=r_buf)
-        u = self._field(r, hk2_buf)
-        while True:
-            k = int(self._y.searchsorted(
-                (self.deletion_fraction * (1.0 / u)) ** 3
-            ))
-            if k:
-                r = self._drop(r, k)
-                u = self._field(r, hk2_buf[:r.size])
-            remaining = t_target - self._t
-            if remaining <= 0.0:
-                break
-            y = self._y
-            n = y.size
-            hk1, hk2, trial = hk1_buf[:n], hk2_buf[:n], trial_buf[:n]
-            # The step and stage 1 come from the field of every particle
-            # present, the dying ones included, with h and the rate
-            # constants folded into the stage: h k1 = r (3hu) - 3h, times r
-            # in al.  hk2 is scratch until stage 2.
-            fastest = self._fastest(y, r, u, hk2)
-            h = remaining
-            if fastest > 0.0:
-                h = min(3.0 * self.step_fraction / fastest, remaining)
-            h3 = 3.0 * h
-            np.multiply(r, h3 * u, out=hk1)
-            hk1 -= h3
-            if al:
-                hk1 *= r
-            np.add(y, hk1, out=trial)
-            p = self._dying_prefix(y, u, h)
-            dying = np.less_equal(
-                trial[:p], (self.deletion_fraction * (1.0 / u)) ** 3,
-                out=mask[:p],
-            )
-            k = int(np.count_nonzero(dying))
-            if k:
-                # Hand the dying particles' flux to the survivors for half a
-                # substep: the ledger takes (y + trial)/2 of each, and the
-                # survivors keep their stage 1 and trial stage (see the
-                # module docstring).
-                volumes = np.add(y[:p], trial[:p], out=hk2[:p])
-                volumes *= 0.5
-                prefix = np.count_nonzero(dying[:k]) == k
-                self._drop(r, k, None if prefix else dying, volumes,
-                           (hk1, trial))
-                y, hk1, trial = self._y, hk1[k:], trial[k:]
-                n = y.size
-            t_next = t_target if h >= remaining else self._t + h
-            # Stage 2 writes its radii where r was, which is not read again.
-            stage = np.cbrt(trial, out=r_buf[:n])
-            hk2 = hk2_buf[:n]
-            np.multiply(stage, h3 * self._field(stage, hk2), out=hk2)
-            hk2 -= h3
-            if al:
-                hk2 *= stage
-            hk2 += hk1
-            hk2 *= 0.5
-            y += hk2
-            # The exact dynamics keep the radii in order, but the discrete
-            # step does not always in al; in dl it does (see the module
-            # docstring), so only al is checked.
-            if al and np.less(y[1:], y[:-1], out=mask[:n - 1]).any():
-                self._resort(mask[:n - 1])
-            self._t = t_next
-            self._substeps += 1
-            r = np.cbrt(y, out=r_buf[:n])
-            u = self._field(r, hk2)
-            if recorder is not None:
-                recorder(t_next, n, 1.0 / u, float(_sum(y)), self._lost)
 
 
 class TestSortedState:
@@ -663,8 +430,9 @@ class TestSortedState:
         t0 = 225.0 if regime.kind == "dl" else 200.0
         ens = init_ensemble(regime, 1000, critical_radius(regime, 0.0, t0), seed=1)
         total = ens.conserved_total()
-        substeps, ids, radii, lost = _unfolded_reference_run(
-            regime, ens.radii, t0, step_fraction=ens.step_fraction
+        substeps, ids, radii, lost = _reference_run(
+            regime, ens.radii, t0, step_fraction=ens.step_fraction,
+            folded=False,
         )
         ens.step(t0)
         assert ens.work["substeps"] == substeps
@@ -732,10 +500,10 @@ class TestSortedState:
         assert ens.work["deletions"] == 3
 
 
-class TestHandOff:
-    """Dissolving particles hand their volume to the survivors within the
-    substep, so the ledger holds no O(h) leak and phi is converged in the
-    step at the default step fraction."""
+class TestDefaultStep:
+    """At the default step fraction the ledger, which books only the
+    sweep below the deletion cut, stays within 1e-4 of the conserved
+    total, and phi agrees with a run at a quarter of the step."""
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_ledger_and_step_convergence(self, regime):
@@ -849,6 +617,9 @@ class TestExactFlow:
         # phi against a run at 1e-3 from the same draws: an 8x step makes
         # the error about 64x larger (order 1.9-2.1 over seeds 1-4 at
         # N = 2 000; the Heun step over the unresolved prefix had 1.3).
+        # At order 2 the 1e-3 run is within about 1/256 of the default's
+        # error of the limit, so the default's gap to it is its step error:
+        # 7.6e-7 (dl) and 3.7e-6 (al) here.
         t0 = 225.0 if regime.kind == "dl" else 200.0
         radii = init_ensemble(
             regime, 2000, critical_radius(regime, 0.0, t0), seed=1
@@ -860,6 +631,29 @@ class TestExactFlow:
             for frac in (4e-3, 3.2e-2)
         ]
         assert math.log(err[1] / err[0]) / math.log(8.0) >= 1.8
+        default = _phi_at_snapshots(Ensemble(regime, radii), t0)
+        assert float(np.max(np.abs(default - fine))) <= (
+            2e-6 if regime.kind == "dl" else 5e-6)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_quantile_start_meets_closed_form(self, regime):
+        # N = 5 000 particles at the midpoint quantiles of the stationary
+        # density have no sampling spread, so phi at the default step meets
+        # the closed form to within the step error and the finite-N bias:
+        # signed errors -5.6e-7 to -1.3e-6 (dl) and -3.5e-6 to -1.0e-5 (al)
+        # over s = 1.5-4.
+        t0 = 225.0 if regime.kind == "dl" else 200.0
+        n = 5000
+        z_tab, h_tab = size_distribution(regime).cdf_table
+        radii = critical_radius(regime, 0.0, t0) * np.interp(
+            (np.arange(n) + 0.5) / n, h_tab, z_tab)
+        s = np.array([1.5, 2.0, 3.0, 4.0])
+        ens = Ensemble(regime, radii)
+        base = ens.snapshot()
+        snaps, _ = ens.run(3.0 * t0, (s - 1.0) * t0)
+        phi = np.array([measure_new_volume(base, x).fraction for x in snaps])
+        gap = np.abs(phi - new_volume_fraction(regime, s))
+        assert float(np.max(gap)) <= (4e-6 if regime.kind == "dl" else 3e-5)
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_conserved_to_rounding(self, regime):
@@ -868,26 +662,6 @@ class TestExactFlow:
                                   seed=1)
         assert res.work["dissolved"] > 0
         assert res.conservation_residual <= 1e-15
-
-    @pytest.mark.parametrize("regime", BOTH)
-    def test_limit_of_the_replaced_stepper(self, regime):
-        # The Heun step over every particle, at 1/8 of its former default
-        # (within 5e-7 of its limit at N = 2 000), agrees with this scheme
-        # at its default to within the default's step error (below 1e-6
-        # in dl and 4e-6 in al at N = 20 000), and more closely than it
-        # does at its own default.
-        t0 = 225.0 if regime.kind == "dl" else 200.0
-        radii = init_ensemble(
-            regime, 2000, critical_radius(regime, 0.0, t0), seed=1
-        ).radii
-        limit = _phi_at_snapshots(
-            _HandOffEnsemble(regime, radii, step_fraction=2.5e-4), t0)
-        former = _phi_at_snapshots(
-            _HandOffEnsemble(regime, radii, step_fraction=2e-3), t0)
-        now = _phi_at_snapshots(Ensemble(regime, radii), t0)
-        gap = float(np.max(np.abs(now - limit)))
-        assert gap <= (2e-6 if regime.kind == "dl" else 5e-6)
-        assert gap <= float(np.max(np.abs(former - limit)))
 
 
 class TestRun:
@@ -1051,6 +825,8 @@ class TestInitEnsemble:
             init_ensemble(DIFFUSION_LIMITED, 1, 1.0, seed=0)
         with pytest.raises(DomainError):
             init_ensemble(DIFFUSION_LIMITED, 10, 0.0, seed=0)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            init_ensemble(DIFFUSION_LIMITED, 10, 1.0, seed=-1)
 
 
 class TestLateStage:

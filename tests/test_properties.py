@@ -4,11 +4,10 @@ searched by hypothesis.
 
 phi(s) is a difference of one nondecreasing table divided by its last
 entry, so it must lie in [0, 1] and grow with s up to the largest float.
-The ensemble stepper's narrowed passes (the step cap read from the first
-particles of a window, the dying test read over a prefix, the re-sort of
-the prefix that holds the inversions) must equal the passes over the whole
-state bit for bit.  The searches are derandomized so that every
-run checks the same examples.
+The ensemble stepper's narrowed pass, the step cap read from the first
+particles of a window, must equal the pass over the whole suffix bit for
+bit.  The searches are derandomized so that every run checks the same
+examples.
 """
 
 import math
@@ -187,35 +186,3 @@ def test_narrowed_passes_match_full_passes(state):
     if j < n:
         fastest = float(np.max(np.abs(k1[j:]) / y[j:]))
         assert ens._fastest(y[j:], r[j:], u, np.empty(n - j)) == fastest
-
-
-@st.composite
-def disordered_states(draw):
-    """Volumes that an al update left out of order: a head in any order
-    before a sorted tail, from a few distinct values, so that there are
-    ties, inversions at the end of the head, and head maxima above later
-    volumes."""
-    values = st.integers(min_value=1, max_value=12).map(float)
-    head = draw(st.lists(values, min_size=2, max_size=30))
-    tail = sorted(draw(st.lists(values, max_size=30)))
-    y = np.array(head + tail)
-    assume((y[1:] < y[:-1]).any())
-    return y
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(disordered_states())
-@example(np.array([1.0, 2.0, 3.0, 2.0]))  # the only inversion at the end
-@example(np.array([2.0, 1.0, 2.0, 2.0, 3.0]))  # the head's maximum tied later
-@example(np.array([5.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))  # maximum first
-def test_prefix_resort_matches_whole_sort(y):
-    ens = Ensemble(ATTACHMENT_LIMITED, [1.0, 2.0])
-    ens._y, ens._ids = y.copy(), np.arange(y.size)
-    ens._resort(y[1:] < y[:-1])
-    order = np.argsort(y, kind="stable")
-    assert np.array_equal(ens._ids, order)
-    assert np.array_equal(ens._y, y[order])
-    # the prefix sorted ends at the last particle the whole sort moves
-    moved = np.flatnonzero(order != np.arange(y.size))
-    assert ens.work["resorts"] == 1
-    assert ens.work["resorted"] == moved[-1] + 1
