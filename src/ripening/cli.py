@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .distribution import density, size_distribution
-from .ensemble import (_write_table, simulate_late_stage, write_series_csv,
-                       write_snapshot_csv)
+from .csvtable import write_table
+from .ensemble import simulate_late_stage, write_series_csv, write_snapshot_csv
 from .errors import ConvergenceError, RipeningError
 from .recrystallization import initial_growth_rate, new_volume_fraction
 from .regime import (
@@ -49,8 +49,11 @@ def _emit_json(stream, payload):
 
 
 def _comment(invocation: str, seed) -> str:
+    # One line whatever the arguments hold: backslash, LF and CR are escaped.
+    line = (invocation.replace("\\", "\\\\").replace("\n", "\\n")
+            .replace("\r", "\\r"))
     seed_text = "-" if seed is None else str(seed)
-    return f"{invocation} | version={__version__} | seed={seed_text}"
+    return f"{line} | version={__version__} | seed={seed_text}"
 
 
 def _resolve_grid(args, parser, explicit, default=None):
@@ -88,7 +91,14 @@ def _return_variable(args, parser):
         parser.error("give --z0 values or --s values, not both")
     var = "z0" if args.z0 is not None else "s" if args.s is not None else args.var
     solve = solve_return_point if var == "z0" else return_point_for_ratio
-    return getattr(args, var), lambda r, x: astuple(solve(r, x)), {"variable": var}
+    return (getattr(args, var), _per_value(lambda r, x: astuple(solve(r, x))),
+            {"variable": var})
+
+
+def _per_value(row):
+    """Columns from a function of one grid value, ``(regime, x) -> one value
+    per column``, for the functions that take scalars only."""
+    return lambda r, grid: tuple(zip(*[row(r, x) for x in grid.tolist()]))
 
 
 class _Command(NamedTuple):
@@ -98,10 +108,11 @@ class _Command(NamedTuple):
     flag: str  # repeatable value flag; its dest names the grid variable
     flag_help: str
     columns: tuple[str, ...]
-    row: Callable | None  # (regime, x) -> one value per column
+    compute: Callable | None  # (regime, grid array) -> one array per column
     default_grid: Callable | None = None  # (regime) -> grid when none is given
     summary: Callable | None = None  # (regime) -> the JSON "summary" object
-    # (args, parser) -> (values, row, extra JSON keys), in place of flag/row
+    # (args, parser) -> (values, compute, extra JSON keys), in place of
+    # flag/compute
     pick: Callable | None = None
     options: tuple = ()  # (flag, add_argument keywords) after the grid flags
 
@@ -111,8 +122,8 @@ TABLE = {
         "rescaled flow: tau, alpha and dz/dtau over z",
         "--z", "scaled size to evaluate",
         ("z", "tau", "alpha", "dz_dtau"),
-        lambda r, z: (z, flow_time(r, z), return_invariant(r, z),
-                      growth_rate_scaled(r, z)),
+        _per_value(lambda r, z: (z, flow_time(r, z), return_invariant(r, z),
+                                 growth_rate_scaled(r, z))),
     ),
     "return": _Command(
         "return map: rho and time ratio s",
@@ -143,7 +154,7 @@ TABLE = {
         "scaled size density, CDF and moments",
         "--z", "scaled size to evaluate",
         ("z", "h", "cdf"),
-        lambda r, z: (z, density(r, z), float(size_distribution(r).cdf(z))),
+        lambda r, z: (z, density(r, z), size_distribution(r).cdf(z)),
         default_grid=lambda r: np.linspace(0.0, r.z_max, 257),
         summary=lambda r: {
             "moments": {str(k): size_distribution(r).moment(k) for k in range(4)}
@@ -157,14 +168,14 @@ def cmd_table(args, parser, invocation) -> int:
     spec = TABLE[args.command]
     regime = get_regime(args.regime)
     if spec.pick is None:
-        values, row, extra = getattr(args, spec.flag[2:]), spec.row, {}
+        values, compute, extra = getattr(args, spec.flag[2:]), spec.compute, {}
     else:
-        values, row, extra = spec.pick(args, parser)
+        values, compute, extra = spec.pick(args, parser)
     default = None if spec.default_grid is None else spec.default_grid(regime)
-    grid = _resolve_grid(args, parser, values, default)
+    grid = np.array(_resolve_grid(args, parser, values, default), dtype=float)
     # Everything is computed before the output is opened, so a failing grid
     # point leaves no partial file behind.
-    rows = [row(regime, x) for x in grid]
+    columns = [np.asarray(c, dtype=float) for c in compute(regime, grid)]
     if spec.summary is not None:
         extra = {**extra, "summary": spec.summary(regime)}
     if args.out == "-":
@@ -180,14 +191,12 @@ def cmd_table(args, parser, invocation) -> int:
                 "seed": None,
                 "regime": regime.kind,
                 **extra,
-                "rows": [dict(zip(spec.columns, r)) for r in rows],
+                "rows": [dict(zip(spec.columns, r))
+                         for r in zip(*[c.tolist() for c in columns])],
             })
         else:
-            _write_table(
-                stream, ",".join(spec.columns),
-                ",".join(["%.17g"] * len(spec.columns)) + "\n",
-                list(zip(*rows)), _comment(invocation, None),
-            )
+            write_table(stream, ",".join(spec.columns), columns,
+                        _comment(invocation, None))
     return 0
 
 

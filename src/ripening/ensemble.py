@@ -128,6 +128,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtable import write_table
 from .distribution import size_distribution
 from .errors import DataError, DomainError, StateError
 from .recrystallization import new_volume_fraction
@@ -948,33 +949,18 @@ def simulate_late_stage(
     )
 
 
-def _write_table(stream, header, template, columns, comment=None):
-    # One %-template per row over Python scalars: "%d" prints an int as
-    # str(int(x)) and "%.17g" a float as format(x, ".17g").  Rows are
-    # formatted a block at a time, so memory stays flat in the row count.
-    columns = [np.asarray(c) for c in columns]
-    if comment is not None:
-        stream.write(f"# {comment}\n")
-    stream.write(header + "\n")
-    for start in range(0, columns[0].size, 256):
-        block = [c[start:start + 256].tolist() for c in columns]
-        stream.write("".join([template % row for row in zip(*block)]))
-
-
 def write_snapshot_csv(snapshot: Snapshot, path, comment=None):
     """Write a snapshot as ``id,radius`` CSV (one leading # comment line)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_table(fh, "id,radius", "%d,%.17g\n",
-                     (snapshot.ids, snapshot.radii), comment)
+        write_table(fh, "id,radius", (snapshot.ids, snapshot.radii), comment)
 
 
 def write_series_csv(series: TimeSeries, path, comment=None):
     """Write a run's diagnostics as ``t,n,rc_estimate,total_r3,lost_volume``
     CSV (one leading # comment line)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_table(
+        write_table(
             fh, "t,n,rc_estimate,total_r3,lost_volume",
-            "%.17g,%d,%.17g,%.17g,%.17g\n",
             (series.t, series.n, series.rc_estimate, series.total_r3,
              series.lost_volume),
             comment,

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,16 @@ import pytest
 
 import ripening
 from ripening import __version__
-from ripening.cli import main
+from ripening.cli import _comment, main
 from ripening.distribution import density, size_distribution
 from ripening.recrystallization import initial_growth_rate, new_volume_fraction
-from ripening.regime import DIFFUSION_LIMITED, flow_time, return_invariant
+from ripening.regime import (
+    DIFFUSION_LIMITED,
+    flow_time,
+    get_regime,
+    growth_rate_scaled,
+    return_invariant,
+)
 from ripening.return_map import solve_return_point
 
 
@@ -355,6 +362,84 @@ def test_table_commands_agree(capsys, tmp_path, command):
     rc, _, err = run_cli(capsys, command, *bad, "--out", path)
     assert rc == 2 and "error" in err
     assert not path.exists()
+
+
+# The per-row build the column functions replaced: one scalar call per
+# grid value, rows formatted by "%.17g".
+PER_ROW = {
+    "tau": lambda r, x: (x, flow_time(r, x), return_invariant(r, x),
+                         growth_rate_scaled(r, x)),
+    "return": lambda r, x: astuple(solve_return_point(r, x)),
+    "phi": lambda r, x: (x, new_volume_fraction(r, x)),
+    "dist": lambda r, x: (x, density(r, x),
+                          float(size_distribution(r).cdf(x))),
+}
+GRIDS = {
+    "tau": ["--min", "0.1", "--max", "1.4", "--count", "50"],
+    "return": ["--min", "1.0", "--max", "1.45", "--count", "20"],
+    "phi": ["--min", "1", "--max", "100", "--count", "50", "--log"],
+    "dist": [],  # the default grid, 0 to z_max
+}
+
+
+@pytest.mark.parametrize("regime", ["dl", "al"])
+@pytest.mark.parametrize("command", sorted(PER_ROW))
+def test_columns_match_per_row_build(capsys, command, regime):
+    argv = [command, "--regime", regime, *GRIDS[command]]
+    rc, text, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    comment, header, _ = text.split("\n", 2)
+    grid = [float(row[0]) for row in parse_csv(text)[2]]
+    reg = get_regime(regime)
+    rows = [PER_ROW[command](reg, x) for x in grid]
+    assert text == "\n".join([comment, header, ""]) + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    rc, text, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0
+    columns = header.split(",")
+    assert json.loads(text)["rows"] == [dict(zip(columns, r)) for r in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--regime", "dl", "--s", "1.5", "--s", "0.5", "--s", "2"],
+    ["dist", "--regime", "al", "--z", "0.5", "--z", "-1", "--z", "1.0"],
+    ["tau", "--regime", "dl", "--z", "0.5", "--z", "2.5", "--z", "1.0"],
+], ids=["phi", "dist", "tau"])
+def test_failing_grid_point_leaves_no_file(capsys, tmp_path, argv):
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"out.{fmt}"
+        rc, _, err = run_cli(capsys, *argv, "--format", fmt, "--out", path)
+        assert rc == 2 and "error" in err
+        assert not path.exists()
+
+
+class TestCommentLine:
+    def test_newline_in_out_path(self, tmp_path):
+        path = tmp_path / "t\nq.csv"
+        assert main(["tau", "--regime", "dl", "--z", "0.5",
+                     "--out", str(path)]) == 0
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0].startswith("# ripening tau ")
+        assert "\\nq.csv | version=" in lines[0]
+        assert lines[1] == "z,tau,alpha,dz_dtau"
+        assert sum(line.startswith("#") for line in lines) == 1
+
+    def test_newline_in_out_dir(self, tmp_path):
+        out_dir = tmp_path / "run\r\nx"
+        assert main(["simulate", "--regime", "dl", "--n", "200", "--t0", "225",
+                     "--snapshot", "300", "--out-dir", str(out_dir)]) == 0
+        for name in ("snapshot_00.csv", "snapshot_01.csv", "series.csv"):
+            lines = (out_dir / name).read_bytes().split(b"\n")
+            assert lines[0].endswith(b"run\\r\\nx | version=%s | seed=1"
+                                     % __version__.encode())
+            assert b"\r" not in lines[0]
+            assert not lines[1].startswith(b"#")
+
+    def test_backslash_is_escaped_and_plain_argv_kept(self):
+        assert _comment("ripening tau --out a\\nb", None) == (
+            f"ripening tau --out a\\\\nb | version={__version__} | seed=-")
+        plain = "ripening phi --regime dl --out /data/phi.csv"
+        assert _comment(plain, 3) == f"{plain} | version={__version__} | seed=3"
 
 
 class TestDeterminism:

@@ -6,8 +6,9 @@ phi(s) is a difference of one nondecreasing table divided by its last
 entry, so it must lie in [0, 1] and grow with s up to the largest float.
 The ensemble stepper's narrowed pass, the step cap read from the first
 particles of a window, must equal the pass over the whole suffix bit for
-bit.  The searches are derandomized so that every run checks the same
-examples.
+bit.  The CSV writer prints every float as ``%.17g`` does and every int64
+as ``%d`` does, ``nan``, infinities, subnormals and signed zeros included.
+The searches are derandomized so that every run checks the same examples.
 """
 
 import math
@@ -19,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ripening.csvtable import format_rows
 from ripening.distribution import density, size_distribution
 from ripening.ensemble import Ensemble
 from ripening.recrystallization import new_volume_fraction
@@ -186,3 +188,19 @@ def test_narrowed_passes_match_full_passes(state):
     if j < n:
         fastest = float(np.max(np.abs(k1[j:]) / y[j:]))
         assert ens._fastest(y[j:], r[j:], u, np.empty(n - j)) == fastest
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_csv_floats_match_percent_g(values):
+    assert format_rows([np.array(values)]) == "".join(
+        "%.17g\n" % v for v in values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.floats()),
+                min_size=1, max_size=40))
+def test_csv_rows_match_percent_template(rows):
+    ids = np.array([i for i, _ in rows], dtype=np.int64)
+    x = np.array([v for _, v in rows])
+    assert format_rows([ids, x]) == "".join("%d,%.17g\n" % r for r in rows)
