@@ -24,8 +24,15 @@ constant to rounding over a whole run.
 Each substep splits the state, sorted by radius, at R_c/2 with one
 ``searchsorted``.
 
-* **The suffix** (R >= R_c/2) takes a Heun step whose size caps the
-  largest relative volume change of the suffix at ``3 step_fraction``.
+* **The suffix** (R >= R_c/2) takes a Heun step of the size the mean field
+  sets alone.  With ``x = u R``, the relative volume rate ``|k1|/y`` is
+  ``3 |x - 1| u**3 / x**3`` in dl and ``3 |x - 1| u**2 / x**2`` in al.
+  Over ``x >= 1/2`` it is largest at ``x = 1/2``, ``12 u**3`` (dl) or
+  ``6 u**2`` (al): ``(1 - x)/x**p`` falls on ``[1/2, 1]``, and above 1
+  ``(x - 1)/x**p`` stays below 4/27 (dl) or 1/4 (al).  So the step
+  ``h = step_fraction / (4 u**3)`` (dl) or ``step_fraction / (2 u**2)``
+  (al) caps the largest relative volume change of the suffix at
+  ``3 step_fraction``, with no particle read.
   Each stage is the increment ``h k`` with the step and the rate constants
   folded into two scalars: ``h k = R (3hu) - 3h`` in dl, and in al the
   completed square ``(3hu) (R - R_c/2)**2 - 3h R_c/4``.  The update is
@@ -88,9 +95,9 @@ same order; ``Ensemble.ids``, ``Ensemble.radii`` and ``Ensemble.snapshot``
 present them in id order, so outputs do not depend on the storage.  Sorted
 storage makes every set the stepper needs a prefix or a suffix: the
 particles below the deletion cut, the prefix below R_c/2 and its
-dissolving start, and the step cap's window.  ``R = cbrt(y)`` and the mean
-field are computed once per update and shared by the sweep, the step cap,
-the stages, the flow and the series recorder.
+dissolving start.  ``R = cbrt(y)`` and the mean field are computed once
+per update and shared by the sweep, the step size, the stages, the flow
+and the series recorder.
 
 The state is updated in place.  ``_advance`` allocates its full-size work
 arrays once per call, at the current size and on cache-line boundaries, and
@@ -154,16 +161,6 @@ __all__ = [
 
 FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
-# The step cap reads |k1|/y in the window R_c/2 <= R < _WINDOW_TOP R_c first,
-# where its maximum sits at the window's first particles.  Above
-# the window, |k1|/y <= bound * u**power (see the Ensemble docstring), with
-# x = 0.75 (1 - 1e-6) covering the rounding of the window edge.
-_WINDOW_TOP = 0.75
-_X = _WINDOW_TOP * (1.0 - 1e-6)
-_CAP_BOUND = {  # kind -> (power, bound)
-    "dl": (3, 3.0 * max((1.0 - _X) / _X**3, 4.0 / 27.0)),
-    "al": (2, 3.0 * max((1.0 - _X) / _X**2, 0.25)),
-}
 _sum = np.add.reduce
 # The dissolution times g_p are summed as a series below x = _SERIES_TOP,
 # where their closed forms cancel; 12 terms reach 5e-17 relative there.
@@ -195,9 +192,13 @@ _INVERSE = {
         0.003703703703996148, 0.027777777777767933,
         -0.3333333333333332, 1.0),
 }
-# In al the window's maximum of |k1|/y is read over y <= y_j * _BAND above
-# its first particle j, a band far wider than the rounding of |k1|/y.
-_BAND = 1.0 + 1e-9
+# simulate_late_stage's times lie in [_T_MIN, _T_MAX].  The slope fit sums
+# t**2 over the series rows, and the multiplier divides by about
+# 0.02 n R_c**4, with R_c**4 = (t/2)**2 in al and (4t/9)**(4/3) in dl; over
+# this range both stay normal floats for n up to 1e6 and 1e5 rows.
+_T_MIN, _T_MAX = 1e-150, 1e150
+# The stepper works on the volumes y = R**3, each a positive normal float.
+_Y_MIN, _Y_MAX = np.finfo(float).tiny, np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -275,8 +276,10 @@ class Ensemble:
     prefix or a suffix.  A substep (see the module docstring):
 
     1. sweeps the particles below the deletion cut into the ledger;
-    2. splits the state at R_c/2, and takes the step size from the suffix
-       at or above it and stage 1 of the suffix's Heun step;
+    2. splits the state at R_c/2, takes the step size from the mean field
+       alone, ``step_fraction / (4 u**3)`` (dl) or
+       ``step_fraction / (2 u**2)`` (al), and stage 1 of the Heun step of
+       the suffix at or above R_c/2;
     3. moves the prefix below R_c/2 by the exact flow of its growth law
        under the predicted mid-step field, capped at ``1.5 u``: its first
        ``k`` particles, whose lifetime ``u**-p g_p(u R)`` ends within the
@@ -296,57 +299,27 @@ class Ensemble:
     moved by the flow and the particles that dissolved inside a substep.
 
     The state arrays are those built here: updates and re-sorts write into
-    them, and a drop takes the view ``y[k:]``.  One pass reads only part of
-    the state, and equals the full pass bit for bit:
-
-    * **Step cap.**  With ``R = x R_c``, ``|k1|/y`` is
-      ``3 |x - 1| / (x**3 R_c**3)`` in dl and ``3 |x - 1| / (x**2 R_c**2)``
-      in al.  On ``x >= 0.75`` it is at most
-      ``3 max((1 - x)/x**3, 4/27) / R_c**3`` (dl) or
-      ``3 max((1 - x)/x**2, 1/4) / R_c**2`` (al), taken at ``x = 0.75``:
-      ``(1 - x)/x**p`` falls on ``[0.75, 1]``, and above 1,
-      ``(x - 1)/x**3`` peaks at 4/27 (``x = 3/2``) and ``(x - 1)/x**2`` at
-      1/4 (``x = 2``).  The bound is evaluated at ``x = 0.75 (1 - 1e-6)``,
-      which covers the rounding of the window edge.  So the maximum is
-      read over the window ``R_c/2 <= R < 0.75 R_c``, and there it is read
-      in O(1): ``|k1|/y`` falls with ``R`` over the window, so its first
-      particle ``j``, the suffix's first, holds the maximum.
-
-      - In dl this holds bit for bit: ``R = cbrt(y)``, ``R u - 1 < 0``,
-        its absolute value, the factor 3 and the division by the growing
-        ``y`` are each monotone under rounding, so the computed ratio
-        never rises along the window.
-      - In al ``|k1| = 3 R (1 - R u)`` is a product of a rising and a
-        falling factor, and rounding can lift a later particle's ratio a
-        few ulps above ``j``'s.  Exactly, ``R (1 - R u)`` falls for
-        ``R >= R_c/2`` (``j`` is below that by a few ulps at most, where
-        the drop from the peak is quadratic), so the exact ratio at the
-        computed ``R`` of a particle at ``y`` is at most ``j``'s times
-        ``y_j / y``.  Each computed ratio is within about ten units of
-        rounding (``2**-53``) of that exact one.  So a particle above
-        ``y_j (1 + 1e-9)`` cannot reach ``j``'s computed ratio, and the
-        particles up to there, the rounding band, are read.
-
-      When the maximum exceeds the bound by the factor ``1 + 1e-9``, far
-      above the rounding of ``|k1|/y``, no particle above the window can
-      hold it, and the window's maximum is the suffix's.  Otherwise the
-      rest of the suffix is read too.  The band may reach past the window:
-      what it adds belongs to the suffix and is read by that pass anyway.
+    them, and a drop takes the view ``y[k:]``.
 
     Parameters
     ----------
     regime:
         Kinetic regime providing the growth law and mean-field closure.
     radii:
-        Initial particle radii, all positive, at least two.
+        Initial particle radii, at least two, each with a cube that is a
+        positive normal float (about 2.8e-103 to 5.6e102).
     start_time:
         Clock value of the initial state; finite.
     deletion_fraction:
         A particle is removed once its radius falls below this fraction of
         the current critical radius.
     step_fraction:
-        Cap on ``|dR|/R`` per substep for particles above half the critical
-        radius; sets the adaptive substep.  The default 1.6e-2 keeps the
+        The largest ``|dR|/R`` of a particle at or above half the critical
+        radius in one substep.  Over ``R >= R_c/2`` the relative volume
+        rate is largest at ``R = R_c/2``, ``12 u**3`` (dl) or ``6 u**2``
+        (al), so the substep is ``step_fraction / (4 u**3)`` or
+        ``step_fraction / (2 u**2)``, or the time left to the next
+        snapshot when that is shorter.  The default 1.6e-2 keeps the
         step error of phi below 1e-6 (dl) and 4e-6 (al) at N = 20 000 in
         about 620 (dl) and 280 (al) substeps over ``t0`` to ``3 t0``; the
         error is second order in it (see the module docstring).
@@ -364,8 +337,13 @@ class Ensemble:
         radii = np.asarray(radii, dtype=float)
         if radii.ndim != 1 or radii.size < 2:
             raise DomainError("an ensemble needs at least two particles")
-        if not np.all(np.isfinite(radii)) or float(np.min(radii)) <= 0.0:
-            raise DomainError("all radii must be positive and finite")
+        with np.errstate(over="ignore"):
+            y = radii ** 3
+        if not (float(y.min()) >= _Y_MIN and float(y.max()) <= _Y_MAX):
+            raise DomainError(
+                "all radii must be positive and finite, with cubes that are "
+                "normal floats (radii about 2.8e-103 to 5.6e102)"
+            )
         if not 0.0 < deletion_fraction < 0.5:
             raise DomainError("deletion_fraction must lie in (0, 0.5)")
         if not 0.0 < step_fraction <= 0.1:
@@ -376,7 +354,6 @@ class Ensemble:
         self.deletion_fraction = float(deletion_fraction)
         self.step_fraction = float(step_fraction)
         self._t = start_time
-        y = radii ** 3
         self._ids = np.argsort(y, kind="stable").astype(np.int64, copy=False)
         self._y = y[self._ids]
         self._lost = 0.0
@@ -460,52 +437,12 @@ class Ensemble:
             return r.size / float(_sum(r))
         return float(_sum(r)) / float(_sum(np.multiply(r, r, out=buf)))
 
-    def _rates(self, r: np.ndarray, u: float, out=None) -> np.ndarray:
-        """Volume rates of the radii ``r`` under the mean field ``u``,
-        written into ``out`` (shaped like ``r``; a new array when None)."""
-        # The operations run in the order of 3.0 * (r * u - 1.0) and
-        # 3.0 * (r * r * u - r), so the rates are bitwise those formulas.
-        if self.regime.kind == "dl":
-            out = np.multiply(r, u, out=out)
-            out -= 1.0
-        else:
-            out = np.multiply(r, r, out=out)
-            out *= u
-            out -= r
-        out *= 3.0
-        return out
-
     def _volume_rates(self, r: np.ndarray) -> np.ndarray:
-        return self._rates(r, self._field(r))
-
-    def _fastest(self, y, r, u, buf) -> float:
-        """Largest ``|k1|/y`` over the suffix ``y, r`` at or above R_c/2,
-        read from the first particles of the window below ``0.75 R_c``
-        alone when that suffices (see :class:`Ensemble`).  ``buf`` is
-        overwritten over the rest of the suffix when that is read."""
-        r_c = 1.0 / u
-        n = y.size
-
-        def largest(a, b):
-            q = np.abs(self._rates(r[a:b], u, out=buf[a:b]), out=buf[a:b])
-            q /= y[a:b]
-            return float(q.max())
-
-        # The window's maximum sits at its first particle in dl, and within
-        # the rounding band above it in al.  The band's rates are taken in
-        # the order of _rates, on Python floats, so they are bitwise its.
-        dl = self.regime.kind == "dl"
-        top = 1 if dl else int(y.searchsorted(y[0] * _BAND, side="right"))
-        fastest = 0.0
-        for ri, yi in zip(r[:top].tolist(), y[:top].tolist()):
-            k1 = 3.0 * (ri * u - 1.0) if dl else 3.0 * (ri * ri * u - ri)
-            fastest = max(fastest, abs(k1) / yi)
-        power, bound = _CAP_BOUND[self.regime.kind]
-        if not fastest > (1.0 + 1e-9) * bound * u**power:
-            m = int(y.searchsorted((_WINDOW_TOP * r_c) ** 3))
-            if m < n:
-                fastest = max(fastest, largest(m, n))
-        return fastest
+        """Volume rates dy/dt of the radii ``r`` under their mean field."""
+        u = self._field(r)
+        if self.regime.kind == "dl":
+            return 3.0 * (r * u - 1.0)
+        return 3.0 * (r * r * u - r)
 
     def _drop(self, r: np.ndarray, k: int, ledger: bool = True) -> np.ndarray:
         """Remove the ``k`` smallest particles and return the survivors'
@@ -553,7 +490,7 @@ class Ensemble:
 
     def _advance(self, t_target: float, recorder=None):
         # r = cbrt(y) and the mean field u are taken once per update and
-        # reused by the sweep, the step cap, the stages and the recorder; a
+        # reused by the sweep, the step size, the stages and the recorder; a
         # sweep recomputes u from the surviving r without another cbrt.
         # Every full-size array a substep writes is a buffer allocated
         # here, at the current size and on a cache-line boundary, and taken
@@ -562,6 +499,9 @@ class Ensemble:
         # lines.  The prefix below R_c/2 (a few percent of the state) and a
         # re-sort allocate.
         al = self.regime.kind == "al"
+        # The step step_fraction / (scale u**p) bounds every suffix
+        # particle's |dR|/R by step_fraction (see the module docstring).
+        p, scale = (2, 2.0) if al else (3, 4.0)
         n = self._y.size
         r_buf, hk1_buf, hk2_buf = (_aligned(n) for _ in range(3))
         r = np.cbrt(self._y, out=r_buf)
@@ -579,15 +519,16 @@ class Ensemble:
             y = self._y
             n = y.size
             # The prefix j below R_c/2 moves by its exact flow; the suffix
-            # takes the Heun step, whose size the suffix alone sets.
+            # takes the Heun step, whose size the mean field alone sets.
             j = int(y.searchsorted((0.5 / u) ** 3))
             ys, rs = y[j:], r[j:]
             m = n - j
             hk1, hk2 = hk1_buf[:m], hk2_buf[:m]
-            fastest = self._fastest(ys, rs, u, hk2)
-            h = remaining
-            if fastest > 0.0:
-                h = min(3.0 * self.step_fraction / fastest, remaining)
+            h = min(self.step_fraction / (scale * u**p), remaining)
+            if not self._t + h > self._t:
+                raise StateError(
+                    f"substep {h!r} does not advance t={self._t!r}"
+                )
             h3 = 3.0 * h
             # Stage 1 of the suffix, with h and the rate constants folded
             # in: h k1 = r (3hu) - 3h in dl, and in al the completed square
@@ -882,18 +823,24 @@ def simulate_late_stage(
     at the reference time and the elapsed-time ratio is exactly
     ``s = t/t0``.  Snapshot times are absolute (in ``(t0, t_end]``); at each
     one the measured new-volume fraction and grown/shrunk boundary radius
-    are compared against their analytic values.
+    are compared against their analytic values.  ``t0`` and ``t_end`` lie
+    in [1e-150, 1e150], where the run's products of times and radii stay
+    normal floats.
     """
     t0 = float(t0)
     t_end = float(t_end)
-    if not (t0 > 0.0 and math.isfinite(t0)):
-        raise DomainError(f"t0 must be positive and finite, got {t0!r}")
+    if not _T_MIN <= t0 <= _T_MAX:
+        raise DomainError(
+            f"t0 must lie in [{_T_MIN!r}, {_T_MAX!r}], got {t0!r}"
+        )
     # Snapshot times first: the CLI's default t_end is the last of them.
     times = sorted(float(ts) for ts in snapshot_times)
     _require_finite("snapshot times", times)
     _require_finite("t_end", [t_end])
     if not t_end > t0:
         raise DomainError(f"t_end must exceed t0, got {t_end!r}")
+    if t_end > _T_MAX:
+        raise DomainError(f"t_end must be at most {_T_MAX!r}, got {t_end!r}")
     if times and (times[0] <= t0 or times[-1] > t_end):
         raise DomainError(
             f"snapshot times must lie in ({t0!r}, {t_end!r}]"

@@ -551,6 +551,23 @@ class TestSimulate:
         assert message in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("regime", ["dl", "al"])
+    @pytest.mark.parametrize("t0", ["1e-300", "1e300"])
+    def test_t0_out_of_range(self, capsys, tmp_path, regime, t0):
+        # Outside [1e-150, 1e150] the run's products of times and radii
+        # leave the normal floats (a ZeroDivisionError, a singular slope
+        # fit or a collapsed ensemble at the parent): one error line, exit
+        # 2, nothing written.
+        out_dir = tmp_path / "run"
+        rc, out, err = run_cli(capsys, "simulate", "--regime", regime,
+                               "--t0", t0, "--out-dir", out_dir)
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"ripening: error: t0 must lie in [1e-150, 1e+150], got {float(t0)!r}"
+        ]
+        assert not out_dir.exists()
+
     def test_negative_seed(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
         rc, _, err = run_cli(

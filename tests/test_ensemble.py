@@ -6,6 +6,7 @@ accordingly (the acceptance suite runs the full-size version).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,13 @@ class TestConstruction:
             Ensemble(DIFFUSION_LIMITED, [1.0, -1.0])
         with pytest.raises(DomainError):
             Ensemble(DIFFUSION_LIMITED, [1.0, math.nan])
+        # The state is y = R**3: 1e-103 cubes to a subnormal and 1e103
+        # overflows; 2.9e-103, just above the cube root of the smallest
+        # normal float, is accepted.
+        for radius in (1e-103, 1e103):
+            with pytest.raises(DomainError, match="normal floats"):
+                Ensemble(DIFFUSION_LIMITED, [1.0, radius])
+        Ensemble(DIFFUSION_LIMITED, [1.0, 2.9e-103])
 
     def test_option_ranges(self):
         with pytest.raises(DomainError):
@@ -139,6 +147,16 @@ class TestStepping:
             ens.step(0.0)
         with pytest.raises(DomainError):
             ens.step(-1.0)
+
+    def test_step_that_does_not_advance_is_refused(self):
+        # h = step_fraction / (4 u**3) is about 1e-302 here, below half an
+        # ulp of t = 1: the stepper would loop without advancing time.
+        ens = Ensemble(DIFFUSION_LIMITED, [1e-100, 2e-100], start_time=1.0)
+        radii = ens.radii
+        with pytest.raises(StateError, match="does not advance t=1.0"):
+            ens.step(1.0)
+        assert ens.t == 1.0
+        assert np.array_equal(ens.radii, radii)
 
     def test_substeps_shrink_with_step_fraction(self):
         radii = init_ensemble(DIFFUSION_LIMITED, 200, 1.0, seed=3).radii
@@ -234,8 +252,8 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
         prefix = y < (0.5 / u) ** 3
         ys, rs = y[~prefix], r[~prefix]
         k1 = rates(rs, u)
-        fastest = float(np.max(np.abs(k1) / ys))
-        h = min(3.0 * step_fraction / fastest, remaining)
+        h = min(step_fraction / (2.0 * u**2 if al else 4.0 * u**3),
+                remaining)
         h3 = 3.0 * h
         hk1 = _ref_stage(rs, u, h3, al) if folded else h * k1
         stage = np.cbrt(ys + hk1)
@@ -279,18 +297,13 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
 class _AllocatingEnsemble(Ensemble):
     """The sorted stepper as the bitwise reference: every array operation
     makes a new array, the flow's sets are masks over the prefix, every
-    drop copies the survivors, the step cap reads the whole suffix, the
-    order check reads the whole state, and a re-sort builds new arrays."""
+    drop copies the survivors, the order check reads the whole state, and
+    a re-sort builds new arrays."""
 
     def _ref_field(self, r):
         if self.regime.kind == "dl":
             return r.size / float(np.sum(r))
         return float(np.sum(r)) / float(np.sum(r * r))
-
-    def _ref_rates(self, r, u):
-        if self.regime.kind == "dl":
-            return 3.0 * (r * u - 1.0)
-        return 3.0 * (r * r * u - r)
 
     def _ref_drop(self, r, keep, ledger):
         if ledger:
@@ -318,10 +331,8 @@ class _AllocatingEnsemble(Ensemble):
             y = self._y
             prefix = y < (0.5 / u) ** 3
             ys, rs = y[~prefix], r[~prefix]
-            fastest = float(np.max(np.abs(self._ref_rates(rs, u)) / ys))
-            h = remaining
-            if fastest > 0.0:
-                h = min(3.0 * self.step_fraction / fastest, remaining)
+            h = min(self.step_fraction / (2.0 * u**2 if al else 4.0 * u**3),
+                    remaining)
             h3 = 3.0 * h
             hk1 = _ref_stage(rs, u, h3, al)
             stage = np.cbrt(ys + hk1)
@@ -498,6 +509,42 @@ class TestSortedState:
         assert list(ens._ids) == [3, 4, 5]
         assert ens.lost_volume == FOUR_THIRDS_PI * float(np.sum(y[:2]))
         assert ens.work["deletions"] == 3
+
+
+class TestStepRule:
+    """The step is the closed form of the suffix's bound on |k1|/y at
+    R_c/2: step_fraction / (4 u**3) in dl and step_fraction / (2 u**2) in
+    al, cut short only at a snapshot time."""
+
+    @staticmethod
+    def _step(regime, sf, u):
+        return sf / (4.0 * u**3) if regime.kind == "dl" else sf / (2.0 * u**2)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_no_particle_near_half_the_critical_radius(self, regime):
+        # Both particles lie far above R_c/2, so the step does not come
+        # from them (in dl the first alone would give a step of 11
+        # step_fraction).
+        ens = Ensemble(regime, [1.0, 1.2])
+        u = ens.mean_field()[0]
+        _, series = ens.run(1.0)
+        assert series.t[1] == self._step(regime, ens.step_fraction, u)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_default_run_steps(self, regime):
+        # The series holds R_c = 1/u after each substep, so the next step
+        # follows from it; t itself rounds, by up to one ulp per row.
+        t0 = 225.0 if regime.kind == "dl" else 200.0
+        times = [1.5 * t0, 2.0 * t0, 3.0 * t0]
+        res = simulate_late_stage(regime, 20000, t0, 3.0 * t0, times, seed=1)
+        t = res.series.t
+        h = self._step(regime, 1.6e-2, 1.0 / res.series.rc_estimate[:-1])
+        dt = np.diff(t)
+        slack = 1e-14 * h + np.spacing(t[1:])
+        cut = np.isin(t[1:], [ts - t0 for ts in times])
+        assert np.count_nonzero(cut) == 3
+        assert np.all(np.abs(dt - h)[~cut] <= slack[~cut])
+        assert np.all(dt[cut] <= h[cut] + slack[cut])
 
 
 class TestDefaultStep:
@@ -880,6 +927,31 @@ class TestLateStage:
             assert c.new_fraction_analytic == want
             assert type(c.boundary_radius_analytic) is float
             assert c.boundary_radius_analytic == return_radius(regime, c.t, t0)
+
+    @pytest.mark.parametrize("t0, t_end, message", [
+        (1e-300, 3e-300, "t0 must lie in [1e-150, 1e+150], got 1e-300"),
+        (1e300, 3e300, "t0 must lie in [1e-150, 1e+150], got 1e+300"),
+        (225.0, 1e151, "t_end must be at most 1e+150, got 1e+151"),
+    ])
+    def test_times_out_of_range(self, monkeypatch, t0, t_end, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an ensemble was drawn")
+
+        monkeypatch.setattr("ripening.ensemble.init_ensemble", no_draw)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            simulate_late_stage(DIFFUSION_LIMITED, 100, t0, t_end, [], seed=1)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    @pytest.mark.parametrize("t0, t_end", [(1e-150, 3e-150),
+                                           (1e150 / 3.0, 1e150)])
+    def test_time_range_ends(self, regime, t0, t_end):
+        # A RuntimeWarning fails this suite: at both ends of the accepted
+        # range the run overflows nowhere.
+        res = simulate_late_stage(regime, 500, t0, t_end, [2.0 * t0], seed=1)
+        assert res.conservation_residual < 1e-12
+        assert res.rc_power_slope == pytest.approx(
+            res.rc_power_slope_expected, rel=0.1)
+        assert res.comparisons[0].fraction_rel_err < 0.2
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -4,9 +4,7 @@ searched by hypothesis.
 
 phi(s) is a difference of one nondecreasing table divided by its last
 entry, so it must lie in [0, 1] and grow with s up to the largest float.
-The ensemble stepper's narrowed pass, the step cap read from the first
-particles of a window, must equal the pass over the whole suffix bit for
-bit.  The CSV writer prints every float as ``%.17g`` does and every int64
+The CSV writer prints every float as ``%.17g`` does and every int64
 as ``%d`` does, ``nan``, infinities, subnormals and signed zeros included.
 The searches are derandomized so that every run checks the same examples.
 """
@@ -17,12 +15,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ripening.csvtable import format_rows
 from ripening.distribution import density, size_distribution
-from ripening.ensemble import Ensemble
 from ripening.recrystallization import new_volume_fraction
 from ripening.regime import ATTACHMENT_LIMITED, DIFFUSION_LIMITED, return_invariant
 from ripening.return_map import (
@@ -117,77 +114,6 @@ def test_cumulative_moment_endpoints(regime, k):
     d = size_distribution(regime)
     assert d.cumulative_moment(k, 0.0) == 0.0
     assert d.cumulative_moment(k, regime.z_max) == d.moment(k)
-
-
-def _nudge(value, steps):
-    """``value`` moved by ``steps`` floats up (positive) or down."""
-    toward = math.inf if steps > 0 else 0.0
-    for _ in range(abs(steps)):
-        value = math.nextafter(value, toward)
-    return value
-
-
-# Bands of R/R_c the particles are drawn from: anywhere; none in the step
-# cap's window [0.5, 0.75); every watched particle near R_c; just above the
-# deletion cut (R = 1e-4 R_c).
-_BANDS = (
-    ((1e-6, 3.0),),
-    ((1e-6, 0.5), (0.75, 3.0)),
-    ((1e-6, 0.5), (0.99, 1.01)),
-    ((1e-4, 1.0001e-4), (0.5, 2.0)),
-)
-
-
-@st.composite
-def sorted_states(draw):
-    """A sorted state ``y`` with a mean field ``u``: volumes drawn from one
-    band of ``_BANDS``, or a few floats from an edge that the step cap
-    reads (R_c/2, 0.75 R_c, R_c, the maxima of |k1|/y above it, the
-    deletion cut), with ties."""
-    regime = draw(regimes)
-    u = 1.0 / draw(st.floats(min_value=1e-3, max_value=1e3))
-    r_c = 1.0 / u
-    edges = [(x * r_c) ** 3 for x in (1e-4, 0.5, 0.75, 1.0, 1.5, 2.0)]
-    near_edge = st.builds(_nudge, st.sampled_from(edges),
-                          st.integers(min_value=-3, max_value=3))
-    in_band = st.one_of(*(
-        st.floats(min_value=lo, max_value=hi).map(lambda x: (x * r_c) ** 3)
-        for lo, hi in draw(st.sampled_from(_BANDS))
-    ))
-    y = draw(st.lists(st.one_of(in_band, near_edge), min_size=1,
-                      max_size=80))
-    y += draw(st.lists(st.sampled_from(y), max_size=10))  # ties
-    y = np.sort(np.array(y))
-    assume(y[0] > 0.0)
-    return regime, y, u
-
-
-def _full_rates(regime, r, u):
-    if regime.kind == "dl":
-        return 3.0 * (r * u - 1.0)
-    return 3.0 * (r * r * u - r)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(sorted_states())
-# In al, rounding puts the window's maximum one float above its first
-# particle (R_c = 100): the band above the first particle is read.
-@example((ATTACHMENT_LIMITED,
-          np.array([125000.00000000007, 125000.00000000009, 1e6]), 0.01))
-def test_narrowed_passes_match_full_passes(state):
-    regime, y, u = state
-    ens = Ensemble(regime, [1.0, 2.0])
-    r, n, r_c = np.cbrt(y), y.size, 1.0 / u
-    k1 = _full_rates(regime, r, u)
-
-    # The step cap: max |k1|/y over the suffix y >= (R_c/2)**3, read in
-    # O(1) from the window's first particles when the bound settles it.
-    # A real state's largest particle is at or above R_c, so its suffix is
-    # never empty.
-    j = int(np.searchsorted(y, (0.5 * r_c) ** 3))
-    if j < n:
-        fastest = float(np.max(np.abs(k1[j:]) / y[j:]))
-        assert ens._fastest(y[j:], r[j:], u, np.empty(n - j)) == fastest
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
