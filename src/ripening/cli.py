@@ -91,14 +91,7 @@ def _return_variable(args, parser):
         parser.error("give --z0 values or --s values, not both")
     var = "z0" if args.z0 is not None else "s" if args.s is not None else args.var
     solve = solve_return_point if var == "z0" else return_point_for_ratio
-    return (getattr(args, var), _per_value(lambda r, x: astuple(solve(r, x))),
-            {"variable": var})
-
-
-def _per_value(row):
-    """Columns from a function of one grid value, ``(regime, x) -> one value
-    per column``, for the functions that take scalars only."""
-    return lambda r, grid: tuple(zip(*[row(r, x) for x in grid.tolist()]))
+    return getattr(args, var), lambda r, x: astuple(solve(r, x)), {"variable": var}
 
 
 class _Command(NamedTuple):
@@ -122,8 +115,8 @@ TABLE = {
         "rescaled flow: tau, alpha and dz/dtau over z",
         "--z", "scaled size to evaluate",
         ("z", "tau", "alpha", "dz_dtau"),
-        _per_value(lambda r, z: (z, flow_time(r, z), return_invariant(r, z),
-                                 growth_rate_scaled(r, z))),
+        lambda r, z: (z, flow_time(r, z), return_invariant(r, z),
+                      growth_rate_scaled(r, z)),
     ),
     "return": _Command(
         "return map: rho and time ratio s",

@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_entries
+from .numerics import float_if_0d
 from .regime import Regime
 
 __all__ = ["density", "SizeDistribution", "size_distribution"]
@@ -68,17 +69,14 @@ def density(regime: Regime, z):
     """
     log_f = _log_density_dl if regime.kind == "dl" else _log_density_al
     z = np.asarray(z, dtype=float)
-    bad = ~((z >= 0.0) & np.isfinite(z))
-    if bad.any():
-        raise DomainError(
-            f"scaled sizes must be >= 0 and finite, got {float(z[bad][0])!r}"
-        )
+    check_entries(z, (z >= 0.0) & np.isfinite(z),
+                  "scaled sizes must be >= 0 and finite, got %r")
     out = np.zeros(z.shape)
     inside = (z > 0.0) & (z < regime.z_max)
     zi = z[inside]
     logs = log_f(zi, regime.z_max - zi)
     out[inside] = np.where(logs > _LOG_FLOOR, np.exp(logs), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return float_if_0d(out)
 
 
 class SizeDistribution:
@@ -134,20 +132,18 @@ class SizeDistribution:
         """
         table = self._cumulative(k)
         z = np.asarray(z, dtype=float)
-        bad = ~(z >= 0.0)
-        if bad.any():
-            raise DomainError(f"scaled sizes must be >= 0, got {float(z[bad][0])!r}")
+        check_entries(z, z >= 0.0, "scaled sizes must be >= 0, got %r")
         i = self._node_below(z)
         j = np.minimum(i, self._grid.size - 2)  # the panel that holds z
         part = self._panels(k, self._grid[j], np.minimum(z, self._grid[j + 1]))
         # The partial panel may round past the whole one by an ulp.
         out = np.where(j < i, table[-1], np.minimum(table[j] + part, table[j + 1]))
-        return float(out) if out.ndim == 0 else out
+        return float_if_0d(out)
 
     def panel_moment(self, k: int, z, width):
         """int_{z - width}^z h x^k dx by one 7-point panel, where the window
-        lies within one table panel; otherwise None (NaN entries, for
-        arrays).  Accepts scalars or numpy arrays, like :func:`density`.
+        lies within one table panel; otherwise NaN.  Accepts scalars or
+        numpy arrays, like :func:`density`.
 
         The result has the relative precision of ``width``, where the
         difference of two :meth:`cumulative_moment` reads keeps only the
@@ -161,9 +157,7 @@ class SizeDistribution:
                   & (z - width >= self._grid[i]))
         out = np.full(z.shape, np.nan)
         out[inside] = self._gauss(k, (z - half)[inside], half[inside])
-        if out.ndim:
-            return out
-        return float(out) if inside else None
+        return float_if_0d(out)
 
     def _node_below(self, z):
         """Index of the last table node at or below each ``z``."""

@@ -4,6 +4,8 @@ Everything derives from :class:`RipeningError` so callers can catch one base
 class at an API boundary (the command line driver does exactly that).
 """
 
+import numpy as np
+
 
 class RipeningError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,3 +33,11 @@ class StateError(RipeningError):
 
 class DataError(RipeningError):
     """Snapshot data passed to a measurement routine is inconsistent."""
+
+
+def check_entries(values, ok, message: str) -> None:
+    """Raise :class:`DomainError` on the first entry of ``values`` where
+    ``ok`` is false; ``message`` holds one ``%r`` for that entry."""
+    bad = ~np.asarray(ok)
+    if bad.any():
+        raise DomainError(message % float(values[bad][0]))

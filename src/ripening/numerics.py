@@ -75,6 +75,11 @@ DEFAULT_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_iter=60)
 DEFAULT_ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-10, max_iter=1_000_000)
 
 
+def float_if_0d(x):
+    """A 0-d result as a float, any other array as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def find_root(
     f: Callable,
     lo,
@@ -132,8 +137,7 @@ def find_root(
         inside = (lo < mid) & (mid < hi)  # false once lo, hi are adjacent
         open_ = inside & (hi - lo > tol.gate(mid))
         if not np.count_nonzero(open_):
-            root = np.where(inside, mid, lo)
-            return float(root) if root.ndim == 0 else root
+            return float_if_0d(np.where(inside, mid, lo))
         above = f(mid) * sign
         # An exact zero moves both ends onto it; a NaN moves neither, so its
         # entry never closes (see below).

@@ -40,8 +40,9 @@ import numpy as np
 
 from .distribution import density, size_distribution
 from .errors import DomainError
+from .numerics import float_if_0d
 from .regime import Regime
-from .return_map import _check_z0, _pair_for_ratio, return_size
+from .return_map import _pair_for_ratio, return_size
 
 __all__ = [
     "VolumeFractionCurve",
@@ -90,22 +91,19 @@ def _window(regime: Regime, z0, rho, complement: bool = False, width=None):
         phi = (upper - lower) / m3
     if width is not None:
         narrow = dist.panel_moment(3, z0, width)
-        if narrow is not None:  # a scalar window wider than a panel
-            phi = np.where(np.isnan(narrow), phi, narrow / m3)
-    return float(phi) if np.ndim(phi) == 0 else phi
+        phi = np.where(np.isnan(narrow), phi, narrow / m3)
+    return float_if_0d(phi)
 
 
-def fraction_from_start_size(
-    regime: Regime, z0: float, complement: bool = False
-) -> float:
-    """New-volume fraction for the window whose upper edge is ``z0``.
+def fraction_from_start_size(regime: Regime, z0, complement: bool = False):
+    """New-volume fraction for the window whose upper edge is ``z0``; a
+    scalar or a numpy array.
 
     Both forms read the one cumulative table M3 of the size distribution:
     the direct window ``(M3(z0) - M3(rho)) / m3`` (``complement=False``)
     and one minus the two leftover tails,
     ``1 - (M3(rho) + m3 - M3(z0)) / m3`` (True).  They agree to rounding.
     """
-    z0 = _check_z0(regime, z0)
     return _window(regime, z0, return_size(regime, z0), complement)
 
 

@@ -25,18 +25,20 @@ whose right-hand side factors with a double root at z_max = 3/2 (dl) or
 "time" tau.  The flow separates, and the antiderivative tau(z) of
 1/(dz/dtau) has the closed forms implemented here; alpha(z) = ln z + tau(z)
 is the combination that is conserved between a radius and its later return
-to the same physical size (see return_map).
+to the same physical size (see return_map).  The flow functions take a
+scalar or a numpy array: a float in, a float out.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import Tolerance, find_root
+from .errors import DomainError, check_entries
+from .numerics import Tolerance, find_root, float_if_0d
 
 __all__ = [
     "Regime",
@@ -138,16 +140,20 @@ class ScaledState:
             raise DomainError(f"tau must be finite, got {self.tau!r}")
 
 
-def growth_rate_scaled(regime: Regime, z: float) -> float:
+def growth_rate_scaled(regime: Regime, z):
     """Right-hand side ``nu (z - 1)/z**lam - z`` of the rescaled flow.
 
     Negative for every z in (0, z_max) except the double root at z_max
-    itself, which is why all rescaled sizes eventually shrink.
+    itself, which is why all rescaled sizes eventually shrink.  Below z of
+    about 1.9e-154 (dl) or 2.2e-308 (al) the rate leaves the float range and
+    rounds to -inf.
     """
-    z = float(z)
-    if not (z > 0.0 and math.isfinite(z)):
-        raise DomainError(f"scaled size must be positive and finite, got {z!r}")
-    return regime.rate_constant * (z - 1.0) / z**regime.growth_exponent - z
+    z = np.asarray(z, dtype=float)
+    check_entries(z, (z > 0.0) & np.isfinite(z),
+                  "scaled size must be positive and finite, got %r")
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = regime.rate_constant * (z - 1.0) / z**regime.growth_exponent
+    return float_if_0d(rate - z)
 
 
 def growth_rate_physical(regime: Regime, radius: float, r_c: float) -> float:
@@ -173,6 +179,7 @@ def critical_radius(regime: Regime, r_c0: float, t: float) -> float:
     ``R_c(t) = (r_c0**gamma + (gamma/nu) t)**(1/gamma)``.  ``r_c0 = 0`` is
     accepted: it selects the pure late-stage baseline ``R_c**gamma =
     (gamma/nu) t``, which is the natural clock for everything downstream.
+    ``R_c**gamma`` must stay a finite float.
     """
     r_c0 = float(r_c0)
     t = float(t)
@@ -181,21 +188,30 @@ def critical_radius(regime: Regime, r_c0: float, t: float) -> float:
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError(f"time must be >= 0, got {t!r}")
     gamma = regime.coarsening_exponent
-    return (r_c0**gamma + coarsening_slope(regime) * t) ** (1.0 / gamma)
+    try:
+        power = r_c0**gamma + coarsening_slope(regime) * t
+    except OverflowError:  # r_c0**gamma alone
+        power = math.inf
+    if power == math.inf:
+        raise DomainError(
+            f"R_c**{gamma} = r_c0**{gamma} + (gamma/nu) t must be <= "
+            f"{sys.float_info.max!r}, got r_c0={r_c0!r}, t={t!r}"
+        )
+    return power ** (1.0 / gamma)
 
 
-def _tau_closed_form(regime: Regime, z: float) -> float:
+def _tau_closed_form(regime: Regime, z):
     # Antiderivative of 1/(dz/dtau); valid on [0, z_max), finite at z = 0.
     if regime.kind == "dl":
         # dz/dtau = -(2z - 3)^2 (z + 3) / (4 z^2); partial fractions give
         # coefficients (-10/9, -2, -4/9) on 1/(3-2z), 1/(3-2z)^2, 1/(z+3).
         return (
             1.0 / (2.0 * z - 3.0)
-            - (5.0 / 9.0) * math.log(3.0 - 2.0 * z)
-            - (4.0 / 9.0) * math.log(z + 3.0)
+            - (5.0 / 9.0) * np.log(3.0 - 2.0 * z)
+            - (4.0 / 9.0) * np.log(z + 3.0)
         )
     # al: dz/dtau = -(z - 2)^2 / z.
-    return 2.0 / (z - 2.0) - math.log(2.0 - z)
+    return 2.0 / (z - 2.0) - np.log(2.0 - z)
 
 
 def _flow_time_down(regime: Regime, z, d):
@@ -221,7 +237,15 @@ def _flow_time_down(regime: Regime, z, d):
     return 2.0 * q / (cut + d) - np.log1p(q)
 
 
-def flow_time(regime: Regime, z: float) -> float:
+def _check_below_cutoff(regime: Regime, z, name: str):
+    z = np.asarray(z, dtype=float)
+    check_entries(z, (0.0 < z) & (z < regime.z_max - CUTOFF_GUARD),
+                  f"{name} must lie in (0, {regime.z_max} - {CUTOFF_GUARD:g}), "
+                  "got %r")
+    return z
+
+
+def flow_time(regime: Regime, z):
     """Closed-form rescaled time tau(z) at which a trajectory passes ``z``.
 
     tau is strictly decreasing on (0, z_max), diverges to -inf at the cutoff
@@ -229,54 +253,42 @@ def flow_time(regime: Regime, z: float) -> float:
     dissolution end.  Defined up to a constant; this branch is the one used
     consistently across the package.
     """
-    z = float(z)
-    if not (0.0 < z < regime.z_max - CUTOFF_GUARD) or not math.isfinite(z):
-        raise DomainError(
-            f"z must lie in (0, {regime.z_max} - {CUTOFF_GUARD:g}), got {z!r}"
-        )
-    return _tau_closed_form(regime, z)
+    z = _check_below_cutoff(regime, z, "z")
+    return float_if_0d(_tau_closed_form(regime, z))
 
 
-def return_invariant(regime: Regime, z: float) -> float:
+def return_invariant(regime: Regime, z):
     """Return-condition potential ``alpha(z) = ln z + tau(z)``.
 
     Unimodal with its maximum at z = 1 (where alpha'' = -nu), so each
     super-critical size has exactly one sub-critical partner with equal
     alpha.
     """
-    return math.log(z) + flow_time(regime, z)
+    z = _check_below_cutoff(regime, z, "z")
+    return float_if_0d(np.log(z) + _tau_closed_form(regime, z))
 
 
-def evolve_scaled(regime: Regime, z_start: float, delta_tau: float) -> float:
+def evolve_scaled(regime: Regime, z_start: float, delta_tau):
     """Advance the rescaled flow: the z reached ``delta_tau`` after ``z_start``.
 
     Inverts the closed form tau(z) by bisection instead of integrating the
-    ODE.  Raises ``DomainError`` when the trajectory dissolves (reaches
-    z = 0) before ``delta_tau`` elapses.
+    ODE; a numpy array of offsets is one bisection, and a zero offset
+    returns ``z_start`` exactly.  Raises ``DomainError`` when the
+    trajectory dissolves (reaches z = 0) before ``delta_tau`` elapses.
     """
-    z_start = float(z_start)
-    delta_tau = float(delta_tau)
-    if not (0.0 < z_start < regime.z_max - CUTOFF_GUARD):
-        raise DomainError(
-            f"z_start must lie in (0, {regime.z_max} - {CUTOFF_GUARD:g}), "
-            f"got {z_start!r}"
-        )
-    if not (delta_tau >= 0.0 and math.isfinite(delta_tau)):
-        raise DomainError(f"delta_tau must be >= 0, got {delta_tau!r}")
-    if delta_tau == 0.0:
-        return z_start
-
+    z_start = float(_check_below_cutoff(regime, z_start, "z_start"))
+    delta_tau = np.asarray(delta_tau, dtype=float)
+    check_entries(delta_tau, (delta_tau >= 0.0) & np.isfinite(delta_tau),
+                  "delta_tau must be >= 0, got %r")
     tau_start = _tau_closed_form(regime, z_start)
-    lifetime = _tau_closed_form(regime, 0.0) - tau_start
-    if delta_tau >= lifetime:
-        raise DomainError(
-            f"trajectory from z={z_start!r} dissolves after delta_tau="
-            f"{lifetime!r} < {delta_tau!r}"
-        )
+    lifetime = float(_tau_closed_form(regime, 0.0) - tau_start)
+    check_entries(delta_tau, delta_tau < lifetime,
+                  f"trajectory from z={z_start!r} dissolves after delta_tau="
+                  f"{lifetime!r} < %r")
     target = tau_start + delta_tau
     return find_root(
         lambda z: _tau_closed_form(regime, z) - target,
-        0.0,
+        np.zeros_like(delta_tau),
         z_start,
         tol=Tolerance(abs_tol=1e-15, rel_tol=1e-13, max_iter=200),
     )
@@ -284,12 +296,10 @@ def evolve_scaled(regime: Regime, z_start: float, delta_tau: float) -> float:
 
 def scaled_trajectory(regime, z_start, delta_taus):
     """Sample a rescaled trajectory at the offsets ``delta_taus`` (>= 0,
-    nondecreasing); returns a list of :class:`ScaledState`."""
-    states = []
-    prev = -math.inf
-    for d in delta_taus:
-        if d < prev:
-            raise DomainError("delta_taus must be nondecreasing")
-        prev = d
-        states.append(ScaledState(evolve_scaled(regime, z_start, d), float(d)))
-    return states
+    nondecreasing), in one :func:`evolve_scaled` call; returns a list of
+    :class:`ScaledState`."""
+    taus = np.asarray(delta_taus, dtype=float)
+    if np.any(np.diff(taus) < 0.0):
+        raise DomainError("delta_taus must be nondecreasing")
+    zs = evolve_scaled(regime, z_start, taus)
+    return [ScaledState(z, tau) for z, tau in zip(zs.tolist(), taus.tolist())]

@@ -23,22 +23,24 @@ Both directions solve one matching equation in a = ln(z0/rho) = ln(s)/gamma:
 solved for a given z0 (solve_return_point, which return_size,
 return_time_ratio and fraction_from_start_size read) or for z0 given s
 (initial_size_for_ratio), each query by one bisection to adjacent floats.
-initial_size_for_ratio takes a numpy array of ratios as one elementwise
-solve.  tau(z0) - tau(rho) comes from the closed forms differenced in
-d = z0 - rho = -z0 expm1(-a), so Phi keeps relative precision as s -> 1 and
-stays exact where rho underflows the smallest positive float (z0 extremely
-close to z_max): tau tends to the finite tau(0) there.
+Every function takes a scalar or a numpy array: an array is one elementwise
+solve, each entry equal to the scalar call's value.  tau(z0) - tau(rho)
+comes from the closed forms differenced in d = z0 - rho = -z0 expm1(-a),
+so Phi keeps relative precision as s -> 1 and stays exact where rho
+underflows the smallest positive float (z0 extremely close to z_max): tau
+tends to the finite tau(0) there.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import Tolerance, find_root
+from .errors import DomainError, check_entries
+from .numerics import Tolerance, find_root, float_if_0d
 from .regime import Regime, _flow_time_down, coarsening_slope, critical_radius
 
 __all__ = [
@@ -64,30 +66,21 @@ _ADJACENT = Tolerance(abs_tol=0.0, rel_tol=1e-17, max_iter=200)
 @dataclass(frozen=True)
 class ReturnPoint:
     """A matched pair on the return map: grow from z0, return at z_return,
-    elapsed-time ratio s = t/t0."""
+    elapsed-time ratio s = t/t0.  Floats, or numpy arrays of pairs."""
 
     z0: float
     z_return: float
     s: float
 
     def __post_init__(self):
-        if not (0.0 <= self.z_return <= 1.0 <= self.z0):
+        z0, rho = self.z0, self.z_return
+        if not np.all((0.0 <= rho) & (rho <= 1.0) & (1.0 <= z0)):
             raise DomainError(
                 f"return pair must satisfy z_return <= 1 <= z0, got "
-                f"({self.z_return!r}, {self.z0!r})"
+                f"({rho!r}, {z0!r})"
             )
-        if not self.s >= 1.0:
+        if not np.all(self.s >= 1.0):
             raise DomainError(f"time ratio must be >= 1, got {self.s!r}")
-
-
-def _check_z0(regime: Regime, z0: float) -> float:
-    z0 = float(z0)
-    if not (math.isfinite(z0) and 1.0 <= z0 <= regime.z_max - NEAR_CUTOFF):
-        raise DomainError(
-            f"initial scaled size must lie in [1, z_max - {NEAR_CUTOFF:g}] = "
-            f"[1, {regime.z_max - NEAR_CUTOFF!r}], got {z0!r}"
-        )
-    return z0
 
 
 def _mismatch(regime: Regime, z0, a):
@@ -95,7 +88,7 @@ def _mismatch(regime: Regime, z0, a):
     return a - _flow_time_down(regime, z0, -z0 * np.expm1(-a))
 
 
-def return_size(regime: Regime, z0: float) -> float:
+def return_size(regime: Regime, z0):
     """Sub-critical return size: the rho in (0, 1] with alpha(rho) = alpha(z0).
 
     Strictly decreasing in z0, with rho(1) = 1 and rho -> 0 as z0 -> z_max.
@@ -115,17 +108,7 @@ def return_size_slope_at_one(regime: Regime) -> float:
     return -1.0
 
 
-def _exp_or_inf(arg: float) -> float:
-    # s grows like exp(gamma/(2*(z_max - z0))) near the cutoff, which leaves
-    # float64 range while z0 is still ~1e-3 away from it; the correctly
-    # rounded answer there is inf, not an exception.
-    try:
-        return math.exp(arg)
-    except OverflowError:
-        return math.inf
-
-
-def return_time_ratio(regime: Regime, z0: float) -> float:
+def return_time_ratio(regime: Regime, z0):
     """Elapsed-time ratio s = t/t0 = (z0/rho(z0))**gamma for the return.
 
     Computed as exp(gamma * a) from the solved a = ln(z0/rho), so the
@@ -143,11 +126,8 @@ def initial_size_for_ratio(regime: Regime, s):
     a numpy array: every entry is solved in the same bisection.
     """
     s = np.asarray(s, dtype=float)
-    bad = ~((s >= 1.0) & np.isfinite(s))
-    if bad.any():
-        raise DomainError(
-            f"time ratio must be >= 1 and finite, got {float(s[bad][0])!r}"
-        )
+    check_entries(s, (s >= 1.0) & np.isfinite(s),
+                  "time ratio must be >= 1 and finite, got %r")
     a = np.log(s) / regime.coarsening_exponent
     return find_root(
         lambda z0: _mismatch(regime, z0, a),
@@ -157,23 +137,31 @@ def initial_size_for_ratio(regime: Regime, s):
     )
 
 
-def solve_return_point(regime: Regime, z0: float) -> ReturnPoint:
+def solve_return_point(regime: Regime, z0) -> ReturnPoint:
     """Bundle rho(z0) and the time ratio into a :class:`ReturnPoint`.
 
     Solves Phi(z0, a) = 0 for a = ln(z0/rho) on [ln z0, tau(0) - tau(z0) + 1]:
     Phi is alpha(z0) - alpha(1) <= 0 at the lower end and at least 1 at the
     upper one.
     """
-    z0 = _check_z0(regime, z0)
+    # [()] turns a 0-d input into a numpy scalar, whose arithmetic in the
+    # bisection costs about half that of a 0-d array.
+    z0 = np.asarray(z0, dtype=float)[()]
+    check_entries(z0, (1.0 <= z0) & (z0 <= regime.z_max - NEAR_CUTOFF),
+                  f"initial scaled size must lie in [1, z_max - {NEAR_CUTOFF:g}] "
+                  f"= [1, {regime.z_max - NEAR_CUTOFF!r}], got %r")
     a = find_root(
         lambda a: _mismatch(regime, z0, a),
-        math.log(z0),
-        float(_flow_time_down(regime, z0, z0)) + 1.0,
+        np.log(z0),
+        _flow_time_down(regime, z0, z0) + 1.0,
         tol=_ADJACENT,
     )
-    return ReturnPoint(
-        z0, z0 * math.exp(-a), _exp_or_inf(regime.coarsening_exponent * a)
-    )
+    # s grows like exp(gamma/(2*(z_max - z0))) near the cutoff, which leaves
+    # float64 range while z0 is still ~1e-3 away from it; the correctly
+    # rounded answer there is inf.
+    with np.errstate(over="ignore"):
+        s = np.exp(regime.coarsening_exponent * a)
+    return ReturnPoint(*map(float_if_0d, (z0, z0 * np.exp(-a), s)))
 
 
 def _pair_for_ratio(regime: Regime, s):
@@ -184,10 +172,10 @@ def _pair_for_ratio(regime: Regime, s):
     return z0, z0 * np.exp(-np.log(s) / regime.coarsening_exponent)
 
 
-def return_point_for_ratio(regime: Regime, s: float) -> ReturnPoint:
+def return_point_for_ratio(regime: Regime, s) -> ReturnPoint:
     """The :class:`ReturnPoint` whose elapsed-time ratio is ``s``."""
-    z0, rho = _pair_for_ratio(regime, float(s))
-    return ReturnPoint(z0, float(rho), float(s))
+    s = np.asarray(s, dtype=float)
+    return ReturnPoint(*map(float_if_0d, (*_pair_for_ratio(regime, s), s)))
 
 
 def return_radius(regime: Regime, t, t0: float, r_c0: float = 0.0):
@@ -210,14 +198,16 @@ def return_radius(regime: Regime, t, t0: float, r_c0: float = 0.0):
     t0 = float(t0)
     if not (t0 > 0.0 and math.isfinite(t0)):
         raise DomainError(f"t0 must be positive and finite, got {t0!r}")
-    bad = ~((t >= t0) & np.isfinite(t))
-    if bad.any():
-        raise DomainError(
-            f"t must be >= t0, got t={float(t[bad][0])!r}, t0={t0!r}"
-        )
+    check_entries(t, (t >= t0) & np.isfinite(t),
+                  f"t must be >= t0, got t=%r, t0={t0!r}")
     r_c = critical_radius(regime, r_c0, t0)
     c = float(r_c0) ** regime.coarsening_exponent / coarsening_slope(regime)
-    return initial_size_for_ratio(regime, (t + c) / (t0 + c)) * r_c
+    with np.errstate(over="ignore"):
+        clock = t + c
+    check_entries(t, clock < math.inf,
+                  f"t + r_c0**gamma nu/gamma must be <= {sys.float_info.max!r}, "
+                  f"got t=%r, r_c0={float(r_c0)!r}")
+    return initial_size_for_ratio(regime, clock / (t0 + c)) * r_c
 
 
 def return_radius_rate(regime: Regime, t0: float, r_c0: float = 0.0) -> float:

@@ -404,7 +404,8 @@ def test_columns_match_per_row_build(capsys, command, regime):
     ["phi", "--regime", "dl", "--s", "1.5", "--s", "0.5", "--s", "2"],
     ["dist", "--regime", "al", "--z", "0.5", "--z", "-1", "--z", "1.0"],
     ["tau", "--regime", "dl", "--z", "0.5", "--z", "2.5", "--z", "1.0"],
-], ids=["phi", "dist", "tau"])
+    ["return", "--regime", "dl", "--z0", "1.2", "--z0", "0.5", "--z0", "1.3"],
+], ids=["phi", "dist", "tau", "return"])
 def test_failing_grid_point_leaves_no_file(capsys, tmp_path, argv):
     for fmt in ("csv", "json"):
         path = tmp_path / f"out.{fmt}"

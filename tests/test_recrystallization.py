@@ -130,7 +130,7 @@ class TestNearUnitRatio:
         for s in (ss[0], ss[-1]):
             z0 = initial_size_for_ratio(regime, s)
             width = -z0 * math.expm1(-math.log(s) / regime.coarsening_exponent)
-            inside.append(dist.panel_moment(3, z0, width) is not None)
+            inside.append(not math.isnan(dist.panel_moment(3, z0, width)))
         assert inside == [True, False]
 
     @pytest.mark.parametrize("regime", BOTH)

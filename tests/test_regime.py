@@ -77,6 +77,11 @@ class TestGrowthRates:
         with pytest.raises(DomainError):
             growth_rate_scaled(ATTACHMENT_LIMITED, -0.5)
 
+    def test_rate_beyond_float_range(self):
+        # -nu/z**lam leaves the float range near z = 0: -inf, with no warning.
+        assert growth_rate_scaled(DIFFUSION_LIMITED, 1e-300) == -math.inf
+        assert growth_rate_scaled(ATTACHMENT_LIMITED, 5e-324) == -math.inf
+
     def test_physical_values(self):
         # At R = R_c a particle is stationary in both regimes.
         assert growth_rate_physical(DIFFUSION_LIMITED, 2.0, 2.0) == 0.0
