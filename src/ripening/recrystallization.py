@@ -42,7 +42,7 @@ from .distribution import density, size_distribution
 from .errors import DomainError
 from .numerics import float_if_0d
 from .regime import Regime
-from .return_map import _pair_for_ratio, return_size
+from .return_map import _log_ratio, _pair_for_ratio
 
 __all__ = [
     "VolumeFractionCurve",
@@ -103,8 +103,13 @@ def fraction_from_start_size(regime: Regime, z0, complement: bool = False):
     the direct window ``(M3(z0) - M3(rho)) / m3`` (``complement=False``)
     and one minus the two leftover tails,
     ``1 - (M3(rho) + m3 - M3(z0)) / m3`` (True).  They agree to rounding.
+    One solve gives a = ln(z0/rho), so rho = z0 e^-a and the width
+    z0 - rho = -z0 expm1(-a) keeps relative precision as z0 -> 1, where a
+    window inside one table panel is integrated directly.
     """
-    return _window(regime, z0, return_size(regime, z0), complement)
+    z0, a = _log_ratio(regime, z0)
+    return _window(regime, z0, z0 * np.exp(-a), complement,
+                   width=-z0 * np.expm1(-a))
 
 
 def new_volume_fraction(regime: Regime, s):

@@ -20,7 +20,7 @@ Both directions solve one matching equation in a = ln(z0/rho) = ln(s)/gamma:
 
     Phi(z0, a) = a + tau(z0) - tau(z0 e^-a) = alpha(z0) - alpha(rho) = 0,
 
-solved for a given z0 (solve_return_point, which return_size,
+solved for a given z0 (_log_ratio, which solve_return_point, return_size,
 return_time_ratio and fraction_from_start_size read) or for z0 given s
 (initial_size_for_ratio), each query by one bisection to adjacent floats.
 Every function takes a scalar or a numpy array: an array is one elementwise
@@ -137,12 +137,12 @@ def initial_size_for_ratio(regime: Regime, s):
     )
 
 
-def solve_return_point(regime: Regime, z0) -> ReturnPoint:
-    """Bundle rho(z0) and the time ratio into a :class:`ReturnPoint`.
+def _log_ratio(regime: Regime, z0):
+    """(z0, a) with a = ln(z0/rho) the root of Phi(z0, a) = 0, z0 checked
+    and read as a numpy scalar or array.
 
-    Solves Phi(z0, a) = 0 for a = ln(z0/rho) on [ln z0, tau(0) - tau(z0) + 1]:
-    Phi is alpha(z0) - alpha(1) <= 0 at the lower end and at least 1 at the
-    upper one.
+    Solves on [ln z0, tau(0) - tau(z0) + 1]: Phi is alpha(z0) - alpha(1)
+    <= 0 at the lower end and at least 1 at the upper one.
     """
     # [()] turns a 0-d input into a numpy scalar, whose arithmetic in the
     # bisection costs about half that of a 0-d array.
@@ -156,6 +156,13 @@ def solve_return_point(regime: Regime, z0) -> ReturnPoint:
         _flow_time_down(regime, z0, z0) + 1.0,
         tol=_ADJACENT,
     )
+    return z0, a
+
+
+def solve_return_point(regime: Regime, z0) -> ReturnPoint:
+    """Bundle rho(z0) and the time ratio into a :class:`ReturnPoint`: one
+    solve of Phi(z0, a) = 0 for a = ln(z0/rho)."""
+    z0, a = _log_ratio(regime, z0)
     # s grows like exp(gamma/(2*(z_max - z0))) near the cutoff, which leaves
     # float64 range while z0 is still ~1e-3 away from it; the correctly
     # rounded answer there is inf.

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import ripening
+import ripening.cli as cli
 from ripening import __version__
 from ripening.cli import _comment, main
 from ripening.distribution import density, size_distribution
@@ -452,6 +453,39 @@ class TestDeterminism:
         assert main([*argv, str(b)]) == 0
         # the recorded invocation differs (different --out), the data must not
         assert a.read_bytes().split(b"\n", 1)[1] == b.read_bytes().split(b"\n", 1)[1]
+
+
+class TestOneParserPerProcess:
+    """The parser is built once per process; repeated calls of main must
+    not see what an earlier call parsed."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_flags_do_not_accumulate(self, capsys):
+        argv = ["tau", "--regime", "dl", "--z", "0.5", "--z", "1.0"]
+        first = run_cli(capsys, *argv)
+        second = run_cli(capsys, *argv)
+        assert first == second
+        assert len(parse_csv(first[1])[2]) == 2
+        # a later call without the flag gets the default grid, not the
+        # earlier values
+        rc, out, _ = run_cli(capsys, "phi", "--regime", "al")
+        assert rc == 0 and len(parse_csv(out)[2]) == 200
+
+    def test_repeated_snapshots_do_not_accumulate(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"
+        argv = ["simulate", "--regime", "dl", "--n", "200", "--t0", "225",
+                "--snapshot", "300", "--snapshot", "337.5",
+                "--out-dir", str(out_dir)]
+        files = []
+        for _ in range(2):
+            assert main(argv) == 0
+            files.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert files[0] == files[1]
+        assert sorted(files[0]) == ["report.json", "series.csv",
+                                    "snapshot_00.csv", "snapshot_01.csv",
+                                    "snapshot_02.csv"]
 
 
 class TestSimulate:

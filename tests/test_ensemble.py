@@ -15,6 +15,7 @@ from ripening.distribution import size_distribution
 from ripening.ensemble import (
     _INVERSE,
     FOUR_THIRDS_PI,
+    _align,
     _inverse_lifetime,
     _lifetime,
     Ensemble,
@@ -495,6 +496,36 @@ class TestSortedState:
         work = self._assert_bitwise_equal(regime, radii, t0)
         assert work["resorts"] > 0  # the re-sort path ran
 
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_ties_in_any_order(self, regime):
+        # The initial sort may order equal volumes either way; a run from
+        # 5 200 radii with 2 200 exact ties gives the same ids, radii,
+        # snapshots, series and work as the same state sorted stably.
+        t0 = 225.0 if regime.kind == "dl" else 200.0
+        drawn = init_ensemble(regime, 3000, critical_radius(regime, 0.0, t0),
+                              seed=1).radii
+        radii = np.concatenate([drawn, drawn[:2200]])
+        ens, ref = Ensemble(regime, radii), Ensemble(regime, radii)
+        y = radii**3
+        ref._ids = np.argsort(y, kind="stable").astype(np.int64)
+        ref._y = y[ref._ids]
+        assert np.array_equal(ens._y, ref._y)
+        assert not np.array_equal(ens._ids, ref._ids)  # the ties differ
+        (snaps, series), (ref_snaps, ref_series) = (
+            e.run(t0, [0.5 * t0, t0]) for e in (ens, ref)
+        )
+        assert np.array_equal(ens.ids, ref.ids)
+        assert np.array_equal(ens.radii, ref.radii)
+        assert ens.lost_volume == ref.lost_volume
+        assert ens.work == ref.work and ens.work["dissolved"] > 0
+        for name in ("t", "n", "rc_estimate", "total_r3", "lost_volume"):
+            assert np.array_equal(getattr(series, name),
+                                  getattr(ref_series, name)), name
+        for snap, ref_snap in zip(snaps, ref_snaps):
+            assert snap.t == ref_snap.t
+            assert np.array_equal(snap.ids, ref_snap.ids)
+            assert np.array_equal(snap.radii, ref_snap.radii)
+
     def test_drop_books_only_swept_volume(self):
         # A sweep below the cut books the exact volume of the particles it
         # drops; a dissolution inside a substep books nothing, its volume
@@ -623,6 +654,19 @@ class TestExactFlow:
         tau = np.array([float(self._g(mp, float(x), p)) for x in self.X])
         self._assert_inverts(mp, tau, _inverse_lifetime(tau, p), p)
         assert _inverse_lifetime(np.zeros(1), p)[0] ** 3 == 0.0
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_same_bits_as_references(self, p):
+        # The flow's constants and in-place passes reorder no operation:
+        # both functions equal the one-array-per-operation references bit
+        # for bit, on X (series branch included) and on a shuffled copy.
+        shuffled = np.random.default_rng(5).permutation(self.X)
+        assert np.any(shuffled < 0.05) and np.any(shuffled >= 0.05)
+        for x in (self.X, shuffled):
+            tau = _ref_lifetime(x, p)
+            assert np.array_equal(_lifetime(x, p), tau)
+            assert np.array_equal(_inverse_lifetime(tau, p),
+                                  _ref_inverse_lifetime(tau, p))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_inverse_at_the_range_bound(self, p):
@@ -785,6 +829,19 @@ class TestSnapshotType:
         with pytest.raises(DataError):
             Snapshot(0.0, np.array([0, 1]), np.array([1.0]))
 
+    @pytest.mark.parametrize("t, radii", [
+        pytest.param(0.0, [1.0, math.inf], id="inf-radius"),
+        pytest.param(0.0, [math.nan, 1.0], id="nan-radius"),
+        pytest.param(0.0, [math.nan, math.nan], id="all-nan-radii"),
+        pytest.param(math.nan, [1.0, 2.0], id="nan-t"),
+        pytest.param(math.inf, [1.0, 2.0], id="inf-t"),
+    ])
+    def test_non_finite_refused(self, t, radii):
+        # An inf radius used to pass, and measure_new_volume then reported
+        # a fraction of 0.0 without a word.
+        with pytest.raises(DataError, match="finite"):
+            Snapshot(t, np.array([0, 1]), np.array(radii))
+
     def test_write_protected(self):
         s = Snapshot(0.0, np.array([0, 1]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -837,6 +894,34 @@ class TestSnapshotComparators:
         earlier = Snapshot(0.5, np.array([0, 1]), np.array([1.0, 1.0]))
         with pytest.raises(DataError):
             measure_new_volume(before, earlier)
+
+    def test_alignment_paths_agree(self):
+        # ids 0..n-1 in 'before' index themselves; any other 'before' takes
+        # the searchsorted path, and both find the same positions.
+        before = Snapshot(1.0, np.arange(6), np.arange(1.0, 7.0))
+        for ids in ([0, 2, 5], [3], [0, 1, 2, 3, 4, 5], [1, 4]):
+            after = Snapshot(2.0, np.array(ids), np.ones(len(ids)))
+            assert np.array_equal(_align(before, after),
+                                  np.searchsorted(before.ids, after.ids))
+        subsets = [(np.array([0, 2, 3, 4]), [2, 4], [1, 3]),
+                   (np.array([1, 2, 3]), [1, 3], [0, 2]),
+                   (np.array([0, 1, 2, 5]), [0, 5], [0, 3])]
+        for before_ids, ids, want in subsets:
+            before = Snapshot(1.0, before_ids, np.ones(before_ids.size))
+            after = Snapshot(2.0, np.array(ids), np.ones(len(ids)))
+            assert _align(before, after).tolist() == want
+
+    @pytest.mark.parametrize("before_ids, after_ids", [
+        pytest.param([0, 1, 2, 3], [2, 4], id="id-past-n"),
+        pytest.param([0, 1, 2, 3], [-1, 2], id="negative-id"),
+        pytest.param([0, 2, 3, 4], [1, 2], id="missing-id"),
+        pytest.param([0, 2, 3, 4], [4, 5], id="missing-last-id"),
+    ])
+    def test_alignment_refuses_strangers(self, before_ids, after_ids):
+        before = Snapshot(1.0, np.array(before_ids), np.ones(len(before_ids)))
+        after = Snapshot(2.0, np.array(after_ids), np.ones(len(after_ids)))
+        with pytest.raises(DataError, match="not a subset"):
+            _align(before, after)
 
     def test_order_survives_a_real_run(self):
         t0 = 225.0

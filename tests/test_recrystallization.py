@@ -176,6 +176,69 @@ class TestWindowForms:
         auto = fraction_from_start_size(regime, regime.z_max - 1e-9)
         assert auto > 0.99
 
+    @staticmethod
+    def _mp_oracle(mp, regime):
+        """The density of test_distribution's mpmath oracle, the closed-form
+        alpha = ln z + tau(z), and m3, all in mpmath."""
+        zm = mp.mpf(regime.z_max)
+        if regime.kind == "dl":
+            h = lambda z: (81 * mp.e * mp.power(2, mp.mpf(-5) / 3) * z**2
+                           * mp.power(z + 3, mp.mpf(-7) / 3)
+                           * mp.power(zm - z, mp.mpf(-11) / 3)
+                           * mp.exp(-3 / (3 - 2 * z)))
+            alpha = lambda z: (mp.log(z) + 1 / (2 * z - 3)
+                               - mp.mpf(5) / 9 * mp.log(3 - 2 * z)
+                               - mp.mpf(4) / 9 * mp.log(z + 3))
+        else:
+            h = lambda z: 24 * z * mp.power(2 - z, -5) * mp.exp(-3 * z / (2 - z))
+            alpha = lambda z: mp.log(z) + 2 / (z - 2) - mp.log(2 - z)
+        return h, alpha, mp.quad(lambda z: h(z) * z**3, [0, 1, zm])
+
+    NEAR_ONE = (1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.01, 1.2)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_window_keeps_relative_precision(self, regime):
+        # The window (z0 e^-a, z0) of the solved a = ln(z0/rho), integrated
+        # at 40 digits: its width -z0 expm1(-a) keeps relative precision
+        # next to z0 = 1, where the difference of two table reads erred by
+        # up to 3.7e-5 relative.
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            h, _, m3 = self._mp_oracle(mp, regime)
+            for z0 in self.NEAR_ONE:
+                _, a = return_map._log_ratio(regime, z0)
+                z = mp.mpf(z0)
+                want = mp.quad(lambda x: h(x) * x**3,
+                               [z * mp.exp(-mp.mpf(float(a))), z]) / m3
+                for complement in (False, True):
+                    got = fraction_from_start_size(regime, z0, complement)
+                    assert abs(mp.mpf(got) - want) <= 1e-12 * want, (z0, complement)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_against_matching_condition(self, regime):
+        # Against the true return pair, alpha(rho) = alpha(z0) at 40 digits.
+        # Near z0 = 1 the matching equation Phi(z0, a) is a difference of
+        # two O(z0 - 1) terms with slope about nu (z0 - 1) in a, so rounding
+        # alone moves the solved a by about 2**-52 / (z0 - 1) relative
+        # (5e-6 to 8e-6 at z0 = 1 + 1e-12); from z0 = 1.01 on, 1e-12.
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            h, alpha, m3 = self._mp_oracle(mp, regime)
+            for z0 in self.NEAR_ONE:
+                z = mp.mpf(z0)
+                target = alpha(z)
+                # alpha rises on (0, 1], and 1 - 2 (z0 - 1) lies below rho.
+                lo, hi = 1 - 2 * (z - 1), mp.mpf(1)
+                assert alpha(lo) < target
+                for _ in range(160):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if alpha(mid) < target else (lo, mid)
+                want = mp.quad(lambda x: h(x) * x**3, [lo, z]) / m3
+                bound = 1e-12 + 2.0**-52 / (z0 - 1.0)
+                for complement in (False, True):
+                    got = fraction_from_start_size(regime, z0, complement)
+                    assert abs(mp.mpf(got) - want) <= bound * want, (z0, complement)
+
     def test_start_size_domain(self):
         with pytest.raises(DomainError):
             fraction_from_start_size(DIFFUSION_LIMITED, 0.9)
