@@ -13,13 +13,8 @@ laws become
     al:  dy/dt = 3 (R^2 u - R),
 
 and the mean-field definitions make sum(dy/dt) vanish identically: total
-particle volume is a linear first integral.  Particles whose volume falls
-below the deletion threshold are removed and their volume moved to an
-explicit ledger, keeping
-
-    (4/3) pi sum(R^3) + lost_volume
-
-constant to rounding over a whole run.
+particle volume is a linear first integral, and the stepper below keeps
+(4/3) pi sum(R^3) constant to rounding over a whole run.
 
 Each substep splits the state, sorted by radius, at R_c/2 with one
 ``searchsorted``.
@@ -69,15 +64,20 @@ Each substep splits the state, sorted by radius, at R_c/2 with one
   stage sums are linear in that field: ``sum(h k2) = 3h (u S1 - m)`` in dl
   and ``3h (u S2 - S1)`` in al, with ``S1``, ``S2`` the sums of the
   stage-2 radii and their squares over the ``m`` suffix particles.  So
-  particles plus ledger stay conserved to rounding, and the multiplier is
+  the particle volume stays conserved to rounding, and the multiplier is
   the field at the end of the step to O(h**2), as the field at a trial
   state is.
 
-The volume of a particle that dissolves inside a substep goes to the
-survivors through the multiplier, not to the ledger.  So
-:attr:`Ensemble.lost_volume` is the exact volume of the particles swept
-below the deletion cut at the start of a substep, >= 0; the flow carries a
-particle to zero within the substep it dissolves in, so almost none are.
+A particle leaves only by dissolving inside a substep, its volume going to
+the survivors through the multiplier; no cut below some fraction of R_c is
+needed.  A flowed survivor's remaining lifetime ``g_p(x) - u**p h`` is at
+least about one ulp of ``u**p h``, so its ``x = u R`` is at least about
+1e-6 (dl) or 1e-9 (al), and its volume stays a positive normal float at
+every time ``simulate_late_stage`` accepts.  Such a particle, and one
+given to the constructor far below R_c, has a lifetime shorter than a
+full substep, so the flow dissolves it within the next one.  (From t0 to
+2 t0 at N = 20 000, seed 1, the smallest survivor had x = 0.011 (dl) and
+0.0011 (al).)
 
 Against a run at ``step_fraction`` 5e-4 from the same draws (N = 20 000,
 seeds 1–3, ``t0`` to ``3 t0``), the largest phi step error at s = 1.5, 2, 3
@@ -94,10 +94,9 @@ The volumes are stored sorted by radius, with particle ids carried in the
 same order; ``Ensemble.ids``, ``Ensemble.radii`` and ``Ensemble.snapshot``
 present them in id order, so outputs do not depend on the storage.  Sorted
 storage makes every set the stepper needs a prefix or a suffix: the
-particles below the deletion cut, the prefix below R_c/2 and its
-dissolving start.  ``R = cbrt(y)`` and the mean field are computed once
-per update and shared by the sweep, the step size, the stages, the flow
-and the series recorder.
+prefix below R_c/2 and its dissolving start.  ``R = cbrt(y)`` and the mean
+field are computed once per update and shared by the step size, the
+stages, the flow and the series recorder.
 
 The state is updated in place.  ``_advance`` allocates its full-size work
 arrays once per call, at the current size and on cache-line boundaries, and
@@ -252,7 +251,6 @@ class TimeSeries:
     n: np.ndarray
     rc_estimate: np.ndarray
     total_r3: np.ndarray
-    lost_volume: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -266,24 +264,22 @@ class NewVolume:
 
 class _SeriesRecorder:
     def __init__(self):
-        self.rows = ([], [], [], [], [])
+        self.rows = ([], [], [], [])
 
-    def add(self, t, n, rc, total_r3, lost):
+    def add(self, t, n, rc, total_r3):
         rows = self.rows
         rows[0].append(t)
         rows[1].append(n)
         rows[2].append(rc)
         rows[3].append(total_r3)
-        rows[4].append(lost)
 
     def build(self) -> TimeSeries:
-        t, n, rc, r3, lost = self.rows
+        t, n, rc, r3 = self.rows
         return TimeSeries(
             np.array(t, dtype=float),
             np.array(n, dtype=np.int64),
             np.array(rc, dtype=float),
             np.array(r3, dtype=float),
-            np.array(lost, dtype=float),
         )
 
 
@@ -295,28 +291,26 @@ class Ensemble:
     in id order.  Sorted storage turns every set the stepper needs into a
     prefix or a suffix.  A substep (see the module docstring):
 
-    1. sweeps the particles below the deletion cut into the ledger;
-    2. splits the state at R_c/2, takes the step size from the mean field
+    1. splits the state at R_c/2, takes the step size from the mean field
        alone, ``step_fraction / (4 u**3)`` (dl) or
        ``step_fraction / (2 u**2)`` (al), and stage 1 of the Heun step of
        the suffix at or above R_c/2;
-    3. moves the prefix below R_c/2 by the exact flow of its growth law
+    2. moves the prefix below R_c/2 by the exact flow of its growth law
        under the predicted mid-step field, capped at ``1.5 u``: its first
        ``k`` particles, whose lifetime ``u**-p g_p(u R)`` ends within the
        step, dissolve and are dropped by slicing, and the rest invert
        ``g_p`` at their remaining lifetime by one fixed polynomial, within
        1e-15 relative on the flow's range ``u R <= 0.75``;
-    4. finishes the suffix's step with stage 2 under the multiplier, the
+    3. finishes the suffix's step with stage 2 under the multiplier, the
        one field for which the suffix's increments sum to minus the
        prefix's volume change (dissolved volume included);
-    5. checks the order over the flowed prefix and the seam, and re-sorts
+    4. checks the order over the flowed prefix and the seam, and re-sorts
        the whole state when it finds an inversion.
 
-    :attr:`lost_volume` is the exact volume of the particles swept below
-    the cut, so it is >= 0; a particle that dissolves inside a substep
-    hands its whole volume to the survivors through the multiplier.
-    :attr:`work` counts substeps, deletions, re-sorts, the prefix particles
-    moved by the flow and the particles that dissolved inside a substep.
+    A particle that dissolves inside a substep hands its whole volume to
+    the survivors through the multiplier.  :attr:`work` counts substeps,
+    re-sorts, the prefix particles moved by the flow and the particles
+    that dissolved.
 
     The state arrays are those built here: updates and re-sorts write into
     them, and a drop takes the view ``y[k:]``.
@@ -338,9 +332,6 @@ class Ensemble:
         positive normal float (about 2.8e-103 to 5.6e102).
     start_time:
         Clock value of the initial state; finite.
-    deletion_fraction:
-        A particle is removed once its radius falls below this fraction of
-        the current critical radius.
     step_fraction:
         The largest ``|dR|/R`` of a particle at or above half the critical
         radius in one substep.  Over ``R >= R_c/2`` the relative volume
@@ -359,7 +350,6 @@ class Ensemble:
         radii,
         *,
         start_time: float = 0.0,
-        deletion_fraction: float = 1e-4,
         step_fraction: float = 1.6e-2,
     ):
         radii = np.asarray(radii, dtype=float)
@@ -372,21 +362,16 @@ class Ensemble:
                 "all radii must be positive and finite, with cubes that are "
                 "normal floats (radii about 2.8e-103 to 5.6e102)"
             )
-        if not 0.0 < deletion_fraction < 0.5:
-            raise DomainError("deletion_fraction must lie in (0, 0.5)")
         if not 0.0 < step_fraction <= 0.1:
             raise DomainError("step_fraction must lie in (0, 0.1]")
         start_time = float(start_time)
         _require_finite("start_time", [start_time])
         self.regime = regime
-        self.deletion_fraction = float(deletion_fraction)
         self.step_fraction = float(step_fraction)
         self._t = start_time
         self._ids = np.argsort(y).astype(np.int64, copy=False)
         self._y = y[self._ids]
-        self._lost = 0.0
         self._substeps = 0
-        self._deletions = 0
         self._resorts = 0
         self._flowed = 0
         self._dissolved = 0
@@ -413,27 +398,17 @@ class Ensemble:
         return np.cbrt(self._y[np.argsort(self._ids)])
 
     @property
-    def lost_volume(self) -> float:
-        return self._lost
-
-    @property
     def work(self) -> dict:
         """Deterministic work counts since construction: substeps taken,
-        particles deleted (swept or dissolved), re-sorts of the state after
-        an update, the prefix particles moved by the exact flow, and the
-        particles that dissolved inside a substep."""
+        re-sorts of the state after an update, the prefix particles moved
+        by the exact flow, and the particles that dissolved inside a
+        substep."""
         return {
             "substeps": self._substeps,
-            "deletions": self._deletions,
             "resorts": self._resorts,
             "flowed": self._flowed,
             "dissolved": self._dissolved,
         }
-
-    @property
-    def epsilon(self) -> float:
-        """Current deletion threshold (a fraction of the critical radius)."""
-        return self.deletion_fraction * self.mean_field()[1]
 
     def mean_field(self) -> tuple[float, float]:
         """Self-consistent mean field u and the critical radius R_c = 1/u."""
@@ -445,10 +420,6 @@ class Ensemble:
     def total_volume(self) -> float:
         """(4/3) pi sum(R^3) of the particles currently present."""
         return FOUR_THIRDS_PI * float(np.sum(self._y))
-
-    def conserved_total(self) -> float:
-        """Particle volume plus the deletion ledger; constant over a run."""
-        return self.total_volume() + self._lost
 
     def snapshot(self) -> Snapshot:
         order = np.argsort(self._ids)
@@ -465,21 +436,10 @@ class Ensemble:
             return r.size / float(_sum(r))
         return float(_sum(r)) / float(_sum(np.multiply(r, r, out=buf)))
 
-    def _volume_rates(self, r: np.ndarray) -> np.ndarray:
-        """Volume rates dy/dt of the radii ``r`` under their mean field."""
-        u = self._field(r)
-        if self.regime.kind == "dl":
-            return 3.0 * (r * u - 1.0)
-        return 3.0 * (r * r * u - r)
-
-    def _drop(self, r: np.ndarray, k: int, ledger: bool = True) -> np.ndarray:
-        """Remove the ``k`` smallest particles and return the survivors'
-        radii.  With ``ledger`` the ledger takes their volume (the sweep
-        below the deletion cut); without, it went to the survivors (a
-        dissolution inside a substep)."""
-        if ledger:
-            self._lost += FOUR_THIRDS_PI * float(_sum(self._y[:k]))
-        self._deletions += k
+    def _drop(self, k: int):
+        """Remove the ``k`` smallest particles, dissolved inside a substep
+        with their volume gone to the survivors."""
+        self._dissolved += k
         # Views: the state is updated in place and never rebuilt, so a view
         # pins no stale buffer.
         self._y = self._y[k:]
@@ -489,7 +449,6 @@ class Ensemble:
                 f"ensemble collapsed to {self._y.size} particle(s) at "
                 f"t={self._t!r}"
             )
-        return r[k:]
 
     def _resort(self):
         """Restore the radius order after an update: a stable argsort of
@@ -519,8 +478,7 @@ class Ensemble:
 
     def _advance(self, t_target: float, recorder=None):
         # r = cbrt(y) and the mean field u are taken once per update and
-        # reused by the sweep, the step size, the stages and the recorder; a
-        # sweep recomputes u from the surviving r without another cbrt.
+        # reused by the step size, the stages, the flow and the recorder.
         # Every full-size array a substep writes is a buffer allocated
         # here, at the current size and on a cache-line boundary, and taken
         # from its start at the size of the moment: an out-of-place pass
@@ -531,22 +489,13 @@ class Ensemble:
         # The step step_fraction / (scale u**p) bounds every suffix
         # particle's |dR|/R by step_fraction (see the module docstring).
         p, scale = (2, 2.0) if al else (3, 4.0)
-        n = self._y.size
+        y = self._y
+        n = y.size
         r_buf, hk1_buf, hk2_buf = (_aligned(n) for _ in range(3))
-        r = np.cbrt(self._y, out=r_buf)
+        r = np.cbrt(y, out=r_buf)
         u = self._field(r, hk2_buf)
-        while True:
-            k = int(self._y.searchsorted(
-                (self.deletion_fraction * (1.0 / u)) ** 3
-            ))
-            if k:
-                r = self._drop(r, k)
-                u = self._field(r, hk2_buf[:r.size])
+        while self._t < t_target:
             remaining = t_target - self._t
-            if remaining <= 0.0:
-                break
-            y = self._y
-            n = y.size
             # The prefix j below R_c/2 moves by its exact flow; the suffix
             # takes the Heun step, whose size the mean field alone sets.
             j = int(y.searchsorted((0.5 / u) ** 3))
@@ -601,8 +550,7 @@ class Ensemble:
             ys += hk2
             t_next = t_target if h >= remaining else self._t + h
             if dissolved:
-                r = self._drop(r, dissolved, ledger=False)
-                self._dissolved += dissolved
+                self._drop(dissolved)
             self._flowed += j - dissolved
             y = self._y
             n = y.size
@@ -614,7 +562,7 @@ class Ensemble:
             r = np.cbrt(y, out=r_buf[:n])
             u = self._field(r, hk2_buf[:n])
             if recorder is not None:
-                recorder(t_next, n, 1.0 / u, float(_sum(y)), self._lost)
+                recorder(t_next, n, 1.0 / u, float(_sum(y)))
 
     def step(self, dt: float):
         """Advance the ensemble by ``dt`` (internally substepped)."""
@@ -646,7 +594,7 @@ class Ensemble:
             )
         recorder = _SeriesRecorder()
         recorder.add(self._t, self.n, self.mean_field()[1],
-                     float(np.sum(self._y)), self._lost)
+                     float(np.sum(self._y)))
         snapshots = []
         for ts in times:
             if ts > self._t:
@@ -895,10 +843,10 @@ def simulate_late_stage(
     r_c0 = critical_radius(regime, 0.0, t0)
     ens = init_ensemble(regime, n, r_c0, seed, **ensemble_options)
     base = ens.snapshot()
-    start_total = ens.conserved_total()
+    start_total = ens.total_volume()
 
     snapshots, series = ens.run(t_end - t0, [ts - t0 for ts in times])
-    residual = abs(ens.conserved_total() - start_total) / start_total
+    residual = abs(ens.total_volume() - start_total) / start_total
 
     gamma = regime.coarsening_exponent
     slope = float(
@@ -949,12 +897,11 @@ def write_snapshot_csv(snapshot: Snapshot, path, comment=None):
 
 
 def write_series_csv(series: TimeSeries, path, comment=None):
-    """Write a run's diagnostics as ``t,n,rc_estimate,total_r3,lost_volume``
-    CSV (one leading # comment line)."""
+    """Write a run's diagnostics as ``t,n,rc_estimate,total_r3`` CSV (one
+    leading # comment line)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_table(
-            fh, "t,n,rc_estimate,total_r3,lost_volume",
-            (series.t, series.n, series.rc_estimate, series.total_r3,
-             series.lost_volume),
+            fh, "t,n,rc_estimate,total_r3",
+            (series.t, series.n, series.rc_estimate, series.total_r3),
             comment,
         )

@@ -158,10 +158,8 @@ def test_runs_match_per_row_writer(tmp_path, regime, n, t0):
     tables = [(write_snapshot_csv, s, "id,radius", "%d,%.17g\n",
                (s.ids, s.radii)) for s in snapshots]
     tables.append((write_series_csv, series,
-                   "t,n,rc_estimate,total_r3,lost_volume",
-                   "%.17g,%d,%.17g,%.17g,%.17g\n",
-                   (series.t, series.n, series.rc_estimate, series.total_r3,
-                    series.lost_volume)))
+                   "t,n,rc_estimate,total_r3", "%.17g,%d,%.17g,%.17g\n",
+                   (series.t, series.n, series.rc_estimate, series.total_r3)))
     path = tmp_path / "table.csv"
     for writer, table, header, template, columns in tables:
         writer(table, path, "c")

@@ -65,9 +65,7 @@ class TestConstruction:
 
     def test_option_ranges(self):
         with pytest.raises(DomainError):
-            Ensemble(DIFFUSION_LIMITED, [1.0, 2.0], deletion_fraction=0.0)
-        with pytest.raises(DomainError):
-            Ensemble(DIFFUSION_LIMITED, [1.0, 2.0], deletion_fraction=0.5)
+            Ensemble(DIFFUSION_LIMITED, [1.0, 2.0], step_fraction=0.0)
         with pytest.raises(DomainError):
             Ensemble(DIFFUSION_LIMITED, [1.0, 2.0], step_fraction=0.2)
 
@@ -84,7 +82,6 @@ class TestConstruction:
         assert ens.n == 3
         assert list(ens.ids) == [0, 1, 2]
         assert ens.radii == pytest.approx([1.0, 2.0, 3.0])
-        assert ens.lost_volume == 0.0
 
 
 class TestMeanField:
@@ -99,16 +96,12 @@ class TestMeanField:
         _, rc = ens.mean_field()
         assert rc == pytest.approx(14.0 / 6.0)
 
-    def test_epsilon_tracks_critical_radius(self):
-        ens = Ensemble(DIFFUSION_LIMITED, [1.0, 3.0], deletion_fraction=1e-3)
-        assert ens.epsilon == pytest.approx(2e-3)
-
     @pytest.mark.parametrize("regime", BOTH)
     def test_rates_sum_to_zero(self, regime):
         rng = np.random.default_rng(5)
         r = rng.uniform(0.2, 2.0, size=400)
         ens = Ensemble(regime, r)
-        rates = ens._volume_rates(r)
+        rates = _rates(regime, r, ens._field(r))
         assert float(np.sum(rates)) == pytest.approx(0.0, abs=1e-12 * r.size)
 
 
@@ -122,18 +115,29 @@ class TestStepping:
     @pytest.mark.parametrize("regime", BOTH)
     def test_volume_conserved_with_deletions(self, regime):
         ens = init_ensemble(regime, 600, 1.0, seed=2)
-        start = ens.conserved_total()
+        start = ens.total_volume()
         ens.step(3.0)
-        assert ens.work["deletions"] == 600 - ens.n > 0
-        # the ledger holds only what was swept below the cut: >= 0, small
-        assert 0.0 <= ens.lost_volume <= 1e-4 * start
-        drift = abs(ens.conserved_total() - start) / start
+        assert ens.work["dissolved"] == 600 - ens.n > 0
+        drift = abs(ens.total_volume() - start) / start
         assert drift < 1e-12
+
+    @pytest.mark.parametrize("tiny", [1e-9, 2.9e-103])
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_particle_far_below_critical_radius_dissolves(self, regime, tiny):
+        # Its lifetime is far shorter than a substep, so the flow dissolves
+        # it in the first one and its volume goes to the survivors.
+        ens = Ensemble(regime, [tiny, 1.0, 1.0, 2.0])
+        start = ens.total_volume()
+        ens.step(1e-3)
+        assert ens.work["dissolved"] == 1
+        assert ens.n == 3 and list(ens.ids) == [1, 2, 3]
+        assert abs(ens.total_volume() - start) <= 4e-16 * start
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_big_grow_small_shrink(self, regime):
         ens = Ensemble(regime, [0.5, 1.0, 2.0])
-        ens.step(0.01)
+        ens.step(1e-2)
+        assert list(ens.ids) == [0, 1, 2]
         r = ens.radii
         assert r[0] < 0.5 and r[2] > 2.0
 
@@ -199,13 +203,19 @@ def _ref_stage(r, u, h3, al):
     return r * (h3 * u) - h3
 
 
-def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
-                   step_fraction=1.6e-2, folded=True):
-    """The stepper on id-ordered state with masks for every set: the sweep
-    below the cut, the prefix below R_c/2 moved by the exact flow under the
-    predicted mid-step field, its dissolving particles, and the suffix's
-    Heun step under the volume-conserving multiplier.  Returns (substeps,
-    ids, radii, lost volume).
+def _rates(regime, r, u):
+    """Volume rates dy/dt of the radii ``r`` under the field ``u``."""
+    if regime.kind == "dl":
+        return 3.0 * (r * u - 1.0)
+    return 3.0 * (r * r * u - r)
+
+
+def _reference_run(regime, radii, duration, step_fraction=1.6e-2,
+                   folded=True):
+    """The stepper on id-ordered state with masks for every set: the prefix
+    below R_c/2 moved by the exact flow under the predicted mid-step field,
+    its dissolving particles, and the suffix's Heun step under the
+    volume-conserving multiplier.  Returns (substeps, ids, radii).
 
     With ``folded`` the suffix's stages take the folded arithmetic of the
     package: the increments ``h k`` of :func:`_ref_stage`, the update
@@ -223,7 +233,6 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
     p = 2 if al else 3
     y = np.asarray(radii, dtype=float) ** 3
     ids = np.arange(y.size)
-    lost = 0.0
     t = 0.0
     rate = 0.0
     substeps = 0
@@ -236,23 +245,13 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
             return r.size / ordered_sum(r, y)
         return ordered_sum(r, y) / ordered_sum(r * r, y)
 
-    def rates(r, u):
-        if regime.kind == "dl":
-            return 3.0 * (r * u - 1.0)
-        return 3.0 * (r * r * u - r)
-
-    while True:
-        dead = y < (deletion_fraction / field(np.cbrt(y), y)) ** 3
-        lost += FOUR_THIRDS_PI * ordered_sum(y[dead], y[dead])
-        y, ids = y[~dead], ids[~dead]
+    while t < duration:
         remaining = duration - t
-        if remaining <= 0.0:
-            return substeps, ids, np.cbrt(y), lost
         r = np.cbrt(y)
         u = field(r, y)
         prefix = y < (0.5 / u) ** 3
         ys, rs = y[~prefix], r[~prefix]
-        k1 = rates(rs, u)
+        k1 = _rates(regime, rs, u)
         h = min(step_fraction / (2.0 * u**2 if al else 4.0 * u**3),
                 remaining)
         h3 = 3.0 * h
@@ -289,10 +288,11 @@ def _reference_run(regime, radii, duration, deletion_fraction=1e-4,
         if folded:
             flowed[~prefix] = ys + 0.5 * (hk1 + _ref_stage(stage, um, h3, al))
         else:
-            flowed[~prefix] = ys + (0.5 * h) * (k1 + rates(stage, um))
+            flowed[~prefix] = ys + (0.5 * h) * (k1 + _rates(regime, stage, um))
         y, ids = flowed[~dissolved], ids[~dissolved]
         t = duration if h >= remaining else t + h
         substeps += 1
+    return substeps, ids, np.cbrt(y)
 
 
 class _AllocatingEnsemble(Ensemble):
@@ -306,29 +306,19 @@ class _AllocatingEnsemble(Ensemble):
             return r.size / float(np.sum(r))
         return float(np.sum(r)) / float(np.sum(r * r))
 
-    def _ref_drop(self, r, keep, ledger):
-        if ledger:
-            self._lost += FOUR_THIRDS_PI * float(np.sum(self._y[~keep]))
-        self._deletions += int(np.count_nonzero(~keep))
+    def _ref_drop(self, keep):
         self._y = self._y[keep].copy()
         self._ids = self._ids[keep].copy()
         if self._y.size < 2:
             raise StateError("collapsed")
-        return r[keep].copy()
 
     def _advance(self, t_target, recorder=None):
         al = self.regime.kind == "al"
         p = 2 if al else 3
         r = np.cbrt(self._y)
         u = self._ref_field(r)
-        while True:
-            dead = self._y < (self.deletion_fraction * (1.0 / u)) ** 3
-            if dead.any():
-                r = self._ref_drop(r, ~dead, ledger=True)
-                u = self._ref_field(r)
+        while self._t < t_target:
             remaining = t_target - self._t
-            if remaining <= 0.0:
-                break
             y = self._y
             prefix = y < (0.5 / u) ** 3
             ys, rs = y[~prefix], r[~prefix]
@@ -368,7 +358,7 @@ class _AllocatingEnsemble(Ensemble):
             self._y = new
             t_next = t_target if h >= remaining else self._t + h
             if not keep.all():
-                self._ref_drop(r, keep, ledger=False)
+                self._ref_drop(keep)
             y = self._y
             if (y[1:] < y[:-1]).any():
                 order = np.argsort(y, kind="stable")
@@ -381,7 +371,7 @@ class _AllocatingEnsemble(Ensemble):
             u = self._ref_field(r)
             if recorder is not None:
                 recorder(t_next, self._y.size, 1.0 / u,
-                         float(np.sum(self._y)), self._lost)
+                         float(np.sum(self._y)))
 
 
 class TestSortedState:
@@ -401,33 +391,40 @@ class TestSortedState:
             [3.0, 1.0, 2.0]
         )
 
-    @pytest.mark.parametrize("regime", BOTH)
-    def test_state_sorted_after_every_substep(self, regime):
-        t0 = 225.0 if regime.kind == "dl" else 200.0
+    # The base times, and the smallest t0 that simulate_late_stage accepts:
+    # there R_c is about 1e-50 (dl) or 1e-75 (al), and a flowed survivor's
+    # volume must still be a positive normal float.
+    @pytest.mark.parametrize("regime, t0", [
+        pytest.param(DIFFUSION_LIMITED, 225.0, id="regime0"),
+        pytest.param(ATTACHMENT_LIMITED, 200.0, id="regime1"),
+        pytest.param(DIFFUSION_LIMITED, 1e-150, id="regime0-t0_min"),
+        pytest.param(ATTACHMENT_LIMITED, 1e-150, id="regime1-t0_min"),
+    ])
+    def test_state_sorted_after_every_substep(self, regime, t0):
         ens = init_ensemble(regime, 2000, critical_radius(regime, 0.0, t0), seed=1)
         checked = []
 
-        def check(t, n, rc, total_r3, lost):
+        def check(t, n, rc, total_r3):
             checked.append(bool(np.all(ens._y[1:] >= ens._y[:-1])))
+            assert ens._y[0] >= np.finfo(float).tiny
 
         ens._advance(0.5 * t0, check)
         assert len(checked) == ens.work["substeps"] > 100
         assert all(checked)
-        assert ens.n + ens.work["deletions"] == 2000
+        assert ens.n + ens.work["dissolved"] == 2000
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_matches_reference_stepper(self, regime):
         t0 = 225.0 if regime.kind == "dl" else 200.0
         ens = init_ensemble(regime, 1000, critical_radius(regime, 0.0, t0), seed=1)
-        substeps, ids, radii, lost = _reference_run(
+        substeps, ids, radii = _reference_run(
             regime, ens.radii, t0, step_fraction=ens.step_fraction
         )
         ens.step(t0)
         assert ens.work["substeps"] == substeps
         assert np.array_equal(ens.ids, ids)
-        assert ens.work["deletions"] == 1000 - ids.size > 0
+        assert ens.work["dissolved"] == 1000 - ids.size > 0
         assert np.max(np.abs(ens.radii - radii) / radii) <= 1e-12
-        assert ens.lost_volume == pytest.approx(lost, rel=1e-12)
         # Only the flowed prefix and the seam can invert (see the module
         # docstring), and only volumes within the flow's rounding of each
         # other; drawn volumes are far apart, in either regime.
@@ -436,13 +433,11 @@ class TestSortedState:
     @pytest.mark.parametrize("regime", BOTH)
     def test_matches_unfolded_stepper(self, regime):
         # Folding h into the stage arithmetic moves only rounding: the
-        # stepper with the former formulas takes the same substeps, drops
-        # the same particles, and books the same ledger to within 1e-14 of
-        # the conserved volume.
+        # stepper with the former formulas takes the same substeps and
+        # drops the same particles.
         t0 = 225.0 if regime.kind == "dl" else 200.0
         ens = init_ensemble(regime, 1000, critical_radius(regime, 0.0, t0), seed=1)
-        total = ens.conserved_total()
-        substeps, ids, radii, lost = _reference_run(
+        substeps, ids, radii = _reference_run(
             regime, ens.radii, t0, step_fraction=ens.step_fraction,
             folded=False,
         )
@@ -450,7 +445,6 @@ class TestSortedState:
         assert ens.work["substeps"] == substeps
         assert np.array_equal(ens.ids, ids)
         assert np.max(np.abs(ens.radii - radii) / radii) <= 1e-12
-        assert abs(ens.lost_volume - lost) <= 1e-14 * total
 
     @staticmethod
     def _assert_bitwise_equal(regime, radii, t0):
@@ -460,9 +454,8 @@ class TestSortedState:
         )
         assert np.array_equal(new._ids, ref._ids)
         assert np.array_equal(new._y, ref._y)
-        assert new.lost_volume == ref.lost_volume
         assert new.work == ref.work
-        for name in ("t", "n", "rc_estimate", "total_r3", "lost_volume"):
+        for name in ("t", "n", "rc_estimate", "total_r3"):
             assert np.array_equal(getattr(series, name),
                                   getattr(ref_series, name)), name
         assert len(snaps) == len(ref_snaps) == 2
@@ -516,9 +509,8 @@ class TestSortedState:
         )
         assert np.array_equal(ens.ids, ref.ids)
         assert np.array_equal(ens.radii, ref.radii)
-        assert ens.lost_volume == ref.lost_volume
         assert ens.work == ref.work and ens.work["dissolved"] > 0
-        for name in ("t", "n", "rc_estimate", "total_r3", "lost_volume"):
+        for name in ("t", "n", "rc_estimate", "total_r3"):
             assert np.array_equal(getattr(series, name),
                                   getattr(ref_series, name)), name
         for snap, ref_snap in zip(snaps, ref_snaps):
@@ -526,20 +518,19 @@ class TestSortedState:
             assert np.array_equal(snap.ids, ref_snap.ids)
             assert np.array_equal(snap.radii, ref_snap.radii)
 
-    def test_drop_books_only_swept_volume(self):
-        # A sweep below the cut books the exact volume of the particles it
-        # drops; a dissolution inside a substep books nothing, its volume
-        # having gone to the survivors.
+    def test_drop_takes_the_smallest(self):
+        # A drop slices off the start of the sorted state and counts the
+        # dissolved particles; fewer than two survivors is a collapse.
         ens = Ensemble(ATTACHMENT_LIMITED, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         y = ens._y.copy()
-        survivors = ens._drop(np.cbrt(ens._y), 2)
+        ens._drop(2)
         assert list(ens._ids) == [2, 3, 4, 5]
-        assert np.array_equal(survivors, np.cbrt(y[2:]))
-        assert ens.lost_volume == FOUR_THIRDS_PI * float(np.sum(y[:2]))
-        ens._drop(np.cbrt(ens._y), 1, ledger=False)
+        assert np.array_equal(ens._y, y[2:])
+        ens._drop(1)
         assert list(ens._ids) == [3, 4, 5]
-        assert ens.lost_volume == FOUR_THIRDS_PI * float(np.sum(y[:2]))
-        assert ens.work["deletions"] == 3
+        assert ens.work["dissolved"] == 3
+        with pytest.raises(StateError, match="collapsed to 1 particle"):
+            ens._drop(2)
 
 
 class TestStepRule:
@@ -579,12 +570,11 @@ class TestStepRule:
 
 
 class TestDefaultStep:
-    """At the default step fraction the ledger, which books only the
-    sweep below the deletion cut, stays within 1e-4 of the conserved
-    total, and phi agrees with a run at a quarter of the step."""
+    """At the default step fraction phi agrees with a run at a quarter of
+    the step."""
 
     @pytest.mark.parametrize("regime", BOTH)
-    def test_ledger_and_step_convergence(self, regime):
+    def test_step_convergence(self, regime):
         t0 = 225.0 if regime.kind == "dl" else 200.0
         sf = Ensemble(regime, [1.0, 2.0]).step_fraction
         runs = [
@@ -592,10 +582,7 @@ class TestDefaultStep:
                                 seed=1, step_fraction=frac)
             for frac in (sf, 0.25 * sf)
         ]
-        series = runs[0].series
-        total = FOUR_THIRDS_PI * series.total_r3[0] + series.lost_volume[0]
-        assert runs[0].work["deletions"] > 0
-        assert abs(series.lost_volume[-1]) <= 1e-4 * total
+        assert runs[0].work["dissolved"] > 0
         phi, phi_fine = (r.comparisons[0].new_fraction_empirical for r in runs)
         assert abs(phi - phi_fine) <= 5e-5 * phi_fine
 
@@ -686,7 +673,7 @@ class TestExactFlow:
         # x = u R starts below 0.75 (the inverse's range) even under a
         # wild field rate; seeds 1-2 at N = 20 000 reach 1.00027 u.
         ens = init_ensemble(regime, 500, 1.0, seed=1)
-        start = ens.conserved_total()
+        start = ens.total_volume()
         seen = []
         flow = Ensemble._flow
 
@@ -701,7 +688,7 @@ class TestExactFlow:
         assert seen[0][0] == 1.5
         assert max(x for _, x in seen) <= 0.75 * (1.0 + 1e-15)
         assert np.all(ens._y[1:] >= ens._y[:-1])
-        assert abs(ens.conserved_total() - start) <= 1e-13 * start
+        assert abs(ens.total_volume() - start) <= 1e-13 * start
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_second_order(self, regime):
@@ -762,17 +749,14 @@ class TestRun:
         m = series.t.size
         assert all(
             arr.size == m
-            for arr in (series.n, series.rc_estimate, series.total_r3,
-                        series.lost_volume)
+            for arr in (series.n, series.rc_estimate, series.total_r3)
         )
         assert series.t[0] == 0.0 and series.t[-1] == 2.0
         assert np.all(np.diff(series.t) > 0.0)
         assert np.all(np.diff(series.n) <= 0)
-        # the ledger only grows: a sweep books the exact volume it drops
-        assert np.all(np.diff(series.lost_volume) >= 0.0)
         # conservation holds at every recorded substep
-        total = FOUR_THIRDS_PI * series.total_r3 + series.lost_volume
-        assert np.max(np.abs(total - total[0])) / total[0] < 1e-12
+        r3 = series.total_r3
+        assert np.max(np.abs(r3 - r3[0])) / r3[0] < 1e-12
 
     def test_snapshots_at_requested_times(self):
         ens = init_ensemble(DIFFUSION_LIMITED, 300, 1.0, seed=6)
@@ -1093,14 +1077,13 @@ class TestCsvWriters:
         path = tmp_path / "series.csv"
         write_series_csv(series, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "t,n,rc_estimate,total_r3,lost_volume"
+        assert lines[0] == "t,n,rc_estimate,total_r3"
         assert len(lines) == 1 + series.t.size
-        t, n, rc, r3, lost = lines[1].split(",")
+        t, n, rc, r3 = lines[1].split(",")
         assert float(t) == series.t[0]
         assert int(n) == series.n[0]
         assert float(rc) == series.rc_estimate[0]
         assert float(r3) == series.total_r3[0]
-        assert float(lost) == series.lost_volume[0]
 
     def test_rows_match_per_value_formatting(self, tmp_path):
         ids = np.array([0, 7, 2**40], dtype=np.int64)
@@ -1118,13 +1101,11 @@ class TestCsvWriters:
             n=np.array([3, 2, 2], dtype=np.int64),
             rc_estimate=np.array([1.0 / 3.0, 1e300, 0.1]),
             total_r3=np.array([1.5, 1.5 - 2**-52, 5e-324]),
-            lost_volume=np.array([0.0, -1e-17, 0.1]),
         )
         path = tmp_path / "series.csv"
         write_series_csv(series, path)
-        columns = (series.t, series.n, series.rc_estimate, series.total_r3,
-                   series.lost_volume)
-        want = "t,n,rc_estimate,total_r3,lost_volume\n" + "".join(
+        columns = (series.t, series.n, series.rc_estimate, series.total_r3)
+        want = "t,n,rc_estimate,total_r3\n" + "".join(
             ",".join(
                 str(int(v)) if k == 1 else format(float(v), ".17g")
                 for k, v in enumerate(row)
