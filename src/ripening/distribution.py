@@ -112,16 +112,17 @@ class SizeDistribution:
         return (density(self.regime, x) * x**k * _GW).sum(axis=-1) * half
 
     def _cumulative(self, k: int) -> np.ndarray:
+        if not (k >= 0 and float(k).is_integer()):
+            raise DomainError(f"moment order must be an integer >= 0, got {k!r}")
         k = int(k)
-        if k < 0:
-            raise DomainError(f"moment order must be >= 0, got {k!r}")
         if k not in self._moments:
             mass = self._panels(k, self._grid[:-1], self._grid[1:])
             self._moments[k] = np.concatenate(([0.0], np.cumsum(mass)))
         return self._moments[k]
 
     def moment(self, k: int) -> float:
-        """k-th moment of the density over its full support."""
+        """k-th moment of the density over its full support, for an integer
+        order ``k >= 0`` (3 or 3.0; any other k raises ``DomainError``)."""
         return float(self._cumulative(k)[-1])
 
     def cumulative_moment(self, k: int, z):

@@ -819,8 +819,11 @@ def simulate_late_stage(
     one the measured new-volume fraction and grown/shrunk boundary radius
     are compared against their analytic values.  ``t0`` and ``t_end`` lie
     in [1e-150, 1e150], where the run's products of times and radii stay
-    normal floats.
+    normal floats.  ``step_fraction`` is the one ensemble option it takes.
     """
+    unknown = sorted(set(ensemble_options) - {"step_fraction"})
+    if unknown:
+        raise DomainError(f"the only ensemble option is step_fraction, got {unknown!r}")
     t0 = float(t0)
     t_end = float(t_end)
     if not _T_MIN <= t0 <= _T_MAX:

@@ -8,7 +8,8 @@ routines are deliberately plain: bisection is slow but cannot be fooled by
 the nearly-flat functions this package inverts, and the quadrature/ODE
 kernels are classic textbook schemes with defensive checks for non-finite
 values.  :func:`find_root` bisects elementwise over numpy arrays, so a
-whole grid of roots is one solve.
+whole grid of roots is one solve, and it has one stop rule for every
+root: an exact zero, or a bracket closed to two adjacent floats.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class Tolerance:
     Attributes
     ----------
     abs_tol, rel_tol:
-        Absolute and relative parts of the acceptance test.  At least one of
-        the two must be positive.
+        Absolute and relative parts of the acceptance test of :func:`integrate`
+        and :func:`solve_ode` (not :func:`find_root`); at least one is > 0.
     max_iter:
         Hard cap on iterations (bisection steps, subdivision depth, or
         accepted+rejected ODE steps, depending on the consumer).
@@ -91,13 +92,14 @@ def find_root(
     Elementwise over numpy arrays: ``lo`` and ``hi`` broadcast to one shape,
     ``f`` maps an array of that shape to its values there, and every entry
     is bisected at once.  Scalar brackets give a float.  The endpoints must
-    straddle a sign change.  An entry stops at an exact zero, or when its
-    bracket passes the tolerance gate (its midpoint is returned) or closes
-    to adjacent floats (its lower end is returned); a stopped entry stays
-    as it is while the others go on, so each entry gets the value a scalar
-    call would.  The functions inverted in this package are monotone but
-    extremely flat near their roots, which rules out secant-type
-    accelerations that assume a usable local slope.
+    straddle a sign change.  An entry stops only at an exact zero, or when
+    its bracket closes to two adjacent floats; its lower end is returned.
+    A stopped entry stays as it is while the others go on, so each entry
+    gets the value a scalar call would.  Of ``tol`` only ``max_iter`` is
+    read, as the step budget: closing a bracket takes about
+    ``log2((hi - lo) / ulp(root))`` steps.  The functions inverted in this
+    package are monotone but extremely flat near their roots, which rules
+    out secant-type accelerations that assume a usable local slope.
 
     Raises
     ------
@@ -106,7 +108,7 @@ def find_root(
     BracketError
         If ``f(lo)`` and ``f(hi)`` have the same sign.
     ConvergenceError
-        If ``tol.max_iter`` bisections do not shrink every bracket enough.
+        If ``tol.max_iter`` bisections do not close every bracket.
     """
     lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
     bad = ~(lo < hi)
@@ -134,10 +136,9 @@ def find_root(
     for _ in range(tol.max_iter):
         np.add(lo, hi, out=mid)
         mid *= 0.5
-        inside = (lo < mid) & (mid < hi)  # false once lo, hi are adjacent
-        open_ = inside & (hi - lo > tol.gate(mid))
+        open_ = (lo < mid) & (mid < hi)  # false once lo, hi are adjacent
         if not np.count_nonzero(open_):
-            return float_if_0d(np.where(inside, mid, lo))
+            return float_if_0d(lo)
         above = f(mid) * sign
         # An exact zero moves both ends onto it; a NaN moves neither, so its
         # entry never closes (see below).

@@ -42,7 +42,7 @@ from .distribution import density, size_distribution
 from .errors import DomainError
 from .numerics import float_if_0d
 from .regime import Regime
-from .return_map import _log_ratio, _pair_for_ratio
+from .return_map import _log_ratio, initial_size_for_ratio
 
 __all__ = [
     "VolumeFractionCurve",
@@ -75,24 +75,21 @@ class VolumeFractionCurve:
         object.__setattr__(self, "fraction", f)
 
 
-def _window(regime: Regime, z0, rho, complement: bool = False, width=None):
-    """Volume fraction in the window (rho, z0); see fraction_from_start_size.
-
-    ``width`` is z0 - rho to full relative precision, when known.  A window
-    within one table panel is then integrated directly: near s = 1 the two
-    table values would cancel to a few digits.  Arrays elementwise."""
+def _window(regime: Regime, z0, a, complement: bool = False):
+    """Volume fraction in the window (rho, z0), rho = z0 e^-a; arrays
+    elementwise.  A window within one table panel is integrated directly
+    over its width -z0 expm1(-a), which keeps relative precision as a -> 0:
+    near s = 1 the two table values would cancel to a few digits."""
     dist = size_distribution(regime)
     m3 = dist.moment(3)
     upper = dist.cumulative_moment(3, z0)
-    lower = dist.cumulative_moment(3, rho)
+    lower = dist.cumulative_moment(3, z0 * np.exp(-a))
     if complement:
         phi = 1.0 - (lower + (m3 - upper)) / m3
     else:
         phi = (upper - lower) / m3
-    if width is not None:
-        narrow = dist.panel_moment(3, z0, width)
-        phi = np.where(np.isnan(narrow), phi, narrow / m3)
-    return float_if_0d(phi)
+    narrow = dist.panel_moment(3, z0, -z0 * np.expm1(-a))
+    return float_if_0d(np.where(np.isnan(narrow), phi, narrow / m3))
 
 
 def fraction_from_start_size(regime: Regime, z0, complement: bool = False):
@@ -103,13 +100,10 @@ def fraction_from_start_size(regime: Regime, z0, complement: bool = False):
     the direct window ``(M3(z0) - M3(rho)) / m3`` (``complement=False``)
     and one minus the two leftover tails,
     ``1 - (M3(rho) + m3 - M3(z0)) / m3`` (True).  They agree to rounding.
-    One solve gives a = ln(z0/rho), so rho = z0 e^-a and the width
-    z0 - rho = -z0 expm1(-a) keeps relative precision as z0 -> 1, where a
-    window inside one table panel is integrated directly.
+    One solve gives a = ln(z0/rho), from which the window takes its lower
+    edge and its width.
     """
-    z0, a = _log_ratio(regime, z0)
-    return _window(regime, z0, z0 * np.exp(-a), complement,
-                   width=-z0 * np.expm1(-a))
+    return _window(regime, *_log_ratio(regime, z0), complement)
 
 
 def new_volume_fraction(regime: Regime, s):
@@ -117,14 +111,12 @@ def new_volume_fraction(regime: Regime, s):
 
     Zero at s = 1, strictly increasing, tends to 1 as s grows; a function
     of the time ratio alone.  One s -> z0 solve gives the window's upper
-    edge, and the lower edge is rho = z0 s**(-1/gamma), so the width
-    z0 - rho = -z0 expm1(-ln(s)/gamma) keeps relative precision as s -> 1.
-    Accepts a scalar or a numpy array: an array makes one solve for all of
-    its entries.
+    edge, and a = ln(z0/rho) = ln(s)/gamma its lower edge and width, since
+    z0 R_c(t0) = rho R_c(t).  Accepts a scalar or a numpy array: an array
+    makes one solve for all of its entries.
     """
-    z0, rho = _pair_for_ratio(regime, s)
-    width = -z0 * np.expm1(-np.log(s) / regime.coarsening_exponent)
-    return _window(regime, z0, rho, width=width)
+    return _window(regime, initial_size_for_ratio(regime, s),
+                   np.log(s) / regime.coarsening_exponent)
 
 
 def fraction_curve(regime: Regime, s_grid=None) -> VolumeFractionCurve:

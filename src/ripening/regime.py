@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_entries
-from .numerics import Tolerance, find_root, float_if_0d
+from .numerics import find_root, float_if_0d
 
 __all__ = [
     "Regime",
@@ -158,14 +158,17 @@ def growth_rate_scaled(regime: Regime, z):
 
 def growth_rate_physical(regime: Regime, radius: float, r_c: float) -> float:
     """Unscaled growth law dR/dt for a particle of ``radius`` at critical
-    radius ``r_c`` (both in the units where the rate constants above hold)."""
+    radius ``r_c`` (both in the units where the rate constants above hold);
+    in float64, so a radius**lam beyond the float range rounds, not raises."""
     radius = float(radius)
     r_c = float(r_c)
     if not (radius > 0.0 and math.isfinite(radius)):
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
     if not (r_c > 0.0 and math.isfinite(r_c)):
         raise DomainError(f"critical radius must be positive and finite, got {r_c!r}")
-    return (radius / r_c - 1.0) / radius**(regime.growth_exponent)
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = (radius / r_c - 1.0) / np.float64(radius) ** regime.growth_exponent
+    return float(rate)
 
 
 def coarsening_slope(regime: Regime) -> float:
@@ -216,12 +219,13 @@ def _tau_closed_form(regime: Regime, z):
 
 def _flow_time_down(regime: Regime, z, d):
     """tau(z - d) - tau(z): the rescaled time the flow takes from z down to
-    z - d, for 1 <= z < z_max and 0 <= d <= z; numpy arrays elementwise.
+    z - d, for 0 < z < z_max and 0 <= d <= z; numpy arrays elementwise.
 
     The closed forms are differenced in d: reciprocal differences, and
     log1p of the ratios of the log arguments.  The result keeps the
-    relative precision of d as d -> 0, and it is tau(0) - tau(z) where
-    z - d is 0.
+    relative precision of d as d -> 0, and it is the lifetime
+    tau(0) - tau(z) where z - d is 0.  Below z of about 0.3 the O(d) terms
+    cancel (see evolve_scaled).
     """
     if regime.kind == "dl":
         cut = 3.0 - 2.0 * z  # exact for z in [1, 3/2]
@@ -271,27 +275,30 @@ def return_invariant(regime: Regime, z):
 def evolve_scaled(regime: Regime, z_start: float, delta_tau):
     """Advance the rescaled flow: the z reached ``delta_tau`` after ``z_start``.
 
-    Inverts the closed form tau(z) by bisection instead of integrating the
-    ODE; a numpy array of offsets is one bisection, and a zero offset
-    returns ``z_start`` exactly.  Raises ``DomainError`` when the
-    trajectory dissolves (reaches z = 0) before ``delta_tau`` elapses.
+    Bisects z in [0, z_start] to adjacent floats for
+    tau(z) - tau(z_start) = delta_tau, from :func:`_flow_time_down`; an
+    array of offsets is one bisection, and a zero offset returns ``z_start``
+    exactly.  Within 4e-15 of mpmath from ``z_start`` = 0.3 up; below, the
+    O(d) terms cancel (errors up to 8e-12 dl, 8e-14 al at 0.01; 1.5e-9 and
+    1.8e-12 at 1e-3).  Raises ``DomainError`` when the trajectory dissolves
+    (reaches z = 0) before ``delta_tau`` elapses.
     """
     z_start = float(_check_below_cutoff(regime, z_start, "z_start"))
     delta_tau = np.asarray(delta_tau, dtype=float)
     check_entries(delta_tau, (delta_tau >= 0.0) & np.isfinite(delta_tau),
                   "delta_tau must be >= 0, got %r")
-    tau_start = _tau_closed_form(regime, z_start)
-    lifetime = float(_tau_closed_form(regime, 0.0) - tau_start)
-    check_entries(delta_tau, delta_tau < lifetime,
+    lifetime = float(_flow_time_down(regime, z_start, z_start))
+    check_entries(delta_tau, (delta_tau < lifetime) | (delta_tau == 0.0),
                   f"trajectory from z={z_start!r} dissolves after delta_tau="
                   f"{lifetime!r} < %r")
-    target = tau_start + delta_tau
-    return find_root(
-        lambda z: _tau_closed_form(regime, z) - target,
+    z = find_root(
+        lambda z: delta_tau - _flow_time_down(regime, z_start, z_start - z),
         np.zeros_like(delta_tau),
         z_start,
-        tol=Tolerance(abs_tol=1e-15, rel_tol=1e-13, max_iter=200),
     )
+    # Where the lifetime rounds to 0 (al at z_start = 1e-60), a zero offset
+    # is an exact zero at both ends, and find_root keeps the lower one.
+    return float_if_0d(np.where(delta_tau == 0.0, z_start, z))
 
 
 def scaled_trajectory(regime, z_start, delta_taus):

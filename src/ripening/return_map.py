@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_entries
-from .numerics import Tolerance, find_root, float_if_0d
+from .numerics import find_root, float_if_0d
 from .regime import Regime, _flow_time_down, coarsening_slope, critical_radius
 
 __all__ = [
@@ -58,9 +58,6 @@ __all__ = [
 # z0 this close to z_max is rejected: tau diverges and s blows up like
 # 1/(z_max - z0)**gamma, so there is nothing meaningful to resolve beyond it.
 NEAR_CUTOFF = 1e-9
-
-# A gate below one ulp: every solve closes its bracket to adjacent floats.
-_ADJACENT = Tolerance(abs_tol=0.0, rel_tol=1e-17, max_iter=200)
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,6 @@ def initial_size_for_ratio(regime: Regime, s):
         lambda z0: _mismatch(regime, z0, a),
         np.ones_like(a),
         regime.z_max - NEAR_CUTOFF,
-        tol=_ADJACENT,
     )
 
 
@@ -154,7 +150,6 @@ def _log_ratio(regime: Regime, z0):
         lambda a: _mismatch(regime, z0, a),
         np.log(z0),
         _flow_time_down(regime, z0, z0) + 1.0,
-        tol=_ADJACENT,
     )
     return z0, a
 
@@ -171,18 +166,13 @@ def solve_return_point(regime: Regime, z0) -> ReturnPoint:
     return ReturnPoint(*map(float_if_0d, (z0, z0 * np.exp(-a), s)))
 
 
-def _pair_for_ratio(regime: Regime, s):
-    """(z0, rho) for the time ratio ``s``: one s -> z0 solve, then
-    rho = z0 * s**(-1/gamma) from z0 * R_c(t0) = rho * R_c(t).  Arrays
-    elementwise."""
-    z0 = initial_size_for_ratio(regime, s)
-    return z0, z0 * np.exp(-np.log(s) / regime.coarsening_exponent)
-
-
 def return_point_for_ratio(regime: Regime, s) -> ReturnPoint:
-    """The :class:`ReturnPoint` whose elapsed-time ratio is ``s``."""
+    """The :class:`ReturnPoint` whose elapsed-time ratio is ``s``: one
+    s -> z0 solve, then rho = z0 s**(-1/gamma) from z0 R_c(t0) = rho R_c(t)."""
     s = np.asarray(s, dtype=float)
-    return ReturnPoint(*map(float_if_0d, (*_pair_for_ratio(regime, s), s)))
+    z0 = initial_size_for_ratio(regime, s)
+    rho = z0 * np.exp(-np.log(s) / regime.coarsening_exponent)
+    return ReturnPoint(*map(float_if_0d, (z0, rho, s)))
 
 
 def return_radius(regime: Regime, t, t0: float, r_c0: float = 0.0):

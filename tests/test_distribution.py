@@ -135,8 +135,18 @@ class TestMoments:
         assert 3 in d._moments
 
     def test_negative_order_rejected(self):
+        d = size_distribution(DIFFUSION_LIMITED)
         with pytest.raises(DomainError):
-            size_distribution(DIFFUSION_LIMITED).moment(-1)
+            d.moment(-1)
+        # A non-integer order is refused, not truncated to the integer below.
+        for k in (2.5, 2.999, -0.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="integer >= 0"):
+                d.moment(k)
+            with pytest.raises(DomainError, match="integer >= 0"):
+                d.cumulative_moment(k, 1.0)
+        # An integral float is the integer order.
+        assert d.moment(3.0) == d.moment(3)
+        assert d.cumulative_moment(3.0, 1.0) == d.cumulative_moment(3, 1.0)
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_against_mpmath(self, regime):

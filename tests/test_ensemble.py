@@ -1036,6 +1036,18 @@ class TestLateStage:
                 DIFFUSION_LIMITED, 100, 10.0, 20.0, [25.0], seed=1
             )
 
+    @pytest.mark.parametrize("option", [{"start_time": 100.0},
+                                        {"deletion_fraction": 0.1}])
+    def test_only_step_fraction_passes_through(self, monkeypatch, option):
+        # The snapshot offsets assume the ensemble's clock starts at 0, so a
+        # start_time would shift every comparison; refused before any draw.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an ensemble was drawn")
+
+        monkeypatch.setattr("ripening.ensemble.init_ensemble", no_draw)
+        with pytest.raises(DomainError, match=re.escape(f"got {sorted(option)!r}")):
+            simulate_late_stage(DIFFUSION_LIMITED, 2000, 225.0, 675.0,
+                                [337.5, 450.0, 675.0], 1, **option)
 
     @pytest.mark.parametrize("t_end, times, message", [
         pytest.param(math.inf, [300.0], "t_end must be finite, got inf",

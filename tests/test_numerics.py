@@ -6,6 +6,7 @@ routines under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,8 +40,10 @@ def test_cos_fixed_point_oracle():
 
 class TestFindRoot:
     def test_simple_quadratic(self):
+        # The default tol closes the bracket to adjacent floats: r and the
+        # next float bracket sqrt(2), checked in exact rationals.
         r = find_root(lambda x: x * x - 2.0, 0.0, 2.0)
-        assert r == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert Fraction(r) ** 2 < 2 < Fraction(math.nextafter(r, math.inf)) ** 2
 
     def test_matches_fixed_point_oracle(self):
         r = find_root(lambda x: math.cos(x) - x, 0.0, 1.0)

@@ -89,6 +89,21 @@ class TestGrowthRates:
         # dl: (R/R_c - 1)/R^2 ; al: (R/R_c - 1)/R
         assert growth_rate_physical(DIFFUSION_LIMITED, 2.0, 1.0) == pytest.approx(0.25)
         assert growth_rate_physical(ATTACHMENT_LIMITED, 2.0, 1.0) == pytest.approx(0.5)
+        # Where radius**lam is a normal float: the plain float formula, bit
+        # for bit.
+        for regime in BOTH:
+            lam = regime.growth_exponent
+            for radius in np.geomspace(1e-150, 1e150, 61).tolist():
+                for r_c in (1e-3, 0.7, 1.0, 3.0, 1e4):
+                    assert growth_rate_physical(regime, radius, r_c) == (
+                        (radius / r_c - 1.0) / radius**lam)
+        # Beyond it the rate rounds, with no exception: -inf near 0 (dl's
+        # radius**2 underflows; al's radius stays a normal float), and a
+        # finite value >= 0 for a huge radius.
+        assert growth_rate_physical(DIFFUSION_LIMITED, 1e-200, 1.0) == -math.inf
+        assert growth_rate_physical(ATTACHMENT_LIMITED, 1e-200, 1.0) == -1e200
+        for regime in BOTH:
+            assert 0.0 <= growth_rate_physical(regime, 1e200, 1.0) < math.inf
 
     def test_physical_domain(self):
         with pytest.raises(DomainError):
@@ -224,6 +239,32 @@ class TestEvolveScaled:
     def test_monotone_in_offset(self, regime):
         zs = [evolve_scaled(regime, 1.3, d) for d in (0.0, 0.2, 0.4, 0.8)]
         assert all(b < a for a, b in zip(zs, zs[1:]))
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_against_mpmath(self, regime):
+        # The z with tau(z) = tau(z_start) + delta_tau, from the closed form
+        # solved at 40 digits, for every offset below the lifetime.
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            if regime.kind == "dl":
+                tau = lambda z: (1 / (2 * z - 3) - mp.mpf(5) / 9 * mp.log(3 - 2 * z)
+                                 - mp.mpf(4) / 9 * mp.log(z + 3))
+            else:
+                tau = lambda z: 2 / (z - 2) - mp.log(2 - z)
+            for z_start in (0.3, 1.0, 1.3, 1.45):
+                lifetime = tau(mp.mpf(0)) - tau(mp.mpf(z_start))
+                for delta in (1e-12, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.3):
+                    if delta >= lifetime:
+                        continue
+                    target = tau(mp.mpf(z_start)) + delta
+                    want = mp.findroot(lambda z: tau(z) - target,
+                                       (mp.mpf(0), mp.mpf(z_start)),
+                                       solver="anderson")
+                    got = evolve_scaled(regime, z_start, delta)
+                    assert abs(got - want) <= 4e-15 * want, (z_start, delta)
+        # A zero offset is the identity even where the lifetime rounds to 0.
+        assert evolve_scaled(regime, 1e-60, 0.0) == 1e-60
+        assert evolve_scaled(regime, 1e-60, np.zeros(2)).tolist() == [1e-60] * 2
 
     def test_dissolution_detected(self):
         # A sub-critical size reaches zero in finite flow time.
