@@ -157,7 +157,8 @@ class SizeDistribution:
         inside = ((0.0 <= half) & (i < self._grid.size - 1)
                   & (z - width >= self._grid[i]))
         out = np.full(z.shape, np.nan)
-        out[inside] = self._gauss(k, (z - half)[inside], half[inside])
+        if inside.any():
+            out[inside] = self._gauss(k, (z - half)[inside], half[inside])
         return float_if_0d(out)
 
     def _node_below(self, z):

@@ -9,7 +9,10 @@ the nearly-flat functions this package inverts, and the quadrature/ODE
 kernels are classic textbook schemes with defensive checks for non-finite
 values.  :func:`find_root` bisects elementwise over numpy arrays, so a
 whole grid of roots is one solve, and it has one stop rule for every
-root: an exact zero, or a bracket closed to two adjacent floats.
+root: an exact zero, or a bracket closed to two adjacent floats.  The
+same loop serves a single root: its bracket is a 0-d array, and ``f``
+gets the midpoint as a numpy scalar, so the function being inverted runs
+numpy scalar arithmetic rather than 0-d array calls.
 """
 
 from __future__ import annotations
@@ -91,15 +94,23 @@ def find_root(
 
     Elementwise over numpy arrays: ``lo`` and ``hi`` broadcast to one shape,
     ``f`` maps an array of that shape to its values there, and every entry
-    is bisected at once.  Scalar brackets give a float.  The endpoints must
-    straddle a sign change.  An entry stops only at an exact zero, or when
-    its bracket closes to two adjacent floats; its lower end is returned.
-    A stopped entry stays as it is while the others go on, so each entry
-    gets the value a scalar call would.  Of ``tol`` only ``max_iter`` is
-    read, as the step budget: closing a bracket takes about
-    ``log2((hi - lo) / ulp(root))`` steps.  The functions inverted in this
-    package are monotone but extremely flat near their roots, which rules
-    out secant-type accelerations that assume a usable local slope.
+    is bisected at once.  A 0-d bracket hands ``f`` a ``np.float64``, whose
+    arithmetic costs a fraction of a 0-d array's, and gives a float.  The
+    endpoints must straddle a sign change.  An entry stops only at an exact
+    zero, or when its bracket closes to two adjacent floats; its lower end
+    is returned.  Of ``tol`` only ``max_iter`` is read, as the step budget:
+    closing a bracket takes about ``log2((hi - lo) / ulp(root))`` steps.
+    The functions inverted in this package are monotone but extremely flat
+    near their roots, which rules out secant-type accelerations that assume
+    a usable local slope.
+
+    A closed bracket is a fixed point of the update, so no step masks the
+    closed entries out, and closure is tested only every 8th step (and on
+    the last one).  An exact zero puts both ends on it; otherwise
+    ``f(lo) * sign < 0 < f(hi) * sign`` holds strictly, and the midpoint of
+    two adjacent floats is one of them, whose sign moves that end onto
+    itself.  Each entry therefore gets the value a scalar call would, at
+    the cost of up to 7 more evaluations of ``f``.
 
     Raises
     ------
@@ -117,8 +128,9 @@ def find_root(
             f"invalid bracket: lo={float(lo[bad][0])!r} must be < "
             f"hi={float(hi[bad][0])!r}"
         )
-    flo = np.broadcast_to(f(lo), lo.shape)
-    fhi = np.broadcast_to(f(hi), hi.shape)
+    # x[()] is a numpy scalar for a 0-d x and x itself otherwise.
+    flo = np.broadcast_to(f(lo[()]), lo.shape)
+    fhi = np.broadcast_to(f(hi[()]), hi.shape)
     if np.isnan(flo).any() or np.isnan(fhi).any():
         raise DomainError("f is NaN at a bracket endpoint")
     at_lo, at_hi = flo == 0.0, fhi == 0.0
@@ -133,18 +145,19 @@ def find_root(
     np.copyto(hi, lo, where=at_lo | at_hi)
     sign = np.sign(fhi)  # f * sign is positive above each root
     mid = np.empty_like(lo)
-    for _ in range(tol.max_iter):
+    last = tol.max_iter - 1
+    for step in range(tol.max_iter):
         np.add(lo, hi, out=mid)
         mid *= 0.5
-        open_ = (lo < mid) & (mid < hi)  # false once lo, hi are adjacent
-        if not np.count_nonzero(open_):
+        if ((step % 8 == 0 or step == last)
+                and not np.count_nonzero((lo < mid) & (mid < hi))):
             return float_if_0d(lo)
-        above = f(mid) * sign
+        above = f(mid[()]) * sign
         # An exact zero moves both ends onto it; a NaN moves neither, so its
         # entry never closes (see below).
-        np.copyto(hi, mid, where=open_ & (above >= 0.0))
-        np.copyto(lo, mid, where=open_ & (above <= 0.0))
-    if np.isnan(f(mid)).any():
+        np.copyto(hi, mid, where=above >= 0.0)
+        np.copyto(lo, mid, where=above <= 0.0)
+    if np.isnan(f(mid[()])).any():
         raise DomainError(f"f is NaN inside the bracket, near x={mid!r}")
     raise ConvergenceError(
         f"bisection did not converge in {tol.max_iter} iterations "

@@ -82,8 +82,8 @@ def _window(regime: Regime, z0, a, complement: bool = False):
     near s = 1 the two table values would cancel to a few digits."""
     dist = size_distribution(regime)
     m3 = dist.moment(3)
-    upper = dist.cumulative_moment(3, z0)
-    lower = dist.cumulative_moment(3, z0 * np.exp(-a))
+    # Both edges in one table read: one density evaluation, not two.
+    upper, lower = dist.cumulative_moment(3, np.stack((z0, z0 * np.exp(-a))))
     if complement:
         phi = 1.0 - (lower + (m3 - upper)) / m3
     else:

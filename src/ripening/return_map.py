@@ -120,15 +120,21 @@ def initial_size_for_ratio(regime: Regime, s):
 
     The ratio is strictly increasing in z0 (from 1 at z0 = 1 to +inf at the
     cutoff), so the root is unique; s < 1 is rejected.  Accepts a scalar or
-    a numpy array: every entry is solved in the same bisection.
+    a numpy array: every entry is solved in the same bisection.  Phi(z0, a)
+    is bisected in z0 for the fixed a = ln(s)/gamma, with the width factor
+    -expm1(-a) of d = z0 - rho computed once, so each step costs one
+    closed-form difference; for a scalar s, a is a numpy scalar and that
+    difference runs numpy scalar arithmetic.
     """
     s = np.asarray(s, dtype=float)
     check_entries(s, (s >= 1.0) & np.isfinite(s),
                   "time ratio must be >= 1 and finite, got %r")
-    a = np.log(s) / regime.coarsening_exponent
+    # z0 * (-expm1(-a)) is _mismatch's -z0 * expm1(-a), bit for bit.
+    a = (np.log(s) / regime.coarsening_exponent)[()]
+    e = -np.expm1(-a)
     return find_root(
-        lambda z0: _mismatch(regime, z0, a),
-        np.ones_like(a),
+        lambda z0: a - _flow_time_down(regime, z0, z0 * e),
+        np.ones_like(s),
         regime.z_max - NEAR_CUTOFF,
     )
 

@@ -107,6 +107,73 @@ class TestFindRoot:
     def test_scalar_is_float(self):
         assert type(find_root(lambda x: x - 0.25, 0.0, 1.0)) is float
 
+    def test_f_gets_numpy_scalar_for_0d_bracket(self):
+        # A 0-d bracket hands f numpy scalars, an array bracket arrays.
+        for lo, hi, kind in ((0.0, 1.0, np.float64),
+                             (np.zeros(3), 1.0, np.ndarray)):
+            seen = set()
+
+            def f(x):
+                seen.add(type(x))
+                return x - 0.3
+
+            find_root(f, lo, hi)
+            assert seen == {kind}
+
+    def test_matches_reference_bisection(self):
+        # Brackets 1 to 2**20 ulps wide close after 1 to 20 steps, between
+        # the closure tests; each must give what a bisection that stops at
+        # the first closed bracket gives, alone or all in one array.
+        ulp = math.ulp(1.25)
+        cases = []
+        for steps in range(1, 21):
+            lo, hi = 1.25, 1.25 + 2**steps * ulp
+            for cut in (1, 2**steps // 3 + 1, 2**steps - 1):
+                c = lo + cut * ulp  # f steps from -1 to 1 at c: no zero
+                cases.append((lo, hi, lambda x, c=c: np.where(x >= c, 1.0, -1.0)))
+                cases.append((lo, hi, lambda x, c=c: np.where(x >= c, -1.0, 1.0)))
+        for lo, hi, c in ((0.0, 1.0, 0.0), (0.0, 1.0, 1.0), (0.0, 1.0, 0.5),
+                          (-1.0, 3.0, 0.75), (1.25, 1.25 + 2**9 * ulp,
+                                              1.25 + 2**7 * ulp)):
+            cases.append((lo, hi, lambda x, c=c: x - c))  # an exact zero
+
+        def reference(f, lo, hi):
+            flo, fhi = float(f(lo)), float(f(hi))
+            if flo == 0.0 or fhi == 0.0:
+                return lo if flo == 0.0 else hi
+            sign = 1.0 if fhi > 0.0 else -1.0
+            for _ in range(200):
+                mid = (lo + hi) * 0.5
+                if not lo < mid < hi:
+                    return lo
+                above = float(f(mid)) * sign
+                if above >= 0.0:
+                    hi = mid
+                if above <= 0.0:
+                    lo = mid
+            raise AssertionError("reference did not close")
+
+        want = [reference(f, lo, hi) for lo, hi, f in cases]
+        assert [find_root(f, lo, hi) for lo, hi, f in cases] == want
+        # One array call: f picks each entry's own function.
+        los = np.array([lo for lo, _, _ in cases])
+        his = np.array([hi for _, hi, _ in cases])
+        fs = [f for _, _, f in cases]
+        together = find_root(
+            lambda x: np.array([f(xi) for f, xi in zip(fs, x.tolist())]),
+            los, his)
+        assert together.tolist() == want
+
+    def test_budget_counts_steps_exactly(self):
+        # A bracket 2**11 ulps wide closes after 11 steps: a budget of 12
+        # tests it once more and returns, a budget of 11 does not.
+        ulp = math.ulp(1.0)
+        f = lambda x: np.where(x >= 1.0 + 1001 * ulp, 1.0, -1.0)
+        hi = 1.0 + 2**11 * ulp
+        assert find_root(f, 1.0, hi, tol=Tolerance(max_iter=12)) == 1.0 + 1000 * ulp
+        with pytest.raises(ConvergenceError):
+            find_root(f, 1.0, hi, tol=Tolerance(max_iter=11))
+
     def test_iteration_budget(self):
         tight = Tolerance(abs_tol=1e-14, rel_tol=0.0, max_iter=3)
         with pytest.raises(ConvergenceError):

@@ -78,6 +78,41 @@ class TestPinnedToRounding:
             assert abs(new_volume_fraction(regime, s) - want) <= 1e-13, s
 
 
+class TestPinnedBits:
+    # The exact bits of phi at 8 points of each perfbench grid, scalar calls:
+    # a change that moves any of them is a change of value, not of speed.
+    GRIDS = {
+        "analytic": (np.geomspace(1.0, 1e3, 200), (0, 1, 29, 59, 99, 139, 179, 199)),
+        "tail": (np.geomspace(1e3, 1e300, 200), (0, 1, 2, 3, 4, 5, 99, 199)),
+    }
+    BITS = {
+        ("dl", "analytic"): (
+            "0x0.0p+0", "0x1.21b4dc2e8c601p-6", "0x1.e0de2c67eb9f5p-2",
+            "0x1.8ae2e0849618ep-1", "0x1.de9b0a118394bp-1", "0x1.f709daedb9373p-1",
+            "0x1.fda80a1594b79p-1", "0x1.fecedbcce7249p-1"),
+        ("dl", "tail"): (
+            "0x1.fecedbcce7249p-1", "0x1.fff58fde82c61p-1", "0x1.ffffa6da3b129p-1",
+            "0x1.fffffd0fb92fap-1", "0x1.ffffffe75ee83p-1", "0x1.ffffffff32731p-1",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("al", "analytic"): (
+            "0x0.0p+0", "0x1.631de197c5d29p-6", "0x1.1e58c4ca99f51p-1",
+            "0x1.b99a5de9ded11p-1", "0x1.f47d8e9327b31p-1", "0x1.fe56d520e4714p-1",
+            "0x1.ffc5d626b91f8p-1", "0x1.ffeab985c5f81p-1"),
+        ("al", "tail"): (
+            "0x1.ffeab985c5f81p-1", "0x1.ffffdc9307df8p-1", "0x1.ffffffc7d5ff7p-1",
+            "0x1.ffffffffa9046p-1", "0x1.ffffffffff7b1p-1", "0x1.ffffffffffff6p-1",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    }
+
+    @pytest.mark.parametrize("regime", BOTH)
+    @pytest.mark.parametrize("grid", ("analytic", "tail"))
+    def test_perfbench_grid_bits(self, regime, grid):
+        values, picks = self.GRIDS[grid]
+        got = tuple(new_volume_fraction(regime, float(values[i])).hex()
+                    for i in picks)
+        assert got == self.BITS[regime.kind, grid]
+
+
 class TestShape:
     @pytest.mark.parametrize("regime", BOTH)
     def test_zero_at_unit_ratio(self, regime):

@@ -1,6 +1,7 @@
 """Tests for the regime constants, growth laws and the closed-form flow time."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,9 @@ class TestGrowthRates:
         assert growth_rate_physical(ATTACHMENT_LIMITED, 1e-200, 1.0) == -1e200
         for regime in BOTH:
             assert 0.0 <= growth_rate_physical(regime, 1e200, 1.0) < math.inf
+        # Where radius / r_c overflows, 1/(r_c R**(lam-1)) - 1/R**lam does not.
+        assert growth_rate_physical(DIFFUSION_LIMITED, 1e200, 1e-200) == 1.0
+        assert growth_rate_physical(ATTACHMENT_LIMITED, 1e200, 1e-200) == 1e200
 
     def test_physical_domain(self):
         with pytest.raises(DomainError):
@@ -262,9 +266,37 @@ class TestEvolveScaled:
                                        solver="anderson")
                     got = evolve_scaled(regime, z_start, delta)
                     assert abs(got - want) <= 4e-15 * want, (z_start, delta)
-        # A zero offset is the identity even where the lifetime rounds to 0.
-        assert evolve_scaled(regime, 1e-60, 0.0) == 1e-60
-        assert evolve_scaled(regime, 1e-60, np.zeros(2)).tolist() == [1e-60] * 2
+        # Small z_start, where the closed forms' O(d) terms cancel: the
+        # lifetime L(z) = int_0^z x^lam / (nu (1 - x) + x^(lam+1)) dx by
+        # quadrature at 50 digits over x = z u, solved in the scale of
+        # z_start.  An offset beyond L(z_start) must be refused, naming
+        # L(z_start).
+        lam, nu = regime.growth_exponent, regime.rate_constant
+        small = {"dl": ((1e-60, 1e-78), (1e-10, 1e-33)),
+                 "al": ((1e-60, 1e-78), (1e-10, 1e-21))}[regime.kind]
+        with mp.workdps(50):
+            life = lambda z: z ** (lam + 1) * mp.quad(
+                lambda u: u**lam / (nu * (1 - z * u) + (z * u) ** (lam + 1)),
+                [0, 1])
+            for z_start, delta in small:
+                total = life(mp.mpf(z_start))
+                if delta < total:
+                    want = z_start * mp.findroot(
+                        lambda u: (life(u * z_start) - (total - delta)) / total,
+                        (mp.mpf(0), mp.mpf(1)), solver="anderson")
+                    got = evolve_scaled(regime, z_start, delta)
+                    assert abs(got - want) <= 1e-12 * want, (z_start, delta)
+                    continue
+                with pytest.raises(DomainError) as refused:
+                    evolve_scaled(regime, z_start, delta)
+                named = float(re.search(r"dissolves after delta_tau=(\S+) <",
+                                        str(refused.value)).group(1))
+                assert abs(named - total) <= 1e-12 * total, (z_start, delta)
+        # A zero offset is the identity, also where the lifetime rounds to 0.
+        for z_start in (1e-60, 1e-200):
+            assert evolve_scaled(regime, z_start, 0.0) == z_start
+            assert (evolve_scaled(regime, z_start, np.zeros(2)).tolist()
+                    == [z_start] * 2)
 
     def test_dissolution_detected(self):
         # A sub-critical size reaches zero in finite flow time.

@@ -109,6 +109,23 @@ class TestReturnSize:
             assert p.z_return == rho
             assert p.s == return_time_ratio(regime, z0) >= 1.0
 
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_pinned_bits(self, regime):
+        # The exact bits of rho on 8 z0 from 1 to z_max - 1e-9 (where rho
+        # underflows): a change that moves any of them changes values.
+        want = {
+            "dl": ("0x1.0000000000000p+0", "0x1.d5eea53182b08p-1",
+                   "0x1.9d4750e3c30f8p-1", "0x1.4ea7ee9ea5bf8p-1",
+                   "0x1.c315b281dfd44p-2", "0x1.6e8aae7b9d163p-3",
+                   "0x1.0fec802d0302dp-7", "0x0.0p+0"),
+            "al": ("0x1.0000000000000p+0", "0x1.af3a0c1c6274fp-1",
+                   "0x1.4cde111606352p-1", "0x1.b15a2e0354174p-2",
+                   "0x1.81d8f8b28d778p-3", "0x1.e765c39703350p-6",
+                   "0x1.ecfc8a92560eep-15", "0x0.0p+0"),
+        }[regime.kind]
+        z0 = np.linspace(1.0, regime.z_max - 1e-9, 8).tolist()
+        assert tuple(return_size(regime, z).hex() for z in z0) == want
+
     def test_domain(self):
         with pytest.raises(DomainError):
             return_size(DIFFUSION_LIMITED, 0.99)
