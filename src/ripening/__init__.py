@@ -20,7 +20,6 @@ from .regime import (
     DIFFUSION_LIMITED,
     REGIMES,
     Regime,
-    ScaledState,
     coarsening_slope,
     critical_radius,
     evolve_scaled,
@@ -29,7 +28,6 @@ from .regime import (
     growth_rate_physical,
     growth_rate_scaled,
     return_invariant,
-    scaled_trajectory,
 )
 from .return_map import (
     ReturnPoint,
@@ -38,7 +36,6 @@ from .return_map import (
     return_radius,
     return_radius_rate,
     return_size,
-    return_size_slope_at_one,
     return_time_ratio,
     solve_return_point,
 )
@@ -75,13 +72,13 @@ __all__ = [
     "Tolerance", "find_root", "integrate", "solve_ode",
     # regimes and growth laws
     "Regime", "DIFFUSION_LIMITED", "ATTACHMENT_LIMITED", "REGIMES",
-    "get_regime", "ScaledState", "growth_rate_scaled", "growth_rate_physical",
+    "get_regime", "growth_rate_scaled", "growth_rate_physical",
     "critical_radius", "coarsening_slope", "flow_time", "return_invariant",
-    "evolve_scaled", "scaled_trajectory",
+    "evolve_scaled",
     # return map
-    "ReturnPoint", "return_size", "return_size_slope_at_one",
-    "return_time_ratio", "initial_size_for_ratio", "solve_return_point",
-    "return_point_for_ratio", "return_radius", "return_radius_rate",
+    "ReturnPoint", "return_size", "return_time_ratio",
+    "initial_size_for_ratio", "solve_return_point", "return_point_for_ratio",
+    "return_radius", "return_radius_rate",
     # distribution
     "density", "SizeDistribution", "size_distribution",
     # recrystallization

@@ -37,8 +37,14 @@ _LOG_24 = math.log(24.0)
 # exp() underflows to subnormal/zero around -745; below this the density is
 # zero to double precision anyway.
 _LOG_FLOOR = -740.0
-# 7-point Gauss-Legendre abscissae and weights on [-1, 1]
-_GX, _GW = np.polynomial.legendre.leggauss(7)
+# 7-point Gauss-Legendre abscissae and weights on [-1, 1], the float64 values
+# of numpy.polynomial.legendre.leggauss(7), written out so that importing
+# the package loads no numpy.polynomial.
+_GX = np.array([-0.9491079123427586, -0.7415311855993945, -0.4058451513773972,
+                0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586])
+_GW = np.array([0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+                0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+                0.12948496616886973])
 
 
 def _log_density_dl(z, cut):
@@ -97,9 +103,6 @@ class SizeDistribution:
         self._grid = 0.5 * regime.z_max * (1.0 - np.cos(theta))
         self._moments: dict[int, np.ndarray] = {}  # k -> M_k at the nodes
         self._cdf: tuple[np.ndarray, np.ndarray] | None = None
-
-    def density(self, z):
-        return density(self.regime, z)
 
     def _panels(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # 7-point Gauss-Legendre integral of h x^k on each panel [a, b]
@@ -191,20 +194,25 @@ class SizeDistribution:
 
     def cdf(self, z):
         """Cumulative distribution H(z), by monotone interpolation of the
-        table; accepts a scalar or array, clamps outside the support."""
+        table; accepts a scalar or array, clamps finite sizes outside the
+        support.  Raises ``DomainError`` for a non-finite z."""
+        z = np.asarray(z, dtype=float)
+        check_entries(z, np.isfinite(z), "scaled sizes must be finite, got %r")
         z_tab, h_tab = self.cdf_table
         return np.interp(z, z_tab, h_tab)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n independent draws from the density via inverse-CDF lookup.
 
-        Deterministic for a fixed seed, which must be >= 0; every sample
-        lies in (0, z_max).
+        Deterministic for a fixed seed, which must be an integer >= 0;
+        every sample lies in (0, z_max).
         """
         n = int(n)
         if n < 1:
             raise DomainError(f"sample size must be >= 1, got {n!r}")
-        if isinstance(seed, (int, np.integer)) and seed < 0:
+        if not isinstance(seed, (int, np.integer)):
+            raise DomainError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
             raise DomainError(f"seed must be >= 0, got {seed!r}")
         z_tab, h_tab = self.cdf_table
         rng = np.random.default_rng(seed)

@@ -262,27 +262,6 @@ class NewVolume:
     fraction: float
 
 
-class _SeriesRecorder:
-    def __init__(self):
-        self.rows = ([], [], [], [])
-
-    def add(self, t, n, rc, total_r3):
-        rows = self.rows
-        rows[0].append(t)
-        rows[1].append(n)
-        rows[2].append(rc)
-        rows[3].append(total_r3)
-
-    def build(self) -> TimeSeries:
-        t, n, rc, r3 = self.rows
-        return TimeSeries(
-            np.array(t, dtype=float),
-            np.array(n, dtype=np.int64),
-            np.array(rc, dtype=float),
-            np.array(r3, dtype=float),
-        )
-
-
 class Ensemble:
     """Mutable population of particle radii under one regime's dynamics.
 
@@ -592,17 +571,22 @@ class Ensemble:
             raise DomainError(
                 f"snapshot times must lie within [{self._t!r}, {t_end!r}]"
             )
-        recorder = _SeriesRecorder()
-        recorder.add(self._t, self.n, self.mean_field()[1],
-                     float(np.sum(self._y)))
+        rows = [(self._t, self.n, self.mean_field()[1], float(np.sum(self._y)))]
+        record = lambda *row: rows.append(row)
         snapshots = []
         for ts in times:
             if ts > self._t:
-                self._advance(ts, recorder.add)
+                self._advance(ts, record)
             snapshots.append(self.snapshot())
         if t_end > self._t:
-            self._advance(t_end, recorder.add)
-        return snapshots, recorder.build()
+            self._advance(t_end, record)
+        t, n, rc, r3 = zip(*rows)
+        return snapshots, TimeSeries(
+            np.array(t, dtype=float),
+            np.array(n, dtype=np.int64),
+            np.array(rc, dtype=float),
+            np.array(r3, dtype=float),
+        )
 
 
 def _stage(r, u, h3, al, out=None):

@@ -46,7 +46,6 @@ __all__ = [
     "ATTACHMENT_LIMITED",
     "REGIMES",
     "get_regime",
-    "ScaledState",
     "growth_rate_scaled",
     "growth_rate_physical",
     "critical_radius",
@@ -54,7 +53,6 @@ __all__ = [
     "flow_time",
     "return_invariant",
     "evolve_scaled",
-    "scaled_trajectory",
 ]
 
 # tau(z) diverges at the distribution cutoff z_max; stay this far below it.
@@ -124,20 +122,6 @@ def get_regime(kind: str) -> Regime:
         raise DomainError(
             f"unknown regime kind {kind!r} (use 'dl' or 'al')"
         ) from None
-
-
-@dataclass(frozen=True)
-class ScaledState:
-    """A point (z, tau) on a rescaled trajectory."""
-
-    z: float
-    tau: float
-
-    def __post_init__(self):
-        if not (self.z > 0.0 and math.isfinite(self.z)):
-            raise DomainError(f"scaled size must be positive and finite, got {self.z!r}")
-        if not math.isfinite(self.tau):
-            raise DomainError(f"tau must be finite, got {self.tau!r}")
 
 
 def growth_rate_scaled(regime: Regime, z):
@@ -363,14 +347,3 @@ def evolve_scaled(regime: Regime, z_start: float, delta_tau):
     # Where the lifetime rounds to 0 (z_start = 1e-200), a zero offset is an
     # exact zero at both ends, and find_root keeps the lower one.
     return float_if_0d(np.where(delta_tau == 0.0, z_start, z))
-
-
-def scaled_trajectory(regime, z_start, delta_taus):
-    """Sample a rescaled trajectory at the offsets ``delta_taus`` (>= 0,
-    nondecreasing), in one :func:`evolve_scaled` call; returns a list of
-    :class:`ScaledState`."""
-    taus = np.asarray(delta_taus, dtype=float)
-    if np.any(np.diff(taus) < 0.0):
-        raise DomainError("delta_taus must be nondecreasing")
-    zs = evolve_scaled(regime, z_start, taus)
-    return [ScaledState(z, tau) for z, tau in zip(zs.tolist(), taus.tolist())]

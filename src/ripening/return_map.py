@@ -46,7 +46,6 @@ from .regime import Regime, _flow_time_down, coarsening_slope, critical_radius
 __all__ = [
     "ReturnPoint",
     "return_size",
-    "return_size_slope_at_one",
     "return_time_ratio",
     "initial_size_for_ratio",
     "solve_return_point",
@@ -89,20 +88,14 @@ def return_size(regime: Regime, z0):
     """Sub-critical return size: the rho in (0, 1] with alpha(rho) = alpha(z0).
 
     Strictly decreasing in z0, with rho(1) = 1 and rho -> 0 as z0 -> z_max.
+    Its slope at the fixed point z0 = 1 is exactly -1 in both regimes:
+    alpha is smooth with a quadratic maximum at z = 1, so matched pairs are
+    symmetric about it to first order.
     For z0 within about 1e-3 of the cutoff the true value underflows float64
     and 0.0 is returned; the matching is still exact in a = ln(z0/rho)
     through :func:`return_time_ratio`.
     """
     return solve_return_point(regime, z0).z_return
-
-
-def return_size_slope_at_one(regime: Regime) -> float:
-    """Slope of the return map at the fixed point: exactly -1.
-
-    alpha is smooth with a quadratic maximum at z = 1, so matched pairs are
-    symmetric about it to first order regardless of regime.
-    """
-    return -1.0
 
 
 def return_time_ratio(regime: Regime, z0):

@@ -6,11 +6,18 @@ closed-form densities; the density itself is cross-checked against a direct
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ripening.distribution import SizeDistribution, density, size_distribution
+from ripening.distribution import (
+    _GW,
+    _GX,
+    SizeDistribution,
+    density,
+    size_distribution,
+)
 from ripening.errors import DomainError
 from ripening.regime import ATTACHMENT_LIMITED, DIFFUSION_LIMITED
 
@@ -227,6 +234,17 @@ class TestCdf:
         h_fd = (d.cdf(1.0 + 5e-5) - d.cdf(1.0 - 5e-5)) / 1e-4
         assert h_fd == pytest.approx(density(regime, 1.0), rel=1e-4)
 
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_non_finite_refused(self, regime):
+        # Finite sizes clamp; a NaN or infinite one is an input error, as
+        # in density, named in the message.
+        d = size_distribution(regime)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"got {bad!r}"):
+                d.cdf(bad)
+        with pytest.raises(DomainError, match="got nan"):
+            d.cdf(np.array([0.5, 1e300, math.nan, math.inf]))
+
 
 class TestSampling:
     @pytest.mark.parametrize("regime", BOTH)
@@ -270,6 +288,19 @@ class TestSampling:
         # input errors are DomainErrors.
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             size_distribution(DIFFUSION_LIMITED).sample(10, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, "1"])
+    def test_non_integer_seed(self, seed):
+        # numpy's generator refuses these with a TypeError.
+        with pytest.raises(DomainError, match=re.escape(f"got {seed!r}")):
+            size_distribution(DIFFUSION_LIMITED).sample(10, seed=seed)
+
+
+def test_gauss_rule_is_leggauss():
+    # The written-out 7-point rule is numpy's, bit for bit.
+    x, w = np.polynomial.legendre.leggauss(7)
+    assert _GX.tobytes() == x.tobytes()
+    assert _GW.tobytes() == w.tobytes()
 
 
 def test_shared_instances():

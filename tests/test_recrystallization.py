@@ -6,7 +6,9 @@ in-test cross-check is built by trapezoid quadrature directly from the
 density, independent of the Gauss-Legendre table in the library.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,3 +353,26 @@ class TestCrossRegime:
         assert initial_growth_rate(ATTACHMENT_LIMITED) > initial_growth_rate(
             DIFFUSION_LIMITED
         )
+
+
+def test_scalar_calls_keep_no_memory():
+    # 400 scalar phi calls, the perfbench analytic pass, after one warm-up
+    # pass: whatever the calls allocate is freed when their results drop.
+    grid = np.geomspace(1.0, 1e3, 200).tolist()
+
+    def one_pass():
+        for regime in BOTH:
+            for s in grid:
+                new_volume_fraction(regime, s)
+
+    tracemalloc.start()
+    try:
+        one_pass()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        one_pass()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096

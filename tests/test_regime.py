@@ -13,7 +13,6 @@ from ripening.regime import (
     DIFFUSION_LIMITED,
     REGIMES,
     Regime,
-    ScaledState,
     coarsening_slope,
     critical_radius,
     evolve_scaled,
@@ -22,7 +21,6 @@ from ripening.regime import (
     growth_rate_physical,
     growth_rate_scaled,
     return_invariant,
-    scaled_trajectory,
 )
 
 BOTH = (DIFFUSION_LIMITED, ATTACHMENT_LIMITED)
@@ -304,20 +302,3 @@ class TestEvolveScaled:
             evolve_scaled(DIFFUSION_LIMITED, 0.5, 0.05)
         with pytest.raises(DomainError):
             evolve_scaled(ATTACHMENT_LIMITED, 1.25, 5.0)
-
-    def test_trajectory_helper(self):
-        states = scaled_trajectory(DIFFUSION_LIMITED, 1.3, [0.0, 0.1, 0.2])
-        assert [s.tau for s in states] == [0.0, 0.1, 0.2]
-        assert states[0].z == 1.3
-        assert states[0].z > states[1].z > states[2].z
-        with pytest.raises(DomainError):
-            scaled_trajectory(DIFFUSION_LIMITED, 1.3, [0.2, 0.1])
-
-
-class TestScaledState:
-    def test_validation(self):
-        ScaledState(1.0, -2.0)
-        with pytest.raises(DomainError):
-            ScaledState(0.0, 0.0)
-        with pytest.raises(DomainError):
-            ScaledState(1.0, math.inf)

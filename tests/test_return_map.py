@@ -27,7 +27,6 @@ from ripening.return_map import (
     return_radius,
     return_radius_rate,
     return_size,
-    return_size_slope_at_one,
     return_time_ratio,
     solve_return_point,
 )
@@ -92,7 +91,6 @@ class TestReturnSize:
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_slope_at_fixed_point(self, regime):
-        assert return_size_slope_at_one(regime) == -1.0
         h = 1e-6
         fd = (return_size(regime, 1.0 + h) - 1.0) / h
         assert fd == pytest.approx(-1.0, abs=1e-4)
