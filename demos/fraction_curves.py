@@ -14,8 +14,8 @@ import numpy as np
 from ripening import (
     ATTACHMENT_LIMITED,
     DIFFUSION_LIMITED,
-    fraction_curve,
     initial_growth_rate,
+    new_volume_fraction,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -24,7 +24,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 def main():
     s_grid = np.geomspace(1.0, 200.0, 120)
     curves = {
-        regime.kind: fraction_curve(regime, s_grid)
+        regime.kind: new_volume_fraction(regime, s_grid)
         for regime in (DIFFUSION_LIMITED, ATTACHMENT_LIMITED)
     }
 
@@ -32,12 +32,8 @@ def main():
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "phi_dl", "phi_al"])
-        for i, s in enumerate(s_grid):
-            writer.writerow([
-                f"{s:.12g}",
-                f"{curves['dl'].fraction[i]:.12g}",
-                f"{curves['al'].fraction[i]:.12g}",
-            ])
+        for row in zip(s_grid, curves["dl"], curves["al"]):
+            writer.writerow([f"{v:.12g}" for v in row])
     print(f"wrote {out_csv}")
 
     for regime in (DIFFUSION_LIMITED, ATTACHMENT_LIMITED):
@@ -54,8 +50,8 @@ def main():
         return
 
     fig, ax = plt.subplots(figsize=(6, 4))
-    for kind, curve in curves.items():
-        ax.plot(curve.s, curve.fraction, label=kind)
+    for kind, phi in curves.items():
+        ax.plot(s_grid, phi, label=kind)
     ax.set_xscale("log")
     ax.set_xlabel("t / t0")
     ax.set_ylabel("new-volume fraction")

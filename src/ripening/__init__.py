@@ -41,8 +41,6 @@ from .return_map import (
 )
 from .distribution import SizeDistribution, density, size_distribution
 from .recrystallization import (
-    VolumeFractionCurve,
-    fraction_curve,
     fraction_from_start_size,
     initial_growth_rate,
     new_volume_fraction,
@@ -82,8 +80,7 @@ __all__ = [
     # distribution
     "density", "SizeDistribution", "size_distribution",
     # recrystallization
-    "VolumeFractionCurve", "new_volume_fraction", "fraction_from_start_size",
-    "fraction_curve", "initial_growth_rate",
+    "new_volume_fraction", "fraction_from_start_size", "initial_growth_rate",
     # ensemble
     "Ensemble", "Snapshot", "TimeSeries", "NewVolume", "init_ensemble",
     "measure_new_volume", "empirical_return_radius", "initial_order_preserved",

@@ -45,8 +45,27 @@ MAX_COUNT = 1_000_000  # largest --count: rows are all kept before writing
 MAX_PARTICLES = 1_000_000  # largest simulate --n; 10**6 already takes minutes
 
 
+def _finite_or_spelled(value):
+    """``value`` with every non-finite float, at any depth, replaced by the
+    string the CSV prints for it: ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "%.17g" % value
+    if isinstance(value, dict):
+        return {k: _finite_or_spelled(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_spelled(v) for v in value]
+    return value
+
+
 def _emit_json(stream, payload):
-    stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Strict JSON (RFC 8259) has no Infinity or NaN; only a payload that
+    # holds one pays for the second pass that spells them out.
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_spelled(payload), indent=2,
+                          sort_keys=True, allow_nan=False)
+    stream.write(text + "\n")
 
 
 def _comment(invocation: str, seed) -> str:

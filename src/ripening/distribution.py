@@ -204,9 +204,11 @@ class SizeDistribution:
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n independent draws from the density via inverse-CDF lookup.
 
-        Deterministic for a fixed seed, which must be an integer >= 0;
-        every sample lies in (0, z_max).
+        n and the seed must be integers, n >= 1 and seed >= 0; draws are
+        deterministic for a fixed seed and every one lies in (0, z_max).
         """
+        if not isinstance(n, (int, np.integer)):
+            raise DomainError(f"sample size must be an integer, got {n!r}")
         n = int(n)
         if n < 1:
             raise DomainError(f"sample size must be >= 1, got {n!r}")

@@ -222,7 +222,14 @@ class Snapshot:
     radii: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int64)
+        ids = np.asarray(self.ids)
+        if ids.dtype.kind not in "iu":
+            # Ids of an integer dtype, as Ensemble.snapshot passes, skip this.
+            real = np.asarray(ids, dtype=float)
+            whole = (np.trunc(real) == real) & (np.abs(real) < 2.0**63)
+            if not whole.all():
+                raise DataError(f"ids must be integers, got {float(real[~whole][0])!r}")
+        ids = np.asarray(ids, dtype=np.int64)
         radii = np.asarray(self.radii, dtype=float)
         if ids.shape != radii.shape or ids.ndim != 1:
             raise DataError("ids and radii must be 1-d arrays of equal length")
@@ -673,7 +680,8 @@ def init_ensemble(
 ) -> Ensemble:
     """Draw ``n`` radii from the regime's stationary size density, scaled by
     the starting critical radius ``r_c0``; particle ids are 0..n-1."""
-    n = int(n)
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise DomainError(f"need at least two particles, got n={n!r}")
     r_c0 = float(r_c0)

@@ -34,45 +34,18 @@ grid is one elementwise solve and one table read per window edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distribution import density, size_distribution
-from .errors import DomainError
 from .numerics import float_if_0d
 from .regime import Regime
 from .return_map import _log_ratio, initial_size_for_ratio
 
 __all__ = [
-    "VolumeFractionCurve",
     "new_volume_fraction",
     "fraction_from_start_size",
-    "fraction_curve",
     "initial_growth_rate",
 ]
-
-
-@dataclass(frozen=True)
-class VolumeFractionCurve:
-    """Sampled curve of the new-volume fraction over the time ratio s."""
-
-    regime: Regime
-    s: np.ndarray
-    fraction: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        f = np.asarray(self.fraction, dtype=float)
-        if s.shape != f.shape or s.ndim != 1:
-            raise DomainError("s and fraction must be 1-d arrays of equal length")
-        if s.size and (s[0] < 1.0 or np.any(np.diff(s) <= 0.0)):
-            raise DomainError("s values must be >= 1 and strictly increasing")
-        # Allow quadrature-level jitter in the flat saturated tail.
-        if np.any(f < -1e-12) or np.any(f > 1.0) or np.any(np.diff(f) < -1e-9):
-            raise DomainError("fractions must be nondecreasing within [0, 1]")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "fraction", f)
 
 
 def _window(regime: Regime, z0, a, complement: bool = False):
@@ -117,23 +90,6 @@ def new_volume_fraction(regime: Regime, s):
     """
     return _window(regime, initial_size_for_ratio(regime, s),
                    np.log(s) / regime.coarsening_exponent)
-
-
-def fraction_curve(regime: Regime, s_grid=None) -> VolumeFractionCurve:
-    """Evaluate the fraction on a sorted grid of time ratios.
-
-    The default grid is logarithmic from 1 to 1e3 with 200 points, which
-    covers the rise and the saturation plateau.  The whole grid is one
-    :func:`new_volume_fraction` call.
-    """
-    if s_grid is None:
-        s_grid = np.geomspace(1.0, 1e3, 200)
-    s = np.asarray(list(s_grid), dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise DomainError("s_grid must be a nonempty 1-d sequence")
-    if s[0] < 1.0 or np.any(np.diff(s) <= 0.0):
-        raise DomainError("s_grid must be sorted strictly increasing with s >= 1")
-    return VolumeFractionCurve(regime, s, new_volume_fraction(regime, s))
 
 
 def initial_growth_rate(regime: Regime) -> float:

@@ -247,6 +247,20 @@ class TestReturn:
         assert rc == 0
         assert json.loads(out)["variable"] == "s"
 
+    def test_json_spells_infinite_ratio(self, capsys):
+        # z0 = 1.4995 never returns (s = inf); JSON (RFC 8259) has no
+        # Infinity, so the field is the string the CSV prints.
+        rc, out, _ = run_cli(
+            capsys, "return", "--regime", "dl", "--z0", "1.4995", "--format", "json"
+        )
+        assert rc == 0
+
+        def refuse(name):
+            raise AssertionError(f"non-JSON constant {name} in the output")
+
+        row, = json.loads(out, parse_constant=refuse)["rows"]
+        assert row == {"z0": 1.4995, "s": "inf", "rho": 0.0}
+
 
 class TestPhi:
     def test_explicit_values(self, capsys):

@@ -289,6 +289,17 @@ class TestSampling:
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             size_distribution(DIFFUSION_LIMITED).sample(10, seed=-1)
 
+    @pytest.mark.parametrize("n", [2.7, 3.0, "3"])
+    def test_non_integer_sample_size(self, n):
+        # int(2.7) used to draw 2 samples without a word.
+        with pytest.raises(DomainError, match=re.escape(
+                f"sample size must be an integer, got {n!r}")):
+            size_distribution(DIFFUSION_LIMITED).sample(n, seed=1)
+
+    def test_numpy_integer_sample_size(self):
+        d = size_distribution(DIFFUSION_LIMITED)
+        assert np.array_equal(d.sample(np.int64(5), seed=1), d.sample(5, seed=1))
+
     @pytest.mark.parametrize("seed", [1.5, "1"])
     def test_non_integer_seed(self, seed):
         # numpy's generator refuses these with a TypeError.

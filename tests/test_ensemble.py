@@ -826,6 +826,22 @@ class TestSnapshotType:
         with pytest.raises(DataError, match="finite"):
             Snapshot(t, np.array([0, 1]), np.array(radii))
 
+    @pytest.mark.parametrize("ids", [
+        pytest.param([0.5, 1.7, 2.2], id="fractional"),
+        pytest.param([0, 1, 1.5], id="one-fractional"),
+        pytest.param([0, 1, math.nan], id="nan"),
+        pytest.param([0, 1, 1e19], id="beyond-int64"),
+    ])
+    def test_non_integer_ids_refused(self, ids):
+        # The int64 cast used to truncate [0.5, 1.7, 2.2] to [0, 1, 2]
+        # without a word, and to refuse [0, 1, 1.5] as not increasing.
+        with pytest.raises(DataError, match="ids must be integers"):
+            Snapshot(0.0, ids, [1.0, 2.0, 3.0])
+
+    def test_whole_float_ids_kept(self):
+        s = Snapshot(0.0, [0.0, 2.0], [1.0, 2.0])
+        assert s.ids.dtype == np.int64 and s.ids.tolist() == [0, 2]
+
     def test_write_protected(self):
         s = Snapshot(0.0, np.array([0, 1]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -943,6 +959,20 @@ class TestInitEnsemble:
             init_ensemble(DIFFUSION_LIMITED, 10, 0.0, seed=0)
         with pytest.raises(DomainError, match="seed must be >= 0"):
             init_ensemble(DIFFUSION_LIMITED, 10, 1.0, seed=-1)
+
+    @pytest.mark.parametrize("n", [3.9, 10.0, "10"])
+    def test_non_integer_count(self, n):
+        # int(3.9) used to build 3 particles without a word.
+        match = re.escape(f"n must be an integer, got {n!r}")
+        with pytest.raises(DomainError, match=match):
+            init_ensemble(DIFFUSION_LIMITED, n, 1.0, seed=0)
+        with pytest.raises(DomainError, match=match):
+            simulate_late_stage(DIFFUSION_LIMITED, n, 1.0, 2.0, [2.0], seed=0)
+
+    def test_numpy_integer_count(self):
+        a = init_ensemble(DIFFUSION_LIMITED, np.int64(10), 1.0, seed=5)
+        b = init_ensemble(DIFFUSION_LIMITED, 10, 1.0, seed=5)
+        assert np.array_equal(a.radii, b.radii)
 
 
 class TestLateStage:

@@ -17,8 +17,6 @@ import ripening.return_map as return_map
 from ripening.distribution import density, size_distribution
 from ripening.errors import DomainError
 from ripening.recrystallization import (
-    VolumeFractionCurve,
-    fraction_curve,
     fraction_from_start_size,
     initial_growth_rate,
     new_volume_fraction,
@@ -290,13 +288,6 @@ class TestWindowForms:
 
 
 class TestCurve:
-    def test_default_grid(self):
-        c = fraction_curve(DIFFUSION_LIMITED)
-        assert c.s[0] == 1.0 and c.s[-1] == pytest.approx(1e3)
-        assert c.s.size == 200
-        assert c.fraction[0] == 0.0
-        assert np.all(np.diff(c.fraction) > 0.0)
-
     @pytest.mark.parametrize("regime", BOTH)
     def test_one_solve_per_grid(self, regime, monkeypatch):
         # The whole grid is one array solve, with the scalar values.
@@ -306,40 +297,19 @@ class TestCurve:
             brackets.append(np.shape(lo))
             return solve(f, lo, *args, **kwargs)
 
+        s = np.geomspace(1.0, 1e3, 200)
         monkeypatch.setattr(return_map, "find_root", counting)
-        c = fraction_curve(regime)
+        phi = new_volume_fraction(regime, s)
         monkeypatch.undo()
         assert brackets == [(200,)]
-        assert c.fraction.tolist() == [new_volume_fraction(regime, s) for s in c.s]
-
-    def test_custom_grid(self):
-        c = fraction_curve(ATTACHMENT_LIMITED, [1.0, 1.5, 2.0, 3.0])
-        assert c.fraction[1] == pytest.approx(PHI_AL[1.5], abs=1e-9)
-        assert c.fraction[3] == pytest.approx(PHI_AL[3.0], abs=1e-9)
-
-    def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            fraction_curve(DIFFUSION_LIMITED, [2.0, 1.5])
-        with pytest.raises(DomainError):
-            fraction_curve(DIFFUSION_LIMITED, [0.5, 1.5])
-        with pytest.raises(DomainError):
-            fraction_curve(DIFFUSION_LIMITED, [])
-
-    def test_curve_validation(self):
-        s = np.array([1.0, 2.0])
-        with pytest.raises(DomainError):
-            VolumeFractionCurve(DIFFUSION_LIMITED, s, np.array([0.5, 0.2]))
-        with pytest.raises(DomainError):
-            VolumeFractionCurve(
-                DIFFUSION_LIMITED, s, np.array([0.0, np.nextafter(1.0, 2.0)])
-            )
-        VolumeFractionCurve(DIFFUSION_LIMITED, s, np.array([0.0, 0.4]))
+        assert phi.tolist() == [new_volume_fraction(regime, v) for v in s]
+        assert phi[0] == 0.0
+        assert np.all(np.diff(phi) > 0.0)
 
     def test_saturated_grid(self):
-        # phi rounds to exactly 1.0 from s ~ 9e11 (al); the curve admits it.
-        c = fraction_curve(ATTACHMENT_LIMITED, np.geomspace(1.0, 1e12, 200))
-        assert c.fraction[-1] <= 1.0
-        assert c.fraction[-1] > 1.0 - 1e-12
+        # phi rounds to exactly 1.0 from s ~ 9e11 (al) and never exceeds it.
+        phi = new_volume_fraction(ATTACHMENT_LIMITED, np.geomspace(1.0, 1e12, 200))
+        assert 1.0 - 1e-12 < phi[-1] <= 1.0
 
 
 class TestCrossRegime:
