@@ -91,12 +91,12 @@ same fine runs, more than this scheme does at its default 1.6e-2 with an
 eighth of the substeps.
 
 The volumes are stored sorted by radius, with particle ids carried in the
-same order; ``Ensemble.ids``, ``Ensemble.radii`` and ``Ensemble.snapshot``
-present them in id order, so outputs do not depend on the storage.  Sorted
-storage makes every set the stepper needs a prefix or a suffix: the
-prefix below R_c/2 and its dissolving start.  ``R = cbrt(y)`` and the mean
-field are computed once per update and shared by the step size, the
-stages, the flow and the series recorder.
+same order; ``Ensemble.snapshot`` presents them in id order, so outputs do
+not depend on the storage.  Sorted storage makes every set the stepper
+needs a prefix or a suffix: the prefix below R_c/2 and its dissolving
+start.  ``R = cbrt(y)`` and the mean field are computed once per update
+and shared by the step size, the stages, the flow and the series
+recorder.
 
 The state is updated in place.  ``_advance`` allocates its full-size work
 arrays once per call, at the current size and on cache-line boundaries, and
@@ -223,12 +223,16 @@ class Snapshot:
 
     def __post_init__(self):
         ids = np.asarray(self.ids)
-        if ids.dtype.kind not in "iu":
-            # Ids of an integer dtype, as Ensemble.snapshot passes, skip this.
-            real = np.asarray(ids, dtype=float)
-            whole = (np.trunc(real) == real) & (np.abs(real) < 2.0**63)
-            if not whole.all():
-                raise DataError(f"ids must be integers, got {float(real[~whole][0])!r}")
+        if ids.dtype.kind != "i":
+            # Signed integer ids, as Ensemble.snapshot passes, skip this.
+            if ids.dtype.kind == "u":
+                bad = ids > np.iinfo(np.int64).max
+            else:
+                real = np.asarray(ids, dtype=float)
+                bad = ~((np.trunc(real) == real) & (np.abs(real) < 2.0**63))
+            if bad.any():
+                raise DataError("ids must be integers in the int64 range, "
+                                f"got {ids[bad][:1].tolist()[0]!r}")
         ids = np.asarray(ids, dtype=np.int64)
         radii = np.asarray(self.radii, dtype=float)
         if ids.shape != radii.shape or ids.ndim != 1:
@@ -272,10 +276,11 @@ class NewVolume:
 class Ensemble:
     """Mutable population of particle radii under one regime's dynamics.
 
-    The volumes are stored sorted by radius, with the particle ids carried
-    in the same order; ``ids``, ``radii`` and :meth:`snapshot` present them
-    in id order.  Sorted storage turns every set the stepper needs into a
-    prefix or a suffix.  A substep (see the module docstring):
+    :meth:`run` advances the state and :meth:`snapshot` reads it.  The
+    volumes are stored sorted by radius, with the particle ids carried in
+    the same order; :meth:`snapshot` presents them in id order.  Sorted
+    storage turns every set the stepper needs into a prefix or a suffix.
+    A substep (see the module docstring):
 
     1. splits the state at R_c/2, takes the step size from the mean field
        alone, ``step_fraction / (4 u**3)`` (dl) or
@@ -303,8 +308,8 @@ class Ensemble:
 
     The initial sort is numpy's default argsort, which may order equal
     volumes either way (0.27 ms against 1.65 ms for a stable one at
-    N = 20 000).  No output depends on that order: ``ids``, ``radii`` and
-    snapshots are in id order; equal volumes get equal updates; permuting
+    N = 20 000).  No output depends on that order: snapshots are in id
+    order; equal volumes get equal updates; permuting
     equal values changes no pairwise sum; and every cut is a
     ``searchsorted``, which keeps ties together.  :meth:`_resort` stays
     stable.
@@ -375,15 +380,6 @@ class Ensemble:
         return int(self._y.size)
 
     @property
-    def ids(self) -> np.ndarray:
-        return np.sort(self._ids)
-
-    @property
-    def radii(self) -> np.ndarray:
-        """Radii in id order."""
-        return np.cbrt(self._y[np.argsort(self._ids)])
-
-    @property
     def work(self) -> dict:
         """Deterministic work counts since construction: substeps taken,
         re-sorts of the state after an update, the prefix particles moved
@@ -408,6 +404,7 @@ class Ensemble:
         return FOUR_THIRDS_PI * float(np.sum(self._y))
 
     def snapshot(self) -> Snapshot:
+        """The current time, ids and radii, in id order."""
         order = np.argsort(self._ids)
         return Snapshot(self._t, self._ids[order], np.cbrt(self._y[order]))
 
@@ -550,13 +547,6 @@ class Ensemble:
             if recorder is not None:
                 recorder(t_next, n, 1.0 / u, float(_sum(y)))
 
-    def step(self, dt: float):
-        """Advance the ensemble by ``dt`` (internally substepped)."""
-        dt = float(dt)
-        if not (dt > 0.0 and math.isfinite(dt)):
-            raise DomainError(f"dt must be positive and finite, got {dt!r}")
-        self._advance(self._t + dt)
-
     def run(self, t_end: float, snapshot_times=()):
         """Advance to ``t_end``, returning snapshots at the requested times
         plus a per-substep :class:`TimeSeries` of diagnostics.
@@ -616,32 +606,33 @@ def _lifetime(x, p: int) -> np.ndarray:
     """``g_p(x)``, the time a particle at ``x = u R < 1`` takes to dissolve
     under the frozen field ``u``, in units of ``u**-p``:
     ``-(log1p(-x) + x + x**2/2)`` for ``p = 3`` (dl) and
-    ``-(log1p(-x) + x)`` for ``p = 2`` (al), elementwise over a 1-d
-    array.  Below ``x = 0.05`` the terms cancel, and the series
-    ``x**p sum_k x**k/(k + p)`` is summed instead."""
-    x = np.asarray(x, dtype=float)
-    g = np.negative(x)
-    np.log1p(g, out=g)
+    ``-(log1p(-x) + x)`` for ``p = 2`` (al), elementwise over an
+    ascending 1-d array.  Below ``x = 0.05`` the terms cancel, and the
+    series ``x**p sum_k x**k/(k + p)`` is summed instead: over the start
+    of ``x``, the closed form over the rest."""
+    i = int(x.searchsorted(_SERIES_TOP))
+    g = np.empty_like(x)
+    xc, gc = x[i:], g[i:]
+    np.negative(xc, out=gc)
+    np.log1p(gc, out=gc)
     if p == 3:
         # x * (1 + x/2), as x * (1.0 + 0.5 * x) rounds it
-        t = np.multiply(x, _HALF)
+        t = np.multiply(xc, _HALF)
         t += _ONE
-        t *= x
-        g += t
+        t *= xc
+        gc += t
     else:
-        g += x
-    np.negative(g, out=g)
-    small = np.less(x, _SERIES_TOP)
-    if _any(small):
-        xs = x[small]
+        gc += xc
+    np.negative(gc, out=gc)
+    if i:
+        xs = x[:i]
         coeffs = _SERIES[p]
-        acc = np.multiply(xs, coeffs[0])
+        acc = np.multiply(xs, coeffs[0], out=g[:i])
         acc += coeffs[1]
         for c in coeffs[2:]:
             acc *= xs
             acc += c
         acc *= np.power(xs, _P_0D[p])
-        g[small] = acc
     return g
 
 
@@ -691,7 +682,10 @@ def init_ensemble(
     return Ensemble(regime, r_c0 * z, **ensemble_options)
 
 
-def _align(before: Snapshot, after: Snapshot) -> np.ndarray:
+def _align(before: Snapshot, after: Snapshot):
+    """The particles of ``after`` matched by id to ``before``: their radii
+    at ``before`` and at ``after``, and the mask of those that grew or kept
+    their size, ``(r0, r1, r1 >= r0)``."""
     if after.t < before.t:
         raise DataError(
             f"'after' snapshot precedes 'before' ({after.t!r} < {before.t!r})"
@@ -705,23 +699,29 @@ def _align(before: Snapshot, after: Snapshot) -> np.ndarray:
         # them when both ends lie in range.
         if ids[0] < 0 or ids[-1] >= n:
             raise DataError("'after' ids are not a subset of 'before' ids")
-        return ids
-    idx = np.searchsorted(before.ids, ids)
-    if np.any(idx >= n) or np.any(before.ids[np.minimum(idx, n - 1)] != ids):
-        raise DataError("'after' ids are not a subset of 'before' ids")
-    return idx
+        idx = ids
+    else:
+        idx = np.searchsorted(before.ids, ids)
+        if (np.any(idx >= n)
+                or np.any(before.ids[np.minimum(idx, n - 1)] != ids)):
+            raise DataError("'after' ids are not a subset of 'before' ids")
+    r0, r1 = before.radii[idx], after.radii
+    return r0, r1, r1 >= r0
 
 
 def measure_new_volume(before: Snapshot, after: Snapshot) -> NewVolume:
     """Volume formed between two snapshots: the sum of R(t)^3 - R(t0)^3 over
     particles that are at least as large as they started, as an absolute
-    volume and as a fraction of the current total."""
-    idx = _align(before, after)
-    r0 = before.radii[idx]
-    r1 = after.radii
-    grown = r1 >= r0
-    volume = FOUR_THIRDS_PI * float(np.sum(r1[grown] ** 3 - r0[grown] ** 3))
-    total = FOUR_THIRDS_PI * float(np.sum(r1**3))
+    volume and as a fraction of the current total.  A total volume past
+    the float range is refused."""
+    r0, r1, grown = _align(before, after)
+    with np.errstate(over="ignore"):
+        cubes = r1**3
+        total = FOUR_THIRDS_PI * float(np.sum(cubes))
+    if not math.isfinite(total):
+        raise DataError(f"the total volume of the snapshot at t={after.t!r} "
+                        "overflows a float")
+    volume = FOUR_THIRDS_PI * float(np.sum(cubes[grown] - r0[grown] ** 3))
     return NewVolume(volume, volume / total)
 
 
@@ -729,9 +729,7 @@ def empirical_return_radius(before: Snapshot, after: Snapshot) -> float:
     """Boundary initial radius separating particles still above their
     starting size from those already below it again: the midpoint between
     the largest shrunk and the smallest grown initial radius."""
-    idx = _align(before, after)
-    r0 = before.radii[idx]
-    grown = after.radii >= r0
+    r0, _, grown = _align(before, after)
     if not np.any(grown) or np.all(grown):
         raise DataError("no grown/shrunk boundary between these snapshots")
     return 0.5 * (float(np.max(r0[~grown])) + float(np.min(r0[grown])))
@@ -741,9 +739,7 @@ def initial_order_preserved(before: Snapshot, after: Snapshot) -> bool:
     """True when the grown set is an up-set in initial radius, i.e. the
     mean-field ordering survived: every grown particle started above every
     shrunk one."""
-    idx = _align(before, after)
-    r0 = before.radii[idx]
-    grown = after.radii >= r0
+    r0, _, grown = _align(before, after)
     if not np.any(grown) or np.all(grown):
         return True
     return float(np.max(r0[~grown])) < float(np.min(r0[grown]))

@@ -80,8 +80,9 @@ class TestConstruction:
         ens = Ensemble(DIFFUSION_LIMITED, [1.0, 2.0, 3.0], start_time=5.0)
         assert ens.t == 5.0
         assert ens.n == 3
-        assert list(ens.ids) == [0, 1, 2]
-        assert ens.radii == pytest.approx([1.0, 2.0, 3.0])
+        snap = ens.snapshot()
+        assert list(snap.ids) == [0, 1, 2]
+        assert snap.radii == pytest.approx([1.0, 2.0, 3.0])
 
 
 class TestMeanField:
@@ -108,15 +109,15 @@ class TestMeanField:
 class TestStepping:
     def test_uniform_population_is_stationary(self):
         ens = Ensemble(DIFFUSION_LIMITED, [1.0, 1.0, 1.0])
-        ens.step(2.0)
-        assert ens.radii == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
+        ens.run(ens.t + 2.0)
+        assert ens.snapshot().radii == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
         assert ens.t == 2.0
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_volume_conserved_with_deletions(self, regime):
         ens = init_ensemble(regime, 600, 1.0, seed=2)
         start = ens.total_volume()
-        ens.step(3.0)
+        ens.run(ens.t + 3.0)
         assert ens.work["dissolved"] == 600 - ens.n > 0
         drift = abs(ens.total_volume() - start) / start
         assert drift < 1e-12
@@ -128,43 +129,37 @@ class TestStepping:
         # it in the first one and its volume goes to the survivors.
         ens = Ensemble(regime, [tiny, 1.0, 1.0, 2.0])
         start = ens.total_volume()
-        ens.step(1e-3)
+        ens.run(ens.t + 1e-3)
         assert ens.work["dissolved"] == 1
-        assert ens.n == 3 and list(ens.ids) == [1, 2, 3]
+        assert ens.n == 3 and list(ens.snapshot().ids) == [1, 2, 3]
         assert abs(ens.total_volume() - start) <= 4e-16 * start
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_big_grow_small_shrink(self, regime):
         ens = Ensemble(regime, [0.5, 1.0, 2.0])
-        ens.step(1e-2)
-        assert list(ens.ids) == [0, 1, 2]
-        r = ens.radii
+        ens.run(ens.t + 1e-2)
+        snap = ens.snapshot()
+        assert list(snap.ids) == [0, 1, 2]
+        r = snap.radii
         assert r[0] < 0.5 and r[2] > 2.0
 
     def test_two_particle_collapse(self):
         ens = Ensemble(DIFFUSION_LIMITED, [0.5, 2.0])
         with pytest.raises(StateError):
-            ens.step(5.0)
-
-    def test_dt_validation(self):
-        ens = Ensemble(DIFFUSION_LIMITED, [1.0, 2.0])
-        with pytest.raises(DomainError):
-            ens.step(0.0)
-        with pytest.raises(DomainError):
-            ens.step(-1.0)
+            ens.run(ens.t + 5.0)
 
     def test_step_that_does_not_advance_is_refused(self):
         # h = step_fraction / (4 u**3) is about 1e-302 here, below half an
         # ulp of t = 1: the stepper would loop without advancing time.
         ens = Ensemble(DIFFUSION_LIMITED, [1e-100, 2e-100], start_time=1.0)
-        radii = ens.radii
+        radii = ens.snapshot().radii
         with pytest.raises(StateError, match="does not advance t=1.0"):
-            ens.step(1.0)
+            ens.run(ens.t + 1.0)
         assert ens.t == 1.0
-        assert np.array_equal(ens.radii, radii)
+        assert np.array_equal(ens.snapshot().radii, radii)
 
     def test_substeps_shrink_with_step_fraction(self):
-        radii = init_ensemble(DIFFUSION_LIMITED, 200, 1.0, seed=3).radii
+        radii = init_ensemble(DIFFUSION_LIMITED, 200, 1.0, seed=3).snapshot().radii
         counts = []
         for frac in (1e-2, 1e-3):
             ens = Ensemble(DIFFUSION_LIMITED, radii, step_fraction=frac)
@@ -379,16 +374,14 @@ class TestSortedState:
     def test_views_in_id_order(self, regime):
         ens = Ensemble(regime, [3.0, 1.0, 2.0])
         for _ in range(2):
-            assert list(ens.ids) == [0, 1, 2]
             snap = ens.snapshot()
             assert list(snap.ids) == [0, 1, 2]
-            assert np.array_equal(snap.radii, ens.radii)
-            r = ens.radii
+            r = snap.radii
             assert r[0] > r[2] > r[1]
-            ens.step(0.01)
+            ens.run(ens.t + 0.01)
         assert ens.n == 3
-        assert Ensemble(regime, [3.0, 1.0, 2.0]).radii == pytest.approx(
-            [3.0, 1.0, 2.0]
+        assert Ensemble(regime, [3.0, 1.0, 2.0]).snapshot().radii == (
+            pytest.approx([3.0, 1.0, 2.0])
         )
 
     # The base times, and the smallest t0 that simulate_late_stage accepts:
@@ -418,13 +411,14 @@ class TestSortedState:
         t0 = 225.0 if regime.kind == "dl" else 200.0
         ens = init_ensemble(regime, 1000, critical_radius(regime, 0.0, t0), seed=1)
         substeps, ids, radii = _reference_run(
-            regime, ens.radii, t0, step_fraction=ens.step_fraction
+            regime, ens.snapshot().radii, t0, step_fraction=ens.step_fraction
         )
-        ens.step(t0)
+        ens.run(ens.t + t0)
+        snap = ens.snapshot()
         assert ens.work["substeps"] == substeps
-        assert np.array_equal(ens.ids, ids)
+        assert np.array_equal(snap.ids, ids)
         assert ens.work["dissolved"] == 1000 - ids.size > 0
-        assert np.max(np.abs(ens.radii - radii) / radii) <= 1e-12
+        assert np.max(np.abs(snap.radii - radii) / radii) <= 1e-12
         # Only the flowed prefix and the seam can invert (see the module
         # docstring), and only volumes within the flow's rounding of each
         # other; drawn volumes are far apart, in either regime.
@@ -438,13 +432,14 @@ class TestSortedState:
         t0 = 225.0 if regime.kind == "dl" else 200.0
         ens = init_ensemble(regime, 1000, critical_radius(regime, 0.0, t0), seed=1)
         substeps, ids, radii = _reference_run(
-            regime, ens.radii, t0, step_fraction=ens.step_fraction,
+            regime, ens.snapshot().radii, t0, step_fraction=ens.step_fraction,
             folded=False,
         )
-        ens.step(t0)
+        ens.run(ens.t + t0)
+        snap = ens.snapshot()
         assert ens.work["substeps"] == substeps
-        assert np.array_equal(ens.ids, ids)
-        assert np.max(np.abs(ens.radii - radii) / radii) <= 1e-12
+        assert np.array_equal(snap.ids, ids)
+        assert np.max(np.abs(snap.radii - radii) / radii) <= 1e-12
 
     @staticmethod
     def _assert_bitwise_equal(regime, radii, t0):
@@ -471,7 +466,7 @@ class TestSortedState:
         t0 = 225.0 if regime.kind == "dl" else 200.0
         radii = init_ensemble(
             regime, 2000, critical_radius(regime, 0.0, t0), seed=seed
-        ).radii
+        ).snapshot().radii
         work = self._assert_bitwise_equal(regime, radii, t0)
         assert work["dissolved"] > 0 and work["flowed"] > 0
 
@@ -483,7 +478,7 @@ class TestSortedState:
         r_c = critical_radius(regime, 0.0, t0)
         z = np.linspace(0.05, 0.7, 300) * r_c
         radii = np.concatenate([
-            init_ensemble(regime, 2000, r_c, seed=1).radii,
+            init_ensemble(regime, 2000, r_c, seed=1).snapshot().radii,
             z, np.nextafter(z, np.inf),
         ])
         work = self._assert_bitwise_equal(regime, radii, t0)
@@ -496,7 +491,7 @@ class TestSortedState:
         # snapshots, series and work as the same state sorted stably.
         t0 = 225.0 if regime.kind == "dl" else 200.0
         drawn = init_ensemble(regime, 3000, critical_radius(regime, 0.0, t0),
-                              seed=1).radii
+                              seed=1).snapshot().radii
         radii = np.concatenate([drawn, drawn[:2200]])
         ens, ref = Ensemble(regime, radii), Ensemble(regime, radii)
         y = radii**3
@@ -507,8 +502,9 @@ class TestSortedState:
         (snaps, series), (ref_snaps, ref_series) = (
             e.run(t0, [0.5 * t0, t0]) for e in (ens, ref)
         )
-        assert np.array_equal(ens.ids, ref.ids)
-        assert np.array_equal(ens.radii, ref.radii)
+        snap, ref_snap = ens.snapshot(), ref.snapshot()
+        assert np.array_equal(snap.ids, ref_snap.ids)
+        assert np.array_equal(snap.radii, ref_snap.radii)
         assert ens.work == ref.work and ens.work["dissolved"] > 0
         for name in ("t", "n", "rc_estimate", "total_r3"):
             assert np.array_equal(getattr(series, name),
@@ -609,10 +605,10 @@ class TestExactFlow:
 
     # x spans the series (below 0.05), its edge and the closed form up to
     # the flow's top, x = 0.75 (a prefix particle starts below 1/2 under
-    # a field capped at 1.5 u).
-    X = np.concatenate([np.geomspace(1e-90, 0.75, 150),
-                        np.linspace(0.045, 0.055, 11),
-                        np.linspace(0.7, 0.75, 6)])
+    # a field capped at 1.5 u), ascending as _flow passes it.
+    X = np.sort(np.concatenate([np.geomspace(1e-90, 0.75, 150),
+                                np.linspace(0.045, 0.055, 11),
+                                np.linspace(0.7, 0.75, 6)]))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_lifetime_against_mpmath(self, p):
@@ -646,14 +642,12 @@ class TestExactFlow:
     def test_same_bits_as_references(self, p):
         # The flow's constants and in-place passes reorder no operation:
         # both functions equal the one-array-per-operation references bit
-        # for bit, on X (series branch included) and on a shuffled copy.
-        shuffled = np.random.default_rng(5).permutation(self.X)
-        assert np.any(shuffled < 0.05) and np.any(shuffled >= 0.05)
-        for x in (self.X, shuffled):
-            tau = _ref_lifetime(x, p)
-            assert np.array_equal(_lifetime(x, p), tau)
-            assert np.array_equal(_inverse_lifetime(tau, p),
-                                  _ref_inverse_lifetime(tau, p))
+        # for bit, on X, series branch included.
+        assert np.any(self.X < 0.05) and np.any(self.X >= 0.05)
+        tau = _ref_lifetime(self.X, p)
+        assert np.array_equal(_lifetime(self.X, p), tau)
+        assert np.array_equal(_inverse_lifetime(tau, p),
+                              _ref_inverse_lifetime(tau, p))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_inverse_at_the_range_bound(self, p):
@@ -684,7 +678,7 @@ class TestExactFlow:
 
         monkeypatch.setattr(Ensemble, "_flow", spy)
         ens._field_rate = 1e6
-        ens.step(0.5)
+        ens.run(ens.t + 0.5)
         assert seen[0][0] == 1.5
         assert max(x for _, x in seen) <= 0.75 * (1.0 + 1e-15)
         assert np.all(ens._y[1:] >= ens._y[:-1])
@@ -701,7 +695,7 @@ class TestExactFlow:
         t0 = 225.0 if regime.kind == "dl" else 200.0
         radii = init_ensemble(
             regime, 2000, critical_radius(regime, 0.0, t0), seed=1
-        ).radii
+        ).snapshot().radii
         fine = _phi_at_snapshots(Ensemble(regime, radii, step_fraction=1e-3), t0)
         err = [
             float(np.max(np.abs(_phi_at_snapshots(
@@ -831,12 +825,26 @@ class TestSnapshotType:
         pytest.param([0, 1, 1.5], id="one-fractional"),
         pytest.param([0, 1, math.nan], id="nan"),
         pytest.param([0, 1, 1e19], id="beyond-int64"),
+        pytest.param(np.array([0, 1, 2**63], dtype=np.uint64),
+                     id="uint64-past-int64"),
+        pytest.param(np.array([0, 1, 2**64 - 1], dtype=np.uint64),
+                     id="uint64-max"),
     ])
     def test_non_integer_ids_refused(self, ids):
         # The int64 cast used to truncate [0.5, 1.7, 2.2] to [0, 1, 2]
-        # without a word, and to refuse [0, 1, 1.5] as not increasing.
+        # without a word, to refuse [0, 1, 1.5] as not increasing, and to
+        # wrap unsigned ids past the int64 maximum to negative ones.
         with pytest.raises(DataError, match="ids must be integers"):
             Snapshot(0.0, ids, [1.0, 2.0, 3.0])
+
+    def test_unsigned_ids(self):
+        # An unsigned id past the int64 maximum is named exactly (it used
+        # to become -2**63); one within it is kept.
+        with pytest.raises(DataError, match=re.escape(
+                "in the int64 range, got 9223372036854775808")):
+            Snapshot(0.0, [2**63], [1.0])
+        ids = np.array([0, 2**63 - 1], dtype=np.uint64)
+        assert Snapshot(0.0, ids, [1.0, 2.0]).ids.tolist() == [0, 2**63 - 1]
 
     def test_whole_float_ids_kept(self):
         s = Snapshot(0.0, [0.0, 2.0], [1.0, 2.0])
@@ -897,19 +905,50 @@ class TestSnapshotComparators:
 
     def test_alignment_paths_agree(self):
         # ids 0..n-1 in 'before' index themselves; any other 'before' takes
-        # the searchsorted path, and both find the same positions.
+        # the searchsorted path, and both find the same positions.  Each
+        # radius of 'before' is its position plus one, so the aligned r0
+        # names the positions found.
         before = Snapshot(1.0, np.arange(6), np.arange(1.0, 7.0))
         for ids in ([0, 2, 5], [3], [0, 1, 2, 3, 4, 5], [1, 4]):
-            after = Snapshot(2.0, np.array(ids), np.ones(len(ids)))
-            assert np.array_equal(_align(before, after),
-                                  np.searchsorted(before.ids, after.ids))
+            after = Snapshot(2.0, np.array(ids), np.full(len(ids), 3.5))
+            r0, r1, grown = _align(before, after)
+            assert np.array_equal(
+                r0, np.searchsorted(before.ids, after.ids) + 1.0)
+            assert np.array_equal(r1, after.radii)
+            assert np.array_equal(grown, r1 >= r0)
         subsets = [(np.array([0, 2, 3, 4]), [2, 4], [1, 3]),
                    (np.array([1, 2, 3]), [1, 3], [0, 2]),
                    (np.array([0, 1, 2, 5]), [0, 5], [0, 3])]
         for before_ids, ids, want in subsets:
-            before = Snapshot(1.0, before_ids, np.ones(before_ids.size))
+            before = Snapshot(1.0, before_ids,
+                              np.arange(1.0, before_ids.size + 1.0))
             after = Snapshot(2.0, np.array(ids), np.ones(len(ids)))
-            assert _align(before, after).tolist() == want
+            assert (_align(before, after)[0] - 1.0).tolist() == want
+
+    @pytest.mark.parametrize("after_radii", [[0.5, 3.5, 4.5, 5.5],
+                                             [1.5, 2.9, 4.5, 5.5]])
+    def test_comparators_on_offset_ids(self, after_radii):
+        # 'before' ids 10..14 take _align's searchsorted path; every
+        # comparator gives what it gives on the same pair with ids 0..4.
+        pair = _pair(after_radii)
+        offset = [Snapshot(s.t, s.ids + 10, s.radii) for s in pair]
+        assert measure_new_volume(*offset) == measure_new_volume(*pair)
+        assert (empirical_return_radius(*offset)
+                == empirical_return_radius(*pair))
+        assert (initial_order_preserved(*offset)
+                == initial_order_preserved(*pair))
+
+    @pytest.mark.parametrize("before_radii, after_radii", [
+        pytest.param([1e200, 1.0], [1.1e200, 1.0], id="cube-overflows"),
+        pytest.param([5e102, 5e102], [5e102, 5e102], id="sum-overflows"),
+    ])
+    def test_volume_overflow_refused(self, before_radii, after_radii):
+        # The cubes or their sum pass the float maximum: this used to
+        # return NewVolume(nan, nan) with a RuntimeWarning.
+        before = Snapshot(1.0, [0, 1], before_radii)
+        after = Snapshot(2.0, [0, 1], after_radii)
+        with pytest.raises(DataError, match="total volume .* overflows"):
+            measure_new_volume(before, after)
 
     @pytest.mark.parametrize("before_ids, after_ids", [
         pytest.param([0, 1, 2, 3], [2, 4], id="id-past-n"),
@@ -938,19 +977,19 @@ class TestInitEnsemble:
     def test_deterministic(self):
         a = init_ensemble(DIFFUSION_LIMITED, 100, 2.0, seed=5)
         b = init_ensemble(DIFFUSION_LIMITED, 100, 2.0, seed=5)
-        assert np.array_equal(a.radii, b.radii)
+        assert np.array_equal(a.snapshot().radii, b.snapshot().radii)
 
     def test_scales_with_rc0(self):
         a = init_ensemble(DIFFUSION_LIMITED, 100, 1.0, seed=5)
         b = init_ensemble(DIFFUSION_LIMITED, 100, 3.0, seed=5)
-        assert b.radii == pytest.approx(3.0 * a.radii)
+        assert b.snapshot().radii == pytest.approx(3.0 * a.snapshot().radii)
 
     def test_mean_radius_matches_density(self):
         # dl mean scaled size is 1, al is 8/9.
         a = init_ensemble(DIFFUSION_LIMITED, 50_000, 1.0, seed=8)
-        assert float(np.mean(a.radii)) == pytest.approx(1.0, rel=5e-3)
+        assert float(np.mean(a.snapshot().radii)) == pytest.approx(1.0, rel=5e-3)
         b = init_ensemble(ATTACHMENT_LIMITED, 50_000, 1.0, seed=8)
-        assert float(np.mean(b.radii)) == pytest.approx(8.0 / 9.0, rel=5e-3)
+        assert float(np.mean(b.snapshot().radii)) == pytest.approx(8.0 / 9.0, rel=5e-3)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -972,7 +1011,7 @@ class TestInitEnsemble:
     def test_numpy_integer_count(self):
         a = init_ensemble(DIFFUSION_LIMITED, np.int64(10), 1.0, seed=5)
         b = init_ensemble(DIFFUSION_LIMITED, 10, 1.0, seed=5)
-        assert np.array_equal(a.radii, b.radii)
+        assert np.array_equal(a.snapshot().radii, b.snapshot().radii)
 
 
 class TestLateStage:
