@@ -16,7 +16,8 @@ Families, each in both regimes:
   values) on 2 000 ``z0`` from 1 to ``z_max - 1e-9``, and ``return_radius``
   (``r_c0`` 0 and 0.7) on 2 000 times from 1 to 1e300, as scalar and as
   array calls;
-* every file of ``simulate --seed {1,2}`` and of the CI's table commands.
+* every file of ``simulate --seed {1,2}`` and of six table commands
+  (``TABLE_COMMANDS``); CI checks the CSV fields of all of them.
 
 Floats are hashed as ``float.hex``, files as their bytes.
 """

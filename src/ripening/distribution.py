@@ -199,7 +199,7 @@ class SizeDistribution:
         z = np.asarray(z, dtype=float)
         check_entries(z, np.isfinite(z), "scaled sizes must be finite, got %r")
         z_tab, h_tab = self.cdf_table
-        return np.interp(z, z_tab, h_tab)
+        return float_if_0d(np.interp(z, z_tab, h_tab))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n independent draws from the density via inverse-CDF lookup.

@@ -130,13 +130,13 @@ default runs at N = 20 000, seeds 1–5, no update needed one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .csvtable import write_table
 from .distribution import size_distribution
-from .errors import DataError, DomainError, StateError
+from .errors import DataError, DomainError, StateError, check_entries
 from .recrystallization import new_volume_fraction
 from .regime import Regime, coarsening_slope, critical_radius
 from .return_map import return_radius
@@ -321,8 +321,6 @@ class Ensemble:
     radii:
         Initial particle radii, at least two, each with a cube that is a
         positive normal float (about 2.8e-103 to 5.6e102).
-    start_time:
-        Clock value of the initial state; finite.
     step_fraction:
         The largest ``|dR|/R`` of a particle at or above half the critical
         radius in one substep.  Over ``R >= R_c/2`` the relative volume
@@ -340,7 +338,6 @@ class Ensemble:
         regime: Regime,
         radii,
         *,
-        start_time: float = 0.0,
         step_fraction: float = 1.6e-2,
     ):
         radii = np.asarray(radii, dtype=float)
@@ -355,17 +352,14 @@ class Ensemble:
             )
         if not 0.0 < step_fraction <= 0.1:
             raise DomainError("step_fraction must lie in (0, 0.1]")
-        start_time = float(start_time)
-        _require_finite("start_time", [start_time])
         self.regime = regime
         self.step_fraction = float(step_fraction)
-        self._t = start_time
+        # The clock counts the time since the state was given.
+        self._t = 0.0
         self._ids = np.argsort(y).astype(np.int64, copy=False)
         self._y = y[self._ids]
-        self._substeps = 0
-        self._resorts = 0
-        self._flowed = 0
-        self._dissolved = 0
+        self._work = dict.fromkeys(
+            ("substeps", "resorts", "flowed", "dissolved"), 0)
         # du/dt over the last full substep: the mid-step field's predictor.
         self._field_rate = 0.0
 
@@ -385,17 +379,10 @@ class Ensemble:
         re-sorts of the state after an update, the prefix particles moved
         by the exact flow, and the particles that dissolved inside a
         substep."""
-        return {
-            "substeps": self._substeps,
-            "resorts": self._resorts,
-            "flowed": self._flowed,
-            "dissolved": self._dissolved,
-        }
+        return dict(self._work)
 
     def mean_field(self) -> tuple[float, float]:
         """Self-consistent mean field u and the critical radius R_c = 1/u."""
-        if self._y.size == 0:
-            raise StateError("mean field undefined for an empty ensemble")
         u = self._field(np.cbrt(self._y))
         return u, 1.0 / u
 
@@ -422,16 +409,11 @@ class Ensemble:
     def _drop(self, k: int):
         """Remove the ``k`` smallest particles, dissolved inside a substep
         with their volume gone to the survivors."""
-        self._dissolved += k
+        self._work["dissolved"] += k
         # Views: the state is updated in place and never rebuilt, so a view
         # pins no stale buffer.
         self._y = self._y[k:]
         self._ids = self._ids[k:]
-        if self._y.size < 2:
-            raise StateError(
-                f"ensemble collapsed to {self._y.size} particle(s) at "
-                f"t={self._t!r}"
-            )
 
     def _resort(self):
         """Restore the radius order after an update: a stable argsort of
@@ -439,7 +421,7 @@ class Ensemble:
         order = self._y.argsort(kind="stable")
         self._y[:] = self._y[order]
         self._ids[:] = self._ids[order]
-        self._resorts += 1
+        self._work["resorts"] += 1
 
     def _flow(self, r, u, h):
         """Move the prefix of radii ``r`` (below R_c/2) by the exact flow
@@ -511,6 +493,9 @@ class Ensemble:
                 dissolved, flowed = self._flow(
                     r[:j], min(u + 0.5 * h * self._field_rate, _FIELD_CAP * u),
                     h)
+                if n - dissolved < 2:  # refused before the substep writes
+                    raise StateError(f"ensemble collapses to {n - dissolved} "
+                                     f"particle(s) after t={self._t!r}")
                 dy = float(_sum(flowed)) - float(_sum(yp))
                 yp[dissolved:] = flowed
             # Stage 2 of the suffix takes the one field under which the
@@ -534,14 +519,14 @@ class Ensemble:
             t_next = t_target if h >= remaining else self._t + h
             if dissolved:
                 self._drop(dissolved)
-            self._flowed += j - dissolved
+            self._work["flowed"] += j - dissolved
             y = self._y
             n = y.size
             seam = min(seam, n)
             if _any(np.less(y[1:seam], y[:seam - 1])):
                 self._resort()
             self._t = t_next
-            self._substeps += 1
+            self._work["substeps"] += 1
             r = np.cbrt(y, out=r_buf[:n])
             u = self._field(r, hk2_buf[:n])
             if recorder is not None:
@@ -555,13 +540,15 @@ class Ensemble:
         snapshot requested at the current time is taken before stepping.
         """
         t_end = float(t_end)
-        _require_finite("t_end", [t_end])
+        check_entries(np.asarray(t_end), np.isfinite(t_end),
+                      "t_end must be finite, got %r")
         if not t_end > self._t:
             raise DomainError(
                 f"t_end must exceed the current time {self._t!r}, got {t_end!r}"
             )
         times = [float(ts) for ts in snapshot_times]
-        _require_finite("snapshot times", times)
+        check_entries(np.array(times), np.isfinite(times),
+                      "snapshot times must be finite, got %r")
         if any(b < a for a, b in zip(times, times[1:])):
             raise DomainError("snapshot times must be sorted")
         if times and (times[0] < self._t or times[-1] > t_end):
@@ -626,13 +613,8 @@ def _lifetime(x, p: int) -> np.ndarray:
     np.negative(gc, out=gc)
     if i:
         xs = x[:i]
-        coeffs = _SERIES[p]
-        acc = np.multiply(xs, coeffs[0], out=g[:i])
-        acc += coeffs[1]
-        for c in coeffs[2:]:
-            acc *= xs
-            acc += c
-        acc *= np.power(xs, _P_0D[p])
+        gs = _horner(xs, _SERIES[p], g[:i])
+        gs *= np.power(xs, _P_0D[p])
     return g
 
 
@@ -644,12 +626,21 @@ def _inverse_lifetime(tau, p: int) -> np.ndarray:
     the exact inverse (see ``_INVERSE``); ``tau = 0`` gives ``x = 0``."""
     w = np.multiply(tau, _P_0D[p])
     w = np.cbrt(w, out=w) if p == 3 else np.sqrt(w, out=w)
-    coeffs = _INVERSE_0D[p]
-    x = np.multiply(w, coeffs[0])
-    for c in coeffs[1:]:
-        x += c
-        x *= w
+    x = _horner(w, _INVERSE_0D[p])
+    x *= w
     return x
+
+
+def _horner(x, coeffs, out=None) -> np.ndarray:
+    """The polynomial with ``coeffs`` (highest degree first, at least two)
+    at ``x`` by Horner's rule, in place in ``out`` (a new array when
+    None)."""
+    acc = np.multiply(x, coeffs[0], out=out)
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= x
+        acc += c
+    return acc
 
 
 def _aligned(n: int) -> np.ndarray:
@@ -658,12 +649,6 @@ def _aligned(n: int) -> np.ndarray:
     buf = np.empty(n + 8)
     shift = (-buf.ctypes.data) % 64 // 8
     return buf[shift:shift + n]
-
-
-def _require_finite(name: str, values):
-    for value in values:
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def init_ensemble(
@@ -808,6 +793,11 @@ def simulate_late_stage(
     are compared against their analytic values.  ``t0`` and ``t_end`` lie
     in [1e-150, 1e150], where the run's products of times and radii stay
     normal floats.  ``step_fraction`` is the one ensemble option it takes.
+
+    Every time returned is on that clock: ``base.t`` is ``t0``, each
+    snapshot's ``t`` is its requested time, and ``series.t`` runs from
+    ``t0`` to ``t_end``.  A :class:`StateError` raised inside the run names
+    the ensemble's own clock instead, which counts from 0 at ``t0``.
     """
     unknown = sorted(set(ensemble_options) - {"step_fraction"})
     if unknown:
@@ -820,8 +810,10 @@ def simulate_late_stage(
         )
     # Snapshot times first: the CLI's default t_end is the last of them.
     times = sorted(float(ts) for ts in snapshot_times)
-    _require_finite("snapshot times", times)
-    _require_finite("t_end", [t_end])
+    check_entries(np.array(times), np.isfinite(times),
+                  "snapshot times must be finite, got %r")
+    check_entries(np.asarray(t_end), np.isfinite(t_end),
+                  "t_end must be finite, got %r")
     if not t_end > t0:
         raise DomainError(f"t_end must exceed t0, got {t_end!r}")
     if t_end > _T_MAX:
@@ -833,16 +825,17 @@ def simulate_late_stage(
 
     r_c0 = critical_radius(regime, 0.0, t0)
     ens = init_ensemble(regime, n, r_c0, seed, **ensemble_options)
-    base = ens.snapshot()
+    # The ensemble's clock counts from 0 at t0; every result reads t0's.
+    base = replace(ens.snapshot(), t=t0)
     start_total = ens.total_volume()
 
     snapshots, series = ens.run(t_end - t0, [ts - t0 for ts in times])
     residual = abs(ens.total_volume() - start_total) / start_total
+    snapshots = [replace(snap, t=ts) for snap, ts in zip(snapshots, times)]
+    series.t += t0
 
     gamma = regime.coarsening_exponent
-    slope = float(
-        np.polyfit(t0 + series.t, series.rc_estimate**gamma, 1)[0]
-    )
+    slope = float(np.polyfit(series.t, series.rc_estimate**gamma, 1)[0])
 
     ratios = [ts / t0 for ts in times]
     # One solve for every snapshot's phi and one for its boundary radius;

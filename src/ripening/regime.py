@@ -327,9 +327,12 @@ def evolve_scaled(regime: Regime, z_start: float, delta_tau):
     ``z_start`` from 1e-60 up and offsets to 0.7 lifetimes; closer to the
     lifetime L(z_start) the root is ill-conditioned, and the rounding of
     ``delta_tau`` alone moves it by about L(z_start)/L(z) ulps.  Raises
-    ``DomainError`` when the trajectory dissolves (reaches z = 0) before
-    ``delta_tau`` elapses, naming the lifetime.
+    ``DomainError`` for a ``z_start`` that is not a scalar, and when the
+    trajectory dissolves (reaches z = 0) before ``delta_tau`` elapses,
+    naming the lifetime.
     """
+    if np.ndim(z_start):
+        raise DomainError(f"z_start must be a scalar, got shape {np.shape(z_start)}")
     z_start = float(_check_below_cutoff(regime, z_start, "z_start"))
     delta_tau = np.asarray(delta_tau, dtype=float)
     check_entries(delta_tau, (delta_tau >= 0.0) & np.isfinite(delta_tau),

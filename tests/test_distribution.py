@@ -211,6 +211,14 @@ class TestCdf:
         assert d.cdf(regime.z_max + 1.0) == 1.0
 
     @pytest.mark.parametrize("regime", BOTH)
+    def test_scalar_query_is_float(self, regime):
+        # As every other scalar query; an array stays an array.
+        d = size_distribution(regime)
+        assert type(d.cdf(0.5)) is float
+        assert type(d.cdf(np.float64(0.5))) is float
+        assert d.cdf(np.array([0.5])).shape == (1,)
+
+    @pytest.mark.parametrize("regime", BOTH)
     def test_table_strictly_increasing(self, regime):
         z_tab, h_tab = size_distribution(regime).cdf_table
         assert np.all(np.diff(z_tab) > 0.0)

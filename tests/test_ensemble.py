@@ -69,16 +69,10 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Ensemble(DIFFUSION_LIMITED, [1.0, 2.0], step_fraction=0.2)
 
-    @pytest.mark.parametrize("start_time", [math.nan, math.inf, -math.inf])
-    def test_non_finite_start_time(self, start_time):
-        # Refused at construction: a step from it would run the particles
-        # to collapse and fail there with a StateError.
-        with pytest.raises(DomainError, match="start_time must be finite"):
-            Ensemble(DIFFUSION_LIMITED, [1.0, 2.0], start_time=start_time)
-
     def test_initial_state(self):
-        ens = Ensemble(DIFFUSION_LIMITED, [1.0, 2.0, 3.0], start_time=5.0)
-        assert ens.t == 5.0
+        # The clock counts the time since the state was given.
+        ens = Ensemble(DIFFUSION_LIMITED, [1.0, 2.0, 3.0])
+        assert ens.t == 0.0
         assert ens.n == 3
         snap = ens.snapshot()
         assert list(snap.ids) == [0, 1, 2]
@@ -144,14 +138,26 @@ class TestStepping:
         assert r[0] < 0.5 and r[2] > 2.0
 
     def test_two_particle_collapse(self):
+        # The substep that would leave one particle is refused before it
+        # writes: both particles stay, none counts as dissolved, and the
+        # next run is refused again from the same state.
         ens = Ensemble(DIFFUSION_LIMITED, [0.5, 2.0])
-        with pytest.raises(StateError):
-            ens.run(ens.t + 5.0)
+        with pytest.raises(StateError, match="collapses to 1 particle"):
+            ens.run(5.0)
+        t, radii = ens.t, ens.snapshot().radii
+        assert 0.0 < t < 5.0
+        assert ens.n == 2 and ens.work["dissolved"] == 0
+        with pytest.raises(StateError, match=f"after t={t!r}"):
+            ens.run(6.0)
+        assert ens.t == t
+        assert np.array_equal(ens.snapshot().radii, radii)
 
     def test_step_that_does_not_advance_is_refused(self):
         # h = step_fraction / (4 u**3) is about 1e-302 here, below half an
         # ulp of t = 1: the stepper would loop without advancing time.
-        ens = Ensemble(DIFFUSION_LIMITED, [1e-100, 2e-100], start_time=1.0)
+        # (From t = 0 a run reaches it only after about 1e16 substeps.)
+        ens = Ensemble(DIFFUSION_LIMITED, [1e-100, 2e-100])
+        ens._t = 1.0
         radii = ens.snapshot().radii
         with pytest.raises(StateError, match="does not advance t=1.0"):
             ens.run(ens.t + 1.0)
@@ -304,8 +310,6 @@ class _AllocatingEnsemble(Ensemble):
     def _ref_drop(self, keep):
         self._y = self._y[keep].copy()
         self._ids = self._ids[keep].copy()
-        if self._y.size < 2:
-            raise StateError("collapsed")
 
     def _advance(self, t_target, recorder=None):
         al = self.regime.kind == "al"
@@ -334,6 +338,8 @@ class _AllocatingEnsemble(Ensemble):
                 life = _ref_lifetime(r[prefix] * ub, p)
                 dying = np.arange(life.size) < np.searchsorted(
                     life, c, side="right")
+                if y.size - np.count_nonzero(dying) < 2:
+                    raise StateError("collapses")
                 x = _ref_inverse_lifetime(
                     np.maximum(life[~dying] - c, 0.0), p)
                 x = x * (1.0 / ub)
@@ -341,8 +347,8 @@ class _AllocatingEnsemble(Ensemble):
                 dy = float(np.sum(flowed)) - float(np.sum(y[prefix]))
                 new[np.flatnonzero(prefix)[~dying]] = flowed
                 keep[np.flatnonzero(prefix)[dying]] = False
-                self._dissolved += int(np.count_nonzero(dying))
-                self._flowed += int(np.count_nonzero(~dying))
+                self._work["dissolved"] += int(np.count_nonzero(dying))
+                self._work["flowed"] += int(np.count_nonzero(~dying))
             if al:
                 um = (h3 * s1 - sum_hk1 - 2.0 * dy) / (h3 * s2)
             else:
@@ -359,9 +365,9 @@ class _AllocatingEnsemble(Ensemble):
                 order = np.argsort(y, kind="stable")
                 self._y = y[order]
                 self._ids = self._ids[order]
-                self._resorts += 1
+                self._work["resorts"] += 1
             self._t = t_next
-            self._substeps += 1
+            self._work["substeps"] += 1
             r = np.cbrt(self._y)
             u = self._ref_field(r)
             if recorder is not None:
@@ -516,7 +522,8 @@ class TestSortedState:
 
     def test_drop_takes_the_smallest(self):
         # A drop slices off the start of the sorted state and counts the
-        # dissolved particles; fewer than two survivors is a collapse.
+        # dissolved particles (a collapse is refused by the run before it;
+        # see test_two_particle_collapse).
         ens = Ensemble(ATTACHMENT_LIMITED, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         y = ens._y.copy()
         ens._drop(2)
@@ -525,8 +532,6 @@ class TestSortedState:
         ens._drop(1)
         assert list(ens._ids) == [3, 4, 5]
         assert ens.work["dissolved"] == 3
-        with pytest.raises(StateError, match="collapsed to 1 particle"):
-            ens._drop(2)
 
 
 class TestStepRule:
@@ -550,16 +555,20 @@ class TestStepRule:
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_default_run_steps(self, regime):
+        # The default simulate run, on the ensemble's own clock (the
+        # result's series is t0 plus it; see test_results_on_one_clock).
         # The series holds R_c = 1/u after each substep, so the next step
         # follows from it; t itself rounds, by up to one ulp per row.
         t0 = 225.0 if regime.kind == "dl" else 200.0
-        times = [1.5 * t0, 2.0 * t0, 3.0 * t0]
-        res = simulate_late_stage(regime, 20000, t0, 3.0 * t0, times, seed=1)
-        t = res.series.t
-        h = self._step(regime, 1.6e-2, 1.0 / res.series.rc_estimate[:-1])
+        ens = init_ensemble(regime, 20000, critical_radius(regime, 0.0, t0),
+                            seed=1)
+        times = [0.5 * t0, t0, 2.0 * t0]
+        _, series = ens.run(2.0 * t0, times)
+        t = series.t
+        h = self._step(regime, 1.6e-2, 1.0 / series.rc_estimate[:-1])
         dt = np.diff(t)
         slack = 1e-14 * h + np.spacing(t[1:])
-        cut = np.isin(t[1:], [ts - t0 for ts in times])
+        cut = np.isin(t[1:], times)
         assert np.count_nonzero(cut) == 3
         assert np.all(np.abs(dt - h)[~cut] <= slack[~cut])
         assert np.all(dt[cut] <= h[cut] + slack[cut])
@@ -1039,6 +1048,30 @@ class TestLateStage:
         assert all(s.n < 3000 for s in res.snapshots)
 
     @pytest.mark.parametrize("regime", BOTH)
+    def test_results_on_one_clock(self, regime):
+        # Every time returned is on t0's clock, as the comparisons' are:
+        # the base at t0, each snapshot at its requested time, and the
+        # series from t0 to t_end, t0 plus the ensemble's own clock.
+        t0 = 225.0 if regime.kind == "dl" else 200.0
+        times = [1.5 * t0, 2.0 * t0]
+        res = simulate_late_stage(regime, 500, t0, 3.0 * t0, times, seed=1)
+        assert res.base.t == t0
+        assert [s.t for s in res.snapshots] == times
+        assert [c.t for c in res.comparisons] == times
+        assert [s.t / res.base.t for s in res.snapshots] == [
+            c.s for c in res.comparisons]
+        assert res.series.t[0] == t0 and res.series.t[-1] == 3.0 * t0
+        ens = init_ensemble(regime, 500, res.r_c0, seed=1)
+        snaps, series = ens.run(2.0 * t0, [ts - t0 for ts in times])
+        assert np.array_equal(res.series.t, t0 + series.t)
+        assert np.array_equal(res.series.rc_estimate, series.rc_estimate)
+        for snap, got in zip(snaps, res.snapshots):
+            assert np.array_equal(got.radii, snap.radii)
+        assert res.rc_power_slope == float(np.polyfit(
+            t0 + series.t, series.rc_estimate**regime.coarsening_exponent,
+            1)[0])
+
+    @pytest.mark.parametrize("regime", BOTH)
     def test_snapshot_phis_in_one_call(self, regime, monkeypatch):
         # One array call for every snapshot's phi and one for its boundary
         # radius, each value the scalar call's bit for bit, so report.json
@@ -1108,8 +1141,9 @@ class TestLateStage:
     @pytest.mark.parametrize("option", [{"start_time": 100.0},
                                         {"deletion_fraction": 0.1}])
     def test_only_step_fraction_passes_through(self, monkeypatch, option):
-        # The snapshot offsets assume the ensemble's clock starts at 0, so a
-        # start_time would shift every comparison; refused before any draw.
+        # Neither is an Ensemble option (an ensemble's clock starts at 0,
+        # and no particle is deleted but by dissolving); refused as unknown
+        # options before any draw.
         def no_draw(*args, **kwargs):
             raise AssertionError("an ensemble was drawn")
 

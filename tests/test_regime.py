@@ -13,6 +13,8 @@ from ripening.regime import (
     DIFFUSION_LIMITED,
     REGIMES,
     Regime,
+    _flow_time_down,
+    _lifetime_drop,
     coarsening_slope,
     critical_radius,
     evolve_scaled,
@@ -187,6 +189,18 @@ class TestFlowTime:
         assert got == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("regime", BOTH)
+    def test_dissolution_end_against_mpmath(self, regime):
+        # tau(0) = -1/3 - ln 3 (dl) or -1 - ln 2 (al) at 40 digits; tau at
+        # z = 1e-300 differs from it by far less than an ulp, and the
+        # closed form gives the nearest float to it (1.7e-17 and 8.8e-17
+        # away).
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            want = (-mp.mpf(1) / 3 - mp.log(3) if regime.kind == "dl"
+                    else -1 - mp.log(2))
+            assert flow_time(regime, 1e-300) == float(want)
+
+    @pytest.mark.parametrize("regime", BOTH)
     def test_domain_edges(self, regime):
         with pytest.raises(DomainError):
             flow_time(regime, 0.0)
@@ -194,6 +208,43 @@ class TestFlowTime:
             flow_time(regime, regime.z_max)
         with pytest.raises(DomainError):
             flow_time(regime, regime.z_max - 1e-13)  # inside the guard band
+
+
+class TestLifetimeAgainstMpmath:
+    """The lifetime L(z) = tau(0) - tau(z), the flow time from z down to
+    dissolution, against a 40-digit oracle: below z = 0.5 from its power
+    series (``_lifetime_drop``), above it from the differenced closed forms
+    (``_flow_time_down``), each with ``d = z``."""
+
+    @staticmethod
+    def _oracle(mp, regime, z):
+        # L(z) = int_0^z x^lam / (nu (1 - x) + x^(lam+1)) dx, scaled to
+        # x = z u so that the quadrature sees [0, 1] at every z; over
+        # [0, z] itself mp.quad misreads z = 1e-60 by 5e-11 relative (dl).
+        lam, nu = regime.growth_exponent, regime.rate_constant
+        z = mp.mpf(z)
+        return z ** (lam + 1) * mp.quad(
+            lambda u: u**lam / (nu * (1 - z * u) + (z * u) ** (lam + 1)),
+            [0, 1])
+
+    # The largest errors on 300-point grids: 2.9e-16 (series, both
+    # regimes), 4.2e-15 (closed forms, dl, near z = 0.5) and 6.4e-16 (al).
+    @pytest.mark.parametrize("regime, series_bound, closed_bound", [
+        (DIFFUSION_LIMITED, 4e-16, 5e-15),
+        (ATTACHMENT_LIMITED, 4e-16, 1e-15),
+    ])
+    def test_lifetime(self, regime, series_bound, closed_bound):
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            for drop, zs, bound in (
+                    (_lifetime_drop, np.geomspace(1e-60, 0.499, 60),
+                     series_bound),
+                    (_flow_time_down, np.linspace(0.5, 1.4, 40),
+                     closed_bound)):
+                for z in zs:
+                    want = self._oracle(mp, regime, z)
+                    got = mp.mpf(float(drop(regime, z, z)))
+                    assert abs(got - want) <= bound * want, (drop, z)
 
 
 class TestReturnInvariant:
@@ -295,6 +346,14 @@ class TestEvolveScaled:
             assert evolve_scaled(regime, z_start, 0.0) == z_start
             assert (evolve_scaled(regime, z_start, np.zeros(2)).tolist()
                     == [z_start] * 2)
+
+    def test_array_start_refused(self):
+        # One trajectory per call: an array of offsets is one bisection,
+        # an array of starts is refused by name.
+        with pytest.raises(DomainError,
+                           match=re.escape("z_start must be a scalar, got shape (2,)")):
+            evolve_scaled(DIFFUSION_LIMITED, np.array([0.5, 0.6]), 0.1)
+        assert evolve_scaled(DIFFUSION_LIMITED, np.array(0.5), 0.0) == 0.5
 
     def test_dissolution_detected(self):
         # A sub-critical size reaches zero in finite flow time.
