@@ -33,9 +33,9 @@ def main():
         print(f"  {'s':>4} | {'phi sim':>9} {'phi theory':>10} {'err':>7} "
               f"| {'r_bnd sim':>9} {'r_bnd theory':>12} {'err':>7}")
         for c in res.comparisons:
-            print(f"  {c.s:4.1f} | {c.new_fraction_empirical:9.4f} "
-                  f"{c.new_fraction_analytic:10.4f} "
-                  f"{c.fraction_rel_err:7.2%} "
+            print(f"  {c.s:4.1f} | {c.phi_empirical:9.4f} "
+                  f"{c.phi_analytic:10.4f} "
+                  f"{c.phi_rel_err:7.2%} "
                   f"| {c.boundary_radius_empirical:9.4f} "
                   f"{c.boundary_radius_analytic:12.4f} "
                   f"{c.boundary_rel_err:7.2%}")

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -239,19 +239,7 @@ def cmd_simulate(args, parser, invocation) -> int:
     ):
         name = f"snapshot_{i:02d}.csv"
         write_snapshot_csv(snap, os.path.join(args.out_dir, name), comment)
-        snapshot_entries.append(
-            {
-                "file": name,
-                "t": cmp_row.t,
-                "s": cmp_row.s,
-                "phi_empirical": cmp_row.new_fraction_empirical,
-                "phi_analytic": cmp_row.new_fraction_analytic,
-                "phi_rel_err": cmp_row.fraction_rel_err,
-                "boundary_radius_empirical": cmp_row.boundary_radius_empirical,
-                "boundary_radius_analytic": cmp_row.boundary_radius_analytic,
-                "boundary_rel_err": cmp_row.boundary_rel_err,
-            }
-        )
+        snapshot_entries.append({"file": name, **asdict(cmp_row)})
     write_series_csv(
         result.series, os.path.join(args.out_dir, "series.csv"), comment
     )

@@ -175,18 +175,14 @@ class SizeDistribution:
             return self._cdf
         cdf = self._cumulative(0) / self._cumulative(0)[-1]
         # The deep tail can produce zero-mass panels at double precision;
-        # drop repeated ordinates so the table stays strictly increasing,
-        # then anchor the exact endpoints.
+        # drop repeated ordinates so the table stays strictly increasing.
+        # The ratio is exactly 0.0 at the first node and exactly 1.0 at the
+        # last, and the last node kept is the first to reach 1.0: it moves
+        # to the cutoff.
         keep = np.concatenate(([True], np.diff(cdf) > 0.0))
         z_tab = self._grid[keep]
         h_tab = cdf[keep]
-        h_tab[0] = 0.0
-        if h_tab[-1] < 1.0:
-            z_tab = np.append(z_tab, self.regime.z_max)
-            h_tab = np.append(h_tab, 1.0)
-        else:
-            z_tab[-1] = self.regime.z_max
-            h_tab[-1] = 1.0
+        z_tab[-1] = self.regime.z_max
         z_tab.setflags(write=False)
         h_tab.setflags(write=False)
         self._cdf = (z_tab, h_tab)

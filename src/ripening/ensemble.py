@@ -732,24 +732,20 @@ def initial_order_preserved(before: Snapshot, after: Snapshot) -> bool:
 
 @dataclass(frozen=True)
 class LateStageComparison:
-    """Simulation vs analytics at one snapshot time."""
+    """Simulation vs analytics at one snapshot time ``t``, ``s = t/t0``:
+    the new-volume fraction phi and the grown/shrunk boundary radius, each
+    measured, predicted, and the relative error ``|measured - predicted| /
+    predicted``.  The fields are the keys of a ``report.json`` snapshot
+    entry, less ``file``: a field added here is a key there."""
 
     t: float
     s: float
-    new_fraction_empirical: float
-    new_fraction_analytic: float
+    phi_empirical: float
+    phi_analytic: float
+    phi_rel_err: float
     boundary_radius_empirical: float
     boundary_radius_analytic: float
-
-    @property
-    def fraction_rel_err(self) -> float:
-        a = self.new_fraction_analytic
-        return abs(self.new_fraction_empirical - a) / a
-
-    @property
-    def boundary_rel_err(self) -> float:
-        a = self.boundary_radius_analytic
-        return abs(self.boundary_radius_empirical - a) / a
+    boundary_rel_err: float
 
 
 @dataclass
@@ -790,14 +786,18 @@ def simulate_late_stage(
     at the reference time and the elapsed-time ratio is exactly
     ``s = t/t0``.  Snapshot times are absolute (in ``(t0, t_end]``); at each
     one the measured new-volume fraction and grown/shrunk boundary radius
-    are compared against their analytic values.  ``t0`` and ``t_end`` lie
-    in [1e-150, 1e150], where the run's products of times and radii stay
-    normal floats.  ``step_fraction`` is the one ensemble option it takes.
+    are compared against their analytic values: one
+    :class:`LateStageComparison` per snapshot, its relative errors set as
+    it is built.  ``t0`` and ``t_end`` lie in [1e-150, 1e150], where the
+    run's products of times and radii stay normal floats.
+    ``step_fraction`` is the one ensemble option it takes.
 
     Every time returned is on that clock: ``base.t`` is ``t0``, each
     snapshot's ``t`` is its requested time, and ``series.t`` runs from
-    ``t0`` to ``t_end``.  A :class:`StateError` raised inside the run names
-    the ensemble's own clock instead, which counts from 0 at ``t0``.
+    ``t0`` to ``t_end``, its rows at the snapshot times and at ``t_end``
+    holding those times exactly.  A :class:`StateError` raised inside the
+    run names the ensemble's own clock instead, which counts from 0 at
+    ``t0``.
     """
     unknown = sorted(set(ensemble_options) - {"step_fraction"})
     if unknown:
@@ -829,10 +829,16 @@ def simulate_late_stage(
     base = replace(ens.snapshot(), t=t0)
     start_total = ens.total_volume()
 
-    snapshots, series = ens.run(t_end - t0, [ts - t0 for ts in times])
+    offsets = [ts - t0 for ts in times]
+    snapshots, series = ens.run(t_end - t0, offsets)
     residual = abs(ens.total_volume() - start_total) / start_total
     snapshots = [replace(snap, t=ts) for snap, ts in zip(snapshots, times)]
+    # The run stops exactly on each offset and on t_end - t0, but
+    # t0 + (ts - t0) need not round to ts: those rows take the times asked.
+    stops = series.t.searchsorted(offsets)
     series.t += t0
+    series.t[stops] = times
+    series.t[-1] = t_end
 
     gamma = regime.coarsening_exponent
     slope = float(np.polyfit(series.t, series.rc_estimate**gamma, 1)[0])
@@ -844,15 +850,18 @@ def simulate_late_stage(
     radii = return_radius(regime, np.array(times), t0, 0.0).tolist() if times else []
     comparisons = []
     for ts, s, phi, radius, snap in zip(times, ratios, phis, radii, snapshots):
-        measured = measure_new_volume(base, snap)
+        phi_measured = measure_new_volume(base, snap).fraction
+        radius_measured = empirical_return_radius(base, snap)
         comparisons.append(
             LateStageComparison(
                 t=ts,
                 s=s,
-                new_fraction_empirical=measured.fraction,
-                new_fraction_analytic=phi,
-                boundary_radius_empirical=empirical_return_radius(base, snap),
+                phi_empirical=phi_measured,
+                phi_analytic=phi,
+                phi_rel_err=abs(phi_measured - phi) / phi,
+                boundary_radius_empirical=radius_measured,
                 boundary_radius_analytic=radius,
+                boundary_rel_err=abs(radius_measured - radius) / radius,
             )
         )
 

@@ -58,6 +58,8 @@ __all__ = [
 # tau(z) diverges at the distribution cutoff z_max; stay this far below it.
 CUTOFF_GUARD = 1e-12
 
+# Each regime's (growth_exponent, rate_constant, coarsening_exponent, z_max):
+# the one tuple a Regime of that kind accepts, and the singletons' constants.
 _EXPECTED = {
     "dl": (2, 27.0 / 4.0, 3, 1.5),
     "al": (1, 4.0, 2, 2.0),
@@ -109,9 +111,8 @@ class Regime:
             )
 
 
-DIFFUSION_LIMITED = Regime("dl", 2, 27.0 / 4.0, 3, 1.5)
-ATTACHMENT_LIMITED = Regime("al", 1, 4.0, 2, 2.0)
-REGIMES = {"dl": DIFFUSION_LIMITED, "al": ATTACHMENT_LIMITED}
+REGIMES = {kind: Regime(kind, *constants) for kind, constants in _EXPECTED.items()}
+DIFFUSION_LIMITED, ATTACHMENT_LIMITED = REGIMES["dl"], REGIMES["al"]
 
 
 def get_regime(kind: str) -> Regime:

@@ -253,10 +253,10 @@ def test_criterion_7_ensemble_agreement():
         ))
         for c in res.comparisons:
             checks.append((
-                c.fraction_rel_err <= 0.10,
+                c.phi_rel_err <= 0.10,
                 f"{regime.kind} s={c.s:g}: empirical fraction "
-                f"{c.new_fraction_empirical:.4f} off analytic "
-                f"{c.new_fraction_analytic:.4f} by {c.fraction_rel_err:.2%}",
+                f"{c.phi_empirical:.4f} off analytic "
+                f"{c.phi_analytic:.4f} by {c.phi_rel_err:.2%}",
             ))
             checks.append((
                 c.boundary_rel_err <= 0.02,

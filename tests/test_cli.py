@@ -8,7 +8,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ import ripening.cli as cli
 from ripening import __version__
 from ripening.cli import _comment, main
 from ripening.distribution import density, size_distribution
+from ripening.ensemble import simulate_late_stage
 from ripening.recrystallization import initial_growth_rate, new_volume_fraction
 from ripening.regime import (
     DIFFUSION_LIMITED,
@@ -530,6 +531,23 @@ class TestSimulate:
         base_lines = (out_dir / "snapshot_00.csv").read_text().splitlines()
         assert base_lines[1] == "id,radius"
         assert len(base_lines) == 2 + 300
+
+    @pytest.mark.parametrize("regime", ("dl", "al"))
+    def test_report_entries_are_the_comparisons(self, capsys, tmp_path, regime):
+        # Each snapshot entry is its file name and the fields of the same
+        # run's comparison, by the same names and with the same values.
+        rc, _, _ = run_cli(
+            capsys, "simulate", "--regime", regime, "--n", "300",
+            "--t0", "0.3", "--snapshot", "0.45", "--snapshot", "0.9",
+            "--seed", "2", "--out-dir", tmp_path,
+        )
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        res = simulate_late_stage(get_regime(regime), 300, 0.3, 0.9,
+                                  [0.45, 0.9], seed=2)
+        assert report["snapshots"] == [
+            {"file": f"snapshot_{i:02d}.csv", **asdict(c)}
+            for i, c in enumerate(res.comparisons, start=1)]
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         out_dir = tmp_path / "run"

@@ -588,7 +588,7 @@ class TestDefaultStep:
             for frac in (sf, 0.25 * sf)
         ]
         assert runs[0].work["dissolved"] > 0
-        phi, phi_fine = (r.comparisons[0].new_fraction_empirical for r in runs)
+        phi, phi_fine = (r.comparisons[0].phi_empirical for r in runs)
         assert abs(phi - phi_fine) <= 5e-5 * phi_fine
 
 
@@ -1039,10 +1039,10 @@ class TestLateStage:
         )
         assert [c.s for c in res.comparisons] == pytest.approx([1.5, 2.0])
         for c in res.comparisons:
-            assert c.new_fraction_analytic == pytest.approx(
+            assert c.phi_analytic == pytest.approx(
                 new_volume_fraction(regime, c.s), abs=1e-12
             )
-            assert c.fraction_rel_err < 0.08
+            assert c.phi_rel_err < 0.08
             assert c.boundary_rel_err < 0.02
         assert res.base.n == 3000
         assert all(s.n < 3000 for s in res.snapshots)
@@ -1051,7 +1051,8 @@ class TestLateStage:
     def test_results_on_one_clock(self, regime):
         # Every time returned is on t0's clock, as the comparisons' are:
         # the base at t0, each snapshot at its requested time, and the
-        # series from t0 to t_end, t0 plus the ensemble's own clock.
+        # series from t0 to t_end, t0 plus the ensemble's own clock (which
+        # these times keep exact: see test_series_rows_at_requested_times).
         t0 = 225.0 if regime.kind == "dl" else 200.0
         times = [1.5 * t0, 2.0 * t0]
         res = simulate_late_stage(regime, 500, t0, 3.0 * t0, times, seed=1)
@@ -1070,6 +1071,23 @@ class TestLateStage:
         assert res.rc_power_slope == float(np.polyfit(
             t0 + series.t, series.rc_estimate**regime.coarsening_exponent,
             1)[0])
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_series_rows_at_requested_times(self, regime):
+        # The run stops exactly on ts - t0 and t_end - t0, and those series
+        # rows hold ts and t_end themselves, where t0 + (ts - t0) may round
+        # elsewhere: 0.3 + (0.9 - 0.3) is 0.9000000000000001.
+        rng = np.random.default_rng(2026)
+        t0s = rng.uniform(0.1, 10.0, 10).tolist()
+        ratios = np.sort(rng.uniform(2.0, 4.0, (10, 2)), axis=1).tolist()
+        cases = [(0.3, 0.9, 0.9)] + [
+            (t0, t0 * a, t0 * b) for t0, (a, b) in zip(t0s, ratios)]
+        for t0, ts, t_end in cases:
+            res = simulate_late_stage(regime, 100, t0, t_end, [ts], seed=1)
+            t = res.series.t
+            assert t[0] == t0 and t[-1] == t_end, (t0, ts, t_end)
+            assert ts in t.tolist(), (t0, ts, t_end)
+            assert np.all(np.diff(t) > 0.0)
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_snapshot_phis_in_one_call(self, regime, monkeypatch):
@@ -1094,8 +1112,8 @@ class TestLateStage:
         assert calls == [("phi", 4), ("radius", 4)]
         for c in res.comparisons:
             want = new_volume_fraction(regime, c.s)
-            assert type(c.new_fraction_analytic) is float
-            assert c.new_fraction_analytic == want
+            assert type(c.phi_analytic) is float
+            assert c.phi_analytic == want
             assert type(c.boundary_radius_analytic) is float
             assert c.boundary_radius_analytic == return_radius(regime, c.t, t0)
 
@@ -1122,7 +1140,7 @@ class TestLateStage:
         assert res.conservation_residual < 1e-12
         assert res.rc_power_slope == pytest.approx(
             res.rc_power_slope_expected, rel=0.1)
-        assert res.comparisons[0].fraction_rel_err < 0.2
+        assert res.comparisons[0].phi_rel_err < 0.2
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -45,6 +45,24 @@ def _volume_cdf(regime):
     return zs, cum / cum[-1]
 
 
+def _mp_oracle(mp, regime):
+    """The density of test_distribution's mpmath oracle, the closed-form
+    alpha = ln z + tau(z), and m3, all in mpmath."""
+    zm = mp.mpf(regime.z_max)
+    if regime.kind == "dl":
+        h = lambda z: (81 * mp.e * mp.power(2, mp.mpf(-5) / 3) * z**2
+                       * mp.power(z + 3, mp.mpf(-7) / 3)
+                       * mp.power(zm - z, mp.mpf(-11) / 3)
+                       * mp.exp(-3 / (3 - 2 * z)))
+        alpha = lambda z: (mp.log(z) + 1 / (2 * z - 3)
+                           - mp.mpf(5) / 9 * mp.log(3 - 2 * z)
+                           - mp.mpf(4) / 9 * mp.log(z + 3))
+    else:
+        h = lambda z: 24 * z * mp.power(2 - z, -5) * mp.exp(-3 * z / (2 - z))
+        alpha = lambda z: mp.log(z) + 2 / (z - 2) - mp.log(2 - z)
+    return h, alpha, mp.quad(lambda z: h(z) * z**3, [0, 1, zm])
+
+
 class TestPinnedValues:
     @pytest.mark.parametrize("s,want", sorted(PHI_DL.items()))
     def test_dl(self, s, want):
@@ -74,8 +92,26 @@ class TestPinnedToRounding:
         "regime,pinned", ((DIFFUSION_LIMITED, PHI_DL), (ATTACHMENT_LIMITED, PHI_AL))
     )
     def test_forty_digit_values(self, regime, pinned):
-        for s, want in pinned.items():
-            assert abs(new_volume_fraction(regime, s) - want) <= 1e-13, s
+        # Each reference computed here at 40 digits: z0 bisected on
+        # alpha(z0) = alpha(z0 s**(-1/gamma)), which is positive at z0 = 1
+        # and falls to -inf at the cutoff, then the window integrated.  The
+        # pinned literals are those references, rounded.
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            h, alpha, m3 = _mp_oracle(mp, regime)
+            for s, pinned_value in pinned.items():
+                shrink = mp.power(s, mp.mpf(-1) / regime.coarsening_exponent)
+                lo, hi = mp.mpf(1), mp.mpf(regime.z_max) - mp.mpf(10) ** -30
+                for _ in range(140):
+                    mid = (lo + hi) / 2
+                    if alpha(mid) > alpha(mid * shrink):
+                        lo = mid
+                    else:
+                        hi = mid
+                want = mp.quad(lambda x: h(x) * x**3, [lo * shrink, lo]) / m3
+                assert abs(mp.mpf(pinned_value) - want) <= 1e-16, s
+                got = new_volume_fraction(regime, s)
+                assert abs(mp.mpf(got) - want) <= 1e-13, s
 
 
 class TestPinnedBits:
@@ -211,24 +247,6 @@ class TestWindowForms:
         auto = fraction_from_start_size(regime, regime.z_max - 1e-9)
         assert auto > 0.99
 
-    @staticmethod
-    def _mp_oracle(mp, regime):
-        """The density of test_distribution's mpmath oracle, the closed-form
-        alpha = ln z + tau(z), and m3, all in mpmath."""
-        zm = mp.mpf(regime.z_max)
-        if regime.kind == "dl":
-            h = lambda z: (81 * mp.e * mp.power(2, mp.mpf(-5) / 3) * z**2
-                           * mp.power(z + 3, mp.mpf(-7) / 3)
-                           * mp.power(zm - z, mp.mpf(-11) / 3)
-                           * mp.exp(-3 / (3 - 2 * z)))
-            alpha = lambda z: (mp.log(z) + 1 / (2 * z - 3)
-                               - mp.mpf(5) / 9 * mp.log(3 - 2 * z)
-                               - mp.mpf(4) / 9 * mp.log(z + 3))
-        else:
-            h = lambda z: 24 * z * mp.power(2 - z, -5) * mp.exp(-3 * z / (2 - z))
-            alpha = lambda z: mp.log(z) + 2 / (z - 2) - mp.log(2 - z)
-        return h, alpha, mp.quad(lambda z: h(z) * z**3, [0, 1, zm])
-
     NEAR_ONE = (1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.01, 1.2)
 
     @pytest.mark.parametrize("regime", BOTH)
@@ -239,7 +257,7 @@ class TestWindowForms:
         # up to 3.7e-5 relative.
         mp = pytest.importorskip("mpmath").mp
         with mp.workdps(40):
-            h, _, m3 = self._mp_oracle(mp, regime)
+            h, _, m3 = _mp_oracle(mp, regime)
             for z0 in self.NEAR_ONE:
                 _, a = return_map._log_ratio(regime, z0)
                 z = mp.mpf(z0)
@@ -258,7 +276,7 @@ class TestWindowForms:
         # (5e-6 to 8e-6 at z0 = 1 + 1e-12); from z0 = 1.01 on, 1e-12.
         mp = pytest.importorskip("mpmath").mp
         with mp.workdps(40):
-            h, alpha, m3 = self._mp_oracle(mp, regime)
+            h, alpha, m3 = _mp_oracle(mp, regime)
             for z0 in self.NEAR_ONE:
                 z = mp.mpf(z0)
                 target = alpha(z)
