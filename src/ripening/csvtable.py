@@ -24,16 +24,26 @@ its last ``k``, after ``k - 17`` zeros when ``k > 17``.  Zero prints as
 ``0`` (``-0`` for negative zero), and an integer column takes the same
 digit path when ``|v| < 1e17``.
 
-**Layout.**  A field is a sign word, the 20-digit slot of ``m`` (3 zeros,
-then its 17 digits) and, for a float, a point word and the slot again;
-each 4-digit group is copied from a lookup table as one 32-bit word.
-Everything but the integer part of the first slot (or the sign word's
-``0`` when it is empty), the decimals of the second up to their last
-nonzero digit, and a point before nonempty decimals is then cleared to NUL by one 64-bit mask per word, taken from a
-table by ``k`` and the digits' end, so a block's text is its byte matrix
-with the NUL bytes deleted.  A row with any other value (subnormal,
-non-finite, or outside those ranges) is printed by the ``%`` template, so
-every value prints as ``%`` prints it.
+**Layout.**  A row is a run of 32-bit words, each field only as wide as
+its block's values need; a field is built as a words x rows matrix, so
+that every pass over it is contiguous.  A field starts with the word
+``[separator, sign, NUL, NUL]``.  The first field's separator is the
+newline that ends the row before, so a block's text is its bytes less the
+first, with a newline after.  An integer's digits follow in as many
+4-digit groups as the block's largest ``|v|`` needs (snapshot ids take
+two).  A float's integer part ``m // 10**k`` follows in ``g`` words,
+``4 g - 1`` digits and the point, ``g`` set by the block's largest
+integer part, and then one 20-digit slot of ``m`` (3 zeros, then its 17
+digits), whose last ``k`` digits are the decimals.  A snapshot row, ids
+below 1e8 and radii below 1000, takes 40 bytes.  Each 4-digit group is
+copied from a lookup table as one word; every word is built from bytes,
+so nothing depends on byte order.  Then leading zeros (an empty integer
+part keeps its ``0``), the decimals past their last nonzero digit and
+the point before empty decimals are cleared to NUL by masks looked up by
+digit count and by the position of the last nonzero digit, and the NUL
+bytes are deleted.  A row with any other value (subnormal, non-finite,
+or outside those ranges) is printed by the ``%`` template, so every value
+prints as ``%`` prints it.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ __all__ = ["format_rows", "write_table"]
 
 BLOCK_ROWS = 2048  # rows formatted at once; bounds the temporaries
 
-_E4, _E8, _E16, _E17 = 10**4, 10**8, 10**16, 10**17
+_E4, _E16, _E17 = 10**4, 10**16, 10**17
 
 
 _DIGITS = np.ix_(*[np.arange(10, dtype=np.uint8)] * 4)  # a 10**4 grid
@@ -63,36 +73,31 @@ _END_OFFSET = np.arange(0, 50_000, 10_000)[:, None]
 del _last
 
 
-def _masks(word, lo, hi):
-    """Keep masks, one row per entry: the 4-byte ``word`` flags, then the
-    digits [lo, hi) of a 20-digit slot; as 3 x entries 64-bit words."""
-    at = np.arange(20)
-    keep = np.concatenate([word, (at >= lo[:, None]) & (at < hi[:, None])],
-                          axis=1)
-    return (keep.astype(np.uint8) * np.uint8(255)).view(np.uint64).T.copy()
+def _keep(flags):
+    """Keep masks from per-byte flags (entries x 20), as 5 x entries words."""
+    return (flags.astype(np.uint8) * np.uint8(255)).view(np.uint32).T.copy()
 
 
-# Sign words are [separator, sign, "0", NUL], point words [".", NUL x 3].
+# Each table masks a field's 20-byte region, or its last 4 g bytes when
+# the block's region is g words wide.
 _k = np.arange(21)
-_yes, _no = np.ones(21, bool), np.zeros(21, bool)
-# A float's integer part, by k: the digits [3, 20 - k) of its slot, or the
-# sign word's "0" when there are none (k >= 17).
-_WHOLE = _masks(np.stack([_yes, _yes, _k >= 17, _no], axis=1),
-                np.full(21, 3), 20 - _k)
+_at = np.arange(20)
+# An integer, by its digit count d (0 for 0, which keeps one digit).
+_INTEGER = _keep(_at >= 20 - np.maximum(_k, 1)[:, None])
+# A float's integer part, by k + 21 (decimals not empty): its 17 - k
+# digits (one 0 when k >= 17) before the point in the region's last byte,
+# and the point when decimals follow.
+_whole = (_at >= 19 - np.maximum(17 - _k, 1)[:, None]) & (_at < 19)
+_WHOLE = _keep(np.concatenate([_whole, _whole | (_at == 19)]))
 # A float's decimals, by 21 start + end: the digits [start, end) of its
-# slot, start = 20 - k and end past the last nonzero digit, and the point
-# when they are not empty.
+# slot, start = 20 - k and end past the last nonzero digit.
 _start, _end = np.divmod(np.arange(21 * 21), 21)
-_DECIMALS = _masks(np.stack([_end > _start] + [np.zeros(441, bool)] * 3,
-                            axis=1), _start, _end)
-# An integer, by its leading zeros f: the digits [f, 20).
-_INTEGER = _masks(np.stack([_yes, _yes, _no, _no], axis=1), _k,
-                  np.full(21, 20))
-del _k, _yes, _no, _start, _end
-_SIGN = np.frombuffer(b"\0\x000\0" b"\0-0\0" b",\x000\0" b",-0\0",
-                      np.uint32).reshape(2, 2)  # by (separator, negative)
-_DOT = np.frombuffer(b".\0\0\0", np.uint32)[0]
-_NEWLINE = np.frombuffer(b"\n" + bytes(7), np.uint64)[0]
+_DECIMALS = _keep((_at >= _start[:, None]) & (_at < _end[:, None]))
+del _k, _at, _whole, _start, _end
+# [separator, sign, NUL, NUL], by (separator, negative); the first field's
+# separator is the newline of the row before.
+_SIGN = np.frombuffer(b"\n\0\0\0" b"\n-\0\0" b",\0\0\0" b",-\0\0",
+                      np.uint32).reshape(2, 2)
 
 _POW10 = np.array([float(10**k) for k in range(21)])  # each exact
 
@@ -105,7 +110,7 @@ def _split(a):
 
 
 _POW10_HI, _POW10_LO = _split(_POW10)
-_INT_POW10 = 10 ** np.arange(1, 17, dtype=np.int64)
+_INT_POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
 def _significand(a, k):
@@ -117,26 +122,22 @@ def _significand(a, k):
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _slot(v, half):
-    """Write 0 <= v < 1e17 as 20 ASCII digits, leading zeros included,
-    into the n x 5 32-bit word view ``half``; return the 5 x n groups."""
-    groups = np.empty((5, v.size), np.int64)
-    top = v // 10**12
-    low = v - top * 10**12
-    np.floor_divide(top, _E4, out=groups[0])
-    np.subtract(top, groups[0] * _E4, out=groups[1])
-    np.floor_divide(low, _E8, out=groups[2])
-    rest = low - groups[2] * _E8
-    np.floor_divide(rest, _E4, out=groups[3])
-    np.subtract(rest, groups[3] * _E4, out=groups[4])
-    half[:] = _QUADS[groups].T
+def _groups(v, count):
+    """The ``count`` 4-digit groups of 0 <= v < 10**(4 count), most
+    significant first, as a count x n array."""
+    groups = np.empty((count, v.size), np.int64)
+    for j in range(count - 1, 0, -1):
+        high = v // _E4
+        np.subtract(v, high * _E4, out=groups[j])
+        v = high
+    groups[0] = v
     return groups
 
 
-def _float_field(x, words, sep):
-    """Write ``%.17g`` of the fixed-notation entries of ``x``, and of its
-    zeros, into ``words`` (n x 6) after the separator ``sep`` (0 or 1) and
-    return the mask of entries written."""
+def _float_field(x, sep):
+    """The words of ``%.17g`` of the fixed-notation entries of ``x`` and of
+    its zeros after the separator ``sep`` (0 or 1), one row of ``x.size``
+    per word, and the mask of the entries written."""
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e17)
     zero = a == 0.0
@@ -149,34 +150,35 @@ def _float_field(x, words, sep):
         k[off] += np.where(m[off] < _E16, 1, -1)
         m[off] = _significand(a[off], k[off])
     m[zero] = 0  # prints as "0": k = 16 there, where a = 1.0 put it
-    # m's digits fill both slots, [3, 20) of each; the masks keep the
-    # integer part in the first and the decimals in the second.
-    half = words.view(np.uint32)
-    half[:, 0] = _SIGN[sep][np.signbit(x).view(np.uint8)]
-    groups = _slot(m, half[:, 1:6])
-    half[:, 6] = _DOT
-    half[:, 7:] = half[:, 1:6]
-    end = _END[groups + _END_OFFSET].max(axis=0)
-    decimals = (20 - k) * 21 + end
-    for w in range(3):
-        words[:, w] &= _WHOLE[w][k]
-        words[:, 3 + w] &= _DECIMALS[w][decimals]
-    return fixed | zero
+    slot = _groups(m, 5)
+    start = 20 - k
+    end = _END[slot + _END_OFFSET].max(axis=0)
+    # The integer part, then a 0 where the point goes: 4 g digits.
+    whole = m // _INT_POW10[np.minimum(k, 17)]
+    g = (max(17 - int(k.min()), 1) + 4) // 4
+    words = np.empty((6 + g, x.size), np.uint32)
+    words[0] = np.where(np.signbit(x), *_SIGN[sep, ::-1])
+    np.take(_QUADS, _groups(whole * 10, g), out=words[1:1 + g])
+    words[g].view(np.uint8)[3::4] = ord(".")
+    np.take(_QUADS, slot, out=words[1 + g:])
+    words[1:1 + g] &= np.take(_WHOLE[5 - g:], k + 21 * (end > start), axis=1)
+    words[1 + g:] &= np.take(_DECIMALS, 21 * start + end, axis=1)
+    return fixed | zero, words
 
 
-def _int_field(v, words, sep):
-    """Write ``%d`` of the entries of ``v`` with |v| < 1e17 into ``words``
-    (n x 3) after the separator ``sep`` and return the mask of entries
-    written."""
+def _int_field(v, sep):
+    """The words of ``%d`` of the entries of ``v`` with |v| < 1e17 after
+    the separator ``sep``, one row of ``v.size`` per word, and the mask of
+    the entries written."""
     inside = (v > -_E17) & (v < _E17)
     a = np.abs(np.where(inside, v, 0))
-    half = words.view(np.uint32)
-    half[:, 0] = _SIGN[sep][(v < 0).view(np.uint8)]
-    _slot(a, half[:, 1:])
-    zeros = 19 - np.searchsorted(_INT_POW10, a, "right")
-    for w in range(3):
-        words[:, w] &= _INTEGER[w][zeros]
-    return inside
+    digits = _INT_POW10.searchsorted(a, "right")
+    g = (max(int(digits.max()), 1) + 3) // 4
+    words = np.empty((1 + g, v.size), np.uint32)
+    words[0] = np.where(v < 0, *_SIGN[sep, ::-1])
+    np.take(_QUADS, _groups(a, g), out=words[1:])
+    words[1:] &= np.take(_INTEGER[5 - g:], digits, axis=1)
+    return inside, words
 
 
 def format_rows(columns) -> str:
@@ -189,25 +191,22 @@ def format_rows(columns) -> str:
     columns = [c.astype(np.int64, casting="safe", copy=False) if i
                else c.astype(float, copy=False)
                for c, i in zip(columns, ints)]
-    template = ",".join("%d" if i else "%.17g" for i in ints) + "\n"
-    n = columns[0].size
-    words = np.empty((n, sum(3 if i else 6 for i in ints) + 1), np.uint64)
-    ok = np.ones(n, bool)
-    start = 0
-    for j, (c, i) in enumerate(zip(columns, ints)):
-        field = _int_field if i else _float_field
-        width = 3 if i else 6
-        ok &= field(c, words[:, start:start + width], min(j, 1))
-        start += width
-    words[:, -1] = _NEWLINE
+    if not columns[0].size:
+        return ""
+    template = "\n" + ",".join("%d" if i else "%.17g" for i in ints)
+    fields = [(_int_field if i else _float_field)(c, min(j, 1))
+              for j, (c, i) in enumerate(zip(columns, ints))]
+    ok = reduce(np.logical_and, [written for written, _ in fields])
+    rows = np.concatenate([w for _, w in fields]).T
     pieces = []
     done = 0
     for row in np.flatnonzero(~ok).tolist():
-        pieces.append(words[done:row].tobytes())
+        pieces.append(rows[done:row].tobytes())
         pieces.append((template % tuple(c[row].item() for c in columns)).encode())
         done = row + 1
-    pieces.append(words[done:].tobytes())
-    return b"".join(pieces).translate(None, b"\0").decode("ascii")
+    pieces.append(rows[done:].tobytes())
+    # Each row starts with its newline: drop the first and end the last.
+    return b"".join(pieces).translate(None, b"\0")[1:].decode("ascii") + "\n"
 
 
 def write_table(stream, header, columns, comment=None):

@@ -215,7 +215,12 @@ class SizeDistribution:
         z_tab, h_tab = self.cdf_table
         rng = np.random.default_rng(seed)
         u = rng.random(n)
-        return np.interp(u, h_tab, z_tab)
+        # np.interp starts each search at the last one's index, so sorted
+        # draws take about a third of the time; each value is the same.
+        order = np.argsort(u)
+        z = np.empty(n)
+        z[order] = np.interp(u[order], h_tab, z_tab)
+        return z
 
 
 @lru_cache(maxsize=None)

@@ -39,7 +39,9 @@ Each substep splits the state, sorted by radius, at R_c/2 with one
   With ``x = u R``, a particle dissolves after ``u**-3 g3(x)`` (dl) or
   ``u**-2 g2(x)`` (al), where ``g3 = -(log1p(-x) + x + x**2/2)`` and
   ``g2 = -(log1p(-x) + x)`` (``_lifetime``; a series below x = 0.05,
-  where the closed forms cancel).  The particles with ``g(x) <= u**p h``
+  where the closed forms cancel, skipped when ``u**p h`` exceeds its
+  largest value, as in every full substep at the default step: every
+  particle it would cover dissolves).  The particles with ``g(x) <= u**p h``
   dissolve inside the substep; the lifetimes rise along the sorted prefix,
   so they are its start, found with the one threshold ``u**p h`` and
   dropped by slicing.  The others solve ``g(x') = g(x) - u**p h`` by one
@@ -357,6 +359,7 @@ class Ensemble:
         # The clock counts the time since the state was given.
         self._t = 0.0
         self._ids = np.argsort(y).astype(np.int64, copy=False)
+        self._size = y.size  # the ids are a subset of 0.._size-1
         self._y = y[self._ids]
         self._work = dict.fromkeys(
             ("substeps", "resorts", "flowed", "dissolved"), 0)
@@ -392,8 +395,14 @@ class Ensemble:
 
     def snapshot(self) -> Snapshot:
         """The current time, ids and radii, in id order."""
-        order = np.argsort(self._ids)
-        return Snapshot(self._t, self._ids[order], np.cbrt(self._y[order]))
+        # The volumes scattered to their ids and the present ids read back
+        # in order: O(size), with no sort.
+        present = np.zeros(self._size, bool)
+        present[self._ids] = True
+        ids = np.flatnonzero(present)
+        y = np.empty(self._size)
+        y[self._ids] = self._y
+        return Snapshot(self._t, ids, np.cbrt(y[ids]))
 
     # -- dynamics ----------------------------------------------------------
 
@@ -430,7 +439,7 @@ class Ensemble:
         the survivors' new volumes."""
         p = 2 if self.regime.kind == "al" else 3
         c = u**p * h  # the substep on the lifetime clock u**-p
-        lifetime = _lifetime(r * u, p)
+        lifetime = _lifetime(r * u, p, c)
         k = int(lifetime.searchsorted(c, side="right"))
         remaining = lifetime[k:]
         remaining -= c
@@ -589,14 +598,16 @@ def _stage(r, u, h3, al, out=None):
     return out
 
 
-def _lifetime(x, p: int) -> np.ndarray:
+def _lifetime(x, p: int, c: float = 0.0) -> np.ndarray:
     """``g_p(x)``, the time a particle at ``x = u R < 1`` takes to dissolve
     under the frozen field ``u``, in units of ``u**-p``:
     ``-(log1p(-x) + x + x**2/2)`` for ``p = 3`` (dl) and
     ``-(log1p(-x) + x)`` for ``p = 2`` (al), elementwise over an
     ascending 1-d array.  Below ``x = 0.05`` the terms cancel, and the
     series ``x**p sum_k x**k/(k + p)`` is summed instead: over the start
-    of ``x``, the closed form over the rest."""
+    of ``x``, the closed form over the rest.  When the step ``c`` on the
+    lifetime clock is at least ``_SERIES_MAX[p]``, every lifetime below
+    ``x = 0.05`` ends within it, and those are given as 0 instead."""
     i = int(x.searchsorted(_SERIES_TOP))
     g = np.empty_like(x)
     xc, gc = x[i:], g[i:]
@@ -611,7 +622,9 @@ def _lifetime(x, p: int) -> np.ndarray:
     else:
         gc += xc
     np.negative(gc, out=gc)
-    if i:
+    if i and c >= _SERIES_MAX[p]:
+        g[:i] = 0.0
+    elif i:
         xs = x[:i]
         gs = _horner(xs, _SERIES[p], g[:i])
         gs *= np.power(xs, _P_0D[p])
@@ -641,6 +654,18 @@ def _horner(x, coeffs, out=None) -> np.ndarray:
         acc *= x
         acc += c
     return acc
+
+
+# The series' largest value, at x = 0.05, with a margin for its rounding:
+# a step c on the lifetime clock at least this dissolves every particle
+# the series would be summed for.  In a full substep c is about
+# step_fraction/4 (dl) or /2 (al), 4e-3 or 8e-3 at the default step,
+# above g_3(0.05) = 4.3e-5 and g_2(0.05) = 1.3e-3.
+_SERIES_MAX = {
+    p: float(_horner(_SERIES_TOP, _SERIES[p]) * np.power(_SERIES_TOP, _P_0D[p]))
+    * (1.0 + 1e-9)
+    for p in (2, 3)
+}
 
 
 def _aligned(n: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ripening import csvtable
 from ripening.csvtable import BLOCK_ROWS, format_rows, write_table
 from ripening.ensemble import (simulate_late_stage, write_series_csv,
                                write_snapshot_csv)
@@ -143,6 +144,73 @@ class TestBlocks:
         out = io.StringIO()
         write_table(out, "id,radius", (np.array([], np.int64), np.array([])))
         assert out.getvalue() == "id,radius\n"
+
+
+class TestNarrowLayout:
+    """Each block's fields are as wide as its own values need: 7-row
+    blocks, so the widths change from block to block and, with the rows
+    shuffled, mix within one."""
+
+    @staticmethod
+    def _check_table(monkeypatch, *columns):
+        monkeypatch.setattr(csvtable, "BLOCK_ROWS", 7)
+        template = ",".join("%d" if np.asarray(c).dtype.kind in "iu"
+                            else "%.17g" for c in columns) + "\n"
+        out, want = io.StringIO(), io.StringIO()
+        write_table(out, "h", columns, comment="c")
+        _reference_write_table(want, "h", template, columns, "c")
+        assert out.getvalue() == want.getvalue()
+
+    @staticmethod
+    def _orders(x):
+        """x ascending (widths grow block by block), then shuffled."""
+        x = np.asarray(x)
+        return [np.sort(x), np.random.default_rng(22).permutation(x)]
+
+    def test_integer_widths(self, monkeypatch):
+        d = np.arange(1, 18)
+        first, last = 10 ** (d - 1), 10**d - 1
+        ids = np.concatenate([first, last, -first, -last, [0, 10**17 - 1]])
+        for v in self._orders(ids):
+            self._check_table(monkeypatch, v)
+            self._check_table(monkeypatch, v, np.linspace(0.5, 2.0, v.size), v)
+
+    def test_every_k(self, monkeypatch):
+        # k = 16 - X runs 0 to 20 over the decimal exponents X of fixed
+        # notation; next to each power of ten floor(log10) may be one off
+        # and the significand moves k.
+        powers = np.array([float(f"1e{e}") for e in range(-4, 17)])
+        near = [powers, powers * 9.999999999999999, powers * 1.2345678901234567]
+        for steps in (1, 2):
+            for toward in (0.0, np.inf):
+                x = powers
+                for _ in range(steps):
+                    x = np.nextafter(x, toward)
+                near.append(x)
+        x = np.concatenate(near)
+        x = x[(x >= 1e-4) & (x < 1e17)]
+        for v in self._orders(np.concatenate([x, -x, [0.0, -0.0]])):
+            self._check_table(monkeypatch, v)
+            self._check_table(monkeypatch, np.arange(v.size), v)
+
+    def test_integer_parts(self, monkeypatch):
+        # 1 to 17 digits before the point, with and without decimals.
+        d = np.arange(17)
+        x = np.concatenate([10.0**d, 10.0**d + 0.5, 10.0**d * 1.75,
+                            10.0 ** (d + 1) - 1.0, [0.0, -0.0, 0.1]])
+        for v in self._orders(np.concatenate([x, -x])):
+            self._check_table(monkeypatch, v, -v)
+
+    def test_fallback_rows_interleaved(self, monkeypatch):
+        special = [5e-324, -2.5e-320, 2.2250738585072014e-308, np.inf,
+                   -np.inf, np.nan, 1e17, 1.0000000000000002e17, -3e20,
+                   1.7976931348623157e308, 9.9999999999999991e-5, -1e-5,
+                   1e-300]
+        x = np.concatenate([special, np.linspace(-3.0, 1234.5, 40),
+                            [0.0, -0.0, 1e-4, 99999999999999984.0]])
+        for v in self._orders(x):
+            self._check_table(monkeypatch, np.arange(v.size) - 20, v)
+            self._check_table(monkeypatch, v, np.arange(v.size) * 10**15, v)
 
 
 @pytest.mark.parametrize("regime, n, t0", [

@@ -287,6 +287,16 @@ class TestSampling:
         # ~1.6/sqrt(n) is a lenient 3-sigma-ish band for the KS statistic
         assert ks < 1.6 / math.sqrt(n)
 
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_sorted_interpolation_is_plain_interp(self, regime):
+        # The draws are interpolated in sorted order and scattered back:
+        # the same values as np.interp on them as drawn.
+        d = size_distribution(regime)
+        z_tab, h_tab = d.cdf_table
+        for seed in (0, 1, 2, 3, 12345):
+            u = np.random.default_rng(seed).random(5000)
+            assert np.array_equal(d.sample(5000, seed), np.interp(u, h_tab, z_tab))
+
     def test_bad_sample_size(self):
         with pytest.raises(DomainError):
             size_distribution(DIFFUSION_LIMITED).sample(0, seed=1)

@@ -14,6 +14,7 @@ import pytest
 from ripening.distribution import size_distribution
 from ripening.ensemble import (
     _INVERSE,
+    _SERIES_MAX,
     FOUR_THIRDS_PI,
     _align,
     _inverse_lifetime,
@@ -520,6 +521,18 @@ class TestSortedState:
             assert np.array_equal(snap.ids, ref_snap.ids)
             assert np.array_equal(snap.radii, ref_snap.radii)
 
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_snapshot_order_matches_argsort(self, regime):
+        # The ids left after dissolution, and in al after re-sorts, in the
+        # order an argsort of the stored ids gives.
+        ens = init_ensemble(regime, 2000, 1.0, seed=3)
+        ens.run(1.0)
+        assert ens.work["dissolved"] > 500
+        order = np.argsort(ens._ids)
+        snap = ens.snapshot()
+        assert np.array_equal(snap.ids, ens._ids[order])
+        assert np.array_equal(snap.radii, np.cbrt(ens._y[order]))
+
     def test_drop_takes_the_smallest(self):
         # A drop slices off the start of the sorted state and counts the
         # dissolved particles (a collapse is refused by the run before it;
@@ -657,6 +670,33 @@ class TestExactFlow:
         assert np.array_equal(_lifetime(self.X, p), tau)
         assert np.array_equal(_inverse_lifetime(tau, p),
                               _ref_inverse_lifetime(tau, p))
+
+    @pytest.mark.parametrize("regime", BOTH)
+    @pytest.mark.parametrize("scale", [0.5, 1.0 - 2**-52, 1.0, 2.0])
+    def test_series_skipped_only_when_all_dissolve(self, regime, scale):
+        # A step c on the lifetime clock at least _SERIES_MAX ends every
+        # lifetime below x = 0.05; the flow then gives them 0 instead of
+        # the series.  On both sides of it the flow's dissolved count and
+        # survivors equal the references' bit for bit.
+        p = 2 if regime.kind == "al" else 3
+        c = _SERIES_MAX[p] * scale
+        x = self.X[self.X < 0.5]
+        assert np.any(x < 0.05) and np.any(x >= 0.05)
+        got = _lifetime(x, p, c)
+        want = _ref_lifetime(x, p)
+        below = x < 0.05
+        if scale < 1.0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.all(want[below] <= c) and np.all(got[below] == 0.0)
+            assert np.array_equal(got[~below], want[~below])
+        k, y = Ensemble(regime, [1.0, 2.0])._flow(x, 1.0, c)
+        dying = int(np.searchsorted(want, c, side="right"))
+        assert k == dying
+        # At half the threshold some series lifetimes outlast the step.
+        assert np.any(x[k:] < 0.05) == (scale == 0.5)
+        survivors = _ref_inverse_lifetime(np.maximum(want[dying:] - c, 0.0), p)
+        assert np.array_equal(y, survivors * survivors * survivors)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_inverse_at_the_range_bound(self, p):
