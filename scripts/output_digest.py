@@ -2,11 +2,14 @@
 
     python3 scripts/output_digest.py > digests.txt
 
-Two trees that print the same lines give bit-identical outputs.  Run the
-script in each from the same relative working directory: the command line
-files go under ``output-digest/`` there, and ``report.json`` and every CSV
-comment record the invocation, output path included.  The package is
-imported from the ``src`` directory next to this script.
+Two trees that print the same lines give bit-identical outputs.  The first
+line names what the bits depend on besides the tree: numpy's version and
+the SIMD target numpy runs each float64 ufunc in ``UFUNCS`` on; two files
+whose first lines differ are not comparable.  Run the script in each tree
+from the same relative working directory: the command line files go under
+``output-digest/`` there, and ``report.json`` and every CSV comment record
+the invocation, output path included.  The package is imported from the
+``src`` directory next to this script.
 
 Families, each in both regimes:
 
@@ -48,6 +51,7 @@ PHI_GRIDS = {
     "near-one": 1.0 + np.geomspace(1e-15, 1e-2, 50),
 }
 TIMES = np.geomspace(1.0, 1e300, POINTS)
+UFUNCS = ("log", "log1p", "exp", "expm1", "cbrt", "power")
 TABLE_COMMANDS = {
     "tau-dl": ["tau", "--regime", "dl", "--min", "0.1", "--max", "1.4",
                "--count", "50"],
@@ -60,6 +64,21 @@ TABLE_COMMANDS = {
     "phi-dl": ["phi", "--regime", "dl"],
     "dist-al": ["dist", "--regime", "al"],
 }
+
+
+def kernels():
+    """A comment line: numpy's version and the target of each of ``UFUNCS``
+    in numpy's dispatch report."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0 has no dispatch report
+        return f"# numpy {np.__version__}"
+    targets = []
+    for name in UFUNCS:
+        (info,) = opt_func_info(func_name=f"^{name}$",
+                                signature="float64")[name].values()
+        targets.append(f"{name}={info['current']}")
+    return f"# numpy {np.__version__} " + " ".join(targets)
 
 
 def digest_floats(*arrays):
@@ -125,5 +144,6 @@ def run(argv):
 
 
 if __name__ == "__main__":
+    print(kernels(), flush=True)
     for name, digest in families():
         print(f"{digest}  {name}", flush=True)

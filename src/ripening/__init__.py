@@ -54,7 +54,6 @@ from .ensemble import (
     TimeSeries,
     empirical_return_radius,
     init_ensemble,
-    initial_order_preserved,
     measure_new_volume,
     simulate_late_stage,
     write_series_csv,
@@ -83,7 +82,7 @@ __all__ = [
     "new_volume_fraction", "fraction_from_start_size", "initial_growth_rate",
     # ensemble
     "Ensemble", "Snapshot", "TimeSeries", "NewVolume", "init_ensemble",
-    "measure_new_volume", "empirical_return_radius", "initial_order_preserved",
-    "LateStageComparison", "LateStageResult", "simulate_late_stage",
-    "write_snapshot_csv", "write_series_csv",
+    "measure_new_volume", "empirical_return_radius", "LateStageComparison",
+    "LateStageResult", "simulate_late_stage", "write_snapshot_csv",
+    "write_series_csv",
 ]

@@ -152,7 +152,6 @@ __all__ = [
     "init_ensemble",
     "measure_new_volume",
     "empirical_return_radius",
-    "initial_order_preserved",
     "LateStageComparison",
     "LateStageResult",
     "simulate_late_stage",
@@ -213,6 +212,8 @@ _INVERSE_0D = {p: tuple(map(np.array, c)) for p, c in _INVERSE.items()}
 _T_MIN, _T_MAX = 1e-150, 1e150
 # The stepper works on the volumes y = R**3, each a positive normal float.
 _Y_MIN, _Y_MAX = np.finfo(float).tiny, np.finfo(float).max
+# The default step_fraction, shared by every entry to the ensemble.
+_STEP_FRACTION = 1.6e-2
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,7 @@ class Ensemble:
         regime: Regime,
         radii,
         *,
-        step_fraction: float = 1.6e-2,
+        step_fraction: float = _STEP_FRACTION,
     ):
         radii = np.asarray(radii, dtype=float)
         if radii.ndim != 1 or radii.size < 2:
@@ -677,10 +678,12 @@ def _aligned(n: int) -> np.ndarray:
 
 
 def init_ensemble(
-    regime: Regime, n: int, r_c0: float, seed: int, **ensemble_options
+    regime: Regime, n: int, r_c0: float, seed: int, *,
+    step_fraction: float = _STEP_FRACTION,
 ) -> Ensemble:
     """Draw ``n`` radii from the regime's stationary size density, scaled by
-    the starting critical radius ``r_c0``; particle ids are 0..n-1."""
+    the starting critical radius ``r_c0``, into an :class:`Ensemble` of
+    that ``step_fraction``; particle ids are 0..n-1."""
     if not isinstance(n, (int, np.integer)):
         raise DomainError(f"n must be an integer, got {n!r}")
     if n < 2:
@@ -689,7 +692,7 @@ def init_ensemble(
     if not (r_c0 > 0.0 and math.isfinite(r_c0)):
         raise DomainError(f"r_c0 must be positive and finite, got {r_c0!r}")
     z = size_distribution(regime).sample(n, seed)
-    return Ensemble(regime, r_c0 * z, **ensemble_options)
+    return Ensemble(regime, r_c0 * z, step_fraction=step_fraction)
 
 
 def _align(before: Snapshot, after: Snapshot):
@@ -745,16 +748,6 @@ def empirical_return_radius(before: Snapshot, after: Snapshot) -> float:
     return 0.5 * (float(np.max(r0[~grown])) + float(np.min(r0[grown])))
 
 
-def initial_order_preserved(before: Snapshot, after: Snapshot) -> bool:
-    """True when the grown set is an up-set in initial radius, i.e. the
-    mean-field ordering survived: every grown particle started above every
-    shrunk one."""
-    r0, _, grown = _align(before, after)
-    if not np.any(grown) or np.all(grown):
-        return True
-    return float(np.max(r0[~grown])) < float(np.min(r0[grown]))
-
-
 @dataclass(frozen=True)
 class LateStageComparison:
     """Simulation vs analytics at one snapshot time ``t``, ``s = t/t0``:
@@ -800,7 +793,8 @@ def simulate_late_stage(
     t_end: float,
     snapshot_times,
     seed: int,
-    **ensemble_options,
+    *,
+    step_fraction: float = _STEP_FRACTION,
 ) -> LateStageResult:
     """Run an ensemble against the analytic late-stage predictions.
 
@@ -815,7 +809,7 @@ def simulate_late_stage(
     :class:`LateStageComparison` per snapshot, its relative errors set as
     it is built.  ``t0`` and ``t_end`` lie in [1e-150, 1e150], where the
     run's products of times and radii stay normal floats.
-    ``step_fraction`` is the one ensemble option it takes.
+    ``step_fraction`` is the ensemble's (see :class:`Ensemble`).
 
     Every time returned is on that clock: ``base.t`` is ``t0``, each
     snapshot's ``t`` is its requested time, and ``series.t`` runs from
@@ -824,9 +818,6 @@ def simulate_late_stage(
     run names the ensemble's own clock instead, which counts from 0 at
     ``t0``.
     """
-    unknown = sorted(set(ensemble_options) - {"step_fraction"})
-    if unknown:
-        raise DomainError(f"the only ensemble option is step_fraction, got {unknown!r}")
     t0 = float(t0)
     t_end = float(t_end)
     if not _T_MIN <= t0 <= _T_MAX:
@@ -849,7 +840,7 @@ def simulate_late_stage(
         )
 
     r_c0 = critical_radius(regime, 0.0, t0)
-    ens = init_ensemble(regime, n, r_c0, seed, **ensemble_options)
+    ens = init_ensemble(regime, n, r_c0, seed, step_fraction=step_fraction)
     # The ensemble's clock counts from 0 at t0; every result reads t0's.
     base = replace(ens.snapshot(), t=t0)
     start_total = ens.total_volume()

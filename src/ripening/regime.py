@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,9 +58,8 @@ __all__ = [
 # tau(z) diverges at the distribution cutoff z_max; stay this far below it.
 CUTOFF_GUARD = 1e-12
 
-# Each regime's (growth_exponent, rate_constant, coarsening_exponent, z_max):
-# the one tuple a Regime of that kind accepts, and the singletons' constants.
-_EXPECTED = {
+# Each regime's (growth_exponent, rate_constant, coarsening_exponent, z_max).
+_CONSTANTS = {
     "dl": (2, 27.0 / 4.0, 3, 1.5),
     "al": (1, 4.0, 2, 2.0),
 }
@@ -70,9 +69,9 @@ _EXPECTED = {
 class Regime:
     """One of the two coarsening kinetics, with its fixed constants.
 
-    The four numbers are not independent knobs: for each ``kind`` only the
-    single tuple realised by the physics is accepted, so a ``Regime`` cannot
-    be constructed in a mix-and-match state.
+    ``Regime(kind)`` takes the kind alone and reads the four numbers the
+    physics fixes from one table, so a ``Regime`` cannot be constructed in
+    a mix-and-match state; it equals the singleton of its kind.
 
     Attributes
     ----------
@@ -89,40 +88,26 @@ class Regime:
     """
 
     kind: str
-    growth_exponent: int
-    rate_constant: float
-    coarsening_exponent: int
-    z_max: float
+    growth_exponent: int = field(init=False)
+    rate_constant: float = field(init=False)
+    coarsening_exponent: int = field(init=False)
+    z_max: float = field(init=False)
 
     def __post_init__(self):
-        expected = _EXPECTED.get(self.kind)
-        if expected is None:
+        constants = _CONSTANTS.get(self.kind)
+        if constants is None:
             raise DomainError(f"unknown regime kind {self.kind!r} (use 'dl' or 'al')")
-        got = (
-            self.growth_exponent,
-            self.rate_constant,
-            self.coarsening_exponent,
-            self.z_max,
-        )
-        if got != expected:
-            raise DomainError(
-                f"constants {got!r} are inconsistent with regime {self.kind!r}; "
-                f"expected {expected!r}"
-            )
+        for constant, value in zip(fields(self)[1:], constants):
+            object.__setattr__(self, constant.name, value)
 
 
-REGIMES = {kind: Regime(kind, *constants) for kind, constants in _EXPECTED.items()}
+REGIMES = {kind: Regime(kind) for kind in _CONSTANTS}
 DIFFUSION_LIMITED, ATTACHMENT_LIMITED = REGIMES["dl"], REGIMES["al"]
 
 
 def get_regime(kind: str) -> Regime:
     """Look up a regime singleton by its ``kind`` string."""
-    try:
-        return REGIMES[kind]
-    except KeyError:
-        raise DomainError(
-            f"unknown regime kind {kind!r} (use 'dl' or 'al')"
-        ) from None
+    return REGIMES.get(kind) or Regime(kind)
 
 
 def growth_rate_scaled(regime: Regime, z):

@@ -39,9 +39,9 @@ PARAMETERS = {
     "recrystallization.fraction_from_start_size": ["regime", "z0", "complement"],
     "ensemble.simulate_late_stage": ["regime", "n", "t0", "t_end",
                                      "snapshot_times", "seed",
-                                     "ensemble_options"],
+                                     "step_fraction"],
     "ensemble.init_ensemble": ["regime", "n", "r_c0", "seed",
-                               "ensemble_options"],
+                               "step_fraction"],
     "ensemble.Ensemble.run": ["self", "t_end", "snapshot_times"],
     "ensemble.measure_new_volume": ["before", "after"],
     "ensemble.empirical_return_radius": ["before", "after"],

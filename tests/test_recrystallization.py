@@ -7,8 +7,10 @@ density, independent of the Gauss-Legendre table in the library.
 """
 
 import gc
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,9 +116,33 @@ class TestPinnedToRounding:
                 assert abs(mp.mpf(got) - want) <= 1e-13, s
 
 
+def _dispatch(ufunc):
+    """The SIMD target numpy runs ``ufunc`` on for float64, as its
+    dispatch report names it ("X86_V4", "baseline(X86_V2)", ...)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        pytest.fail(f"numpy {np.__version__} has no dispatch report")
+    (kernels,) = opt_func_info(func_name=f"^{ufunc}$",
+                               signature="float64")[ufunc].values()
+    return kernels["current"]
+
+
+# The dl analytic grid's bits, differing in points 1 and 29, under numpy's
+# baseline kernels: log and exp on X86_V3, log1p, expm1, cbrt and power on
+# baseline(X86_V2), as NPY_DISABLE_CPU_FEATURES="AVX512F ... X86_V4" leaves
+# them on an AVX-512 host.
+_DL_ANALYTIC_BASELINE = (
+    "0x0.0p+0", "0x1.21b4dc2e8c600p-6", "0x1.e0de2c67eb9f4p-2",
+    "0x1.8ae2e0849618ep-1", "0x1.de9b0a118394bp-1", "0x1.f709daedb9373p-1",
+    "0x1.fda80a1594b79p-1", "0x1.fecedbcce7249p-1")
+
+
 class TestPinnedBits:
     # The exact bits of phi at 8 points of each perfbench grid, scalar calls:
     # a change that moves any of them is a change of value, not of speed.
+    # numpy's SIMD kernels round a few last bits differently, so the bits
+    # are pinned per kernel set, named by the targets of log and log1p.
     GRIDS = {
         "analytic": (np.geomspace(1.0, 1e3, 200), (0, 1, 29, 59, 99, 139, 179, 199)),
         "tail": (np.geomspace(1e3, 1e300, 200), (0, 1, 2, 3, 4, 5, 99, 199)),
@@ -139,14 +165,44 @@ class TestPinnedBits:
             "0x1.ffffffffa9046p-1", "0x1.ffffffffff7b1p-1", "0x1.ffffffffffff6p-1",
             "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     }
+    BITS_BY_KERNELS = {
+        ("X86_V4", "X86_V4"): BITS,
+        ("X86_V3", "baseline(X86_V2)"): {
+            **BITS, ("dl", "analytic"): _DL_ANALYTIC_BASELINE},
+    }
 
     @pytest.mark.parametrize("regime", BOTH)
     @pytest.mark.parametrize("grid", ("analytic", "tail"))
     def test_perfbench_grid_bits(self, regime, grid):
+        kernels = _dispatch("log"), _dispatch("log1p")
+        if kernels not in self.BITS_BY_KERNELS:
+            pytest.fail(f"no bits pinned for log and log1p on {kernels}")
         values, picks = self.GRIDS[grid]
         got = tuple(new_volume_fraction(regime, float(values[i])).hex()
                     for i in picks)
-        assert got == self.BITS[regime.kind, grid]
+        assert got == self.BITS_BY_KERNELS[kernels][regime.kind, grid]
+
+
+class TestAgainstOracle:
+    # perfbench/oracle.json: phi at 30 digits on both perfbench grids, from
+    # mpmath with a different root equation and no ripening import.
+    # Measured: at most 4.0e-15 (dl) and 2.6e-15 (al) relative on
+    # "analytic", 1.3e-15 and 3.3e-16 absolute on "tail", on both kernel
+    # sets of TestPinnedBits.
+    ORACLE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                         / "oracle.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("regime", BOTH)
+    @pytest.mark.parametrize("grid, rel, abs_", [
+        pytest.param("analytic", 8e-15, 0.0, id="analytic"),
+        pytest.param("tail", 0.0, 3e-15, id="tail"),
+    ])
+    def test_phi_on_perfbench_grid(self, regime, grid, rel, abs_):
+        table = self.ORACLE["grids"][grid][regime.kind]
+        want = np.array([float(p) for p in table["phi"]])
+        got = new_volume_fraction(regime, np.array(table["s"]))
+        assert got.shape == want.shape == (200,)
+        assert np.all(np.abs(got - want) <= rel * want + abs_)
 
 
 class TestShape:

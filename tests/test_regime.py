@@ -47,13 +47,15 @@ class TestRegimeConstants:
             get_regime("xx")
 
     def test_no_mix_and_match(self):
-        # The constants come as a package; no other tuple is constructible.
-        with pytest.raises(DomainError):
+        # The constants come with the kind; no other tuple is constructible.
+        assert Regime("dl") == DIFFUSION_LIMITED
+        assert Regime("al") == ATTACHMENT_LIMITED
+        with pytest.raises(TypeError):
             Regime("dl", 1, 4.0, 2, 2.0)
-        with pytest.raises(DomainError):
-            Regime("al", 1, 4.0, 2, 1.5)
-        with pytest.raises(DomainError):
-            Regime("other", 2, 27.0 / 4.0, 3, 1.5)
+        with pytest.raises(TypeError):
+            Regime("al", z_max=1.5)
+        with pytest.raises(DomainError, match="unknown regime kind 'other'"):
+            Regime("other")
 
     def test_slope(self):
         assert coarsening_slope(DIFFUSION_LIMITED) == pytest.approx(4.0 / 9.0)
