@@ -370,29 +370,12 @@ class Ensemble:
     # -- read-only views ---------------------------------------------------
 
     @property
-    def t(self) -> float:
-        return self._t
-
-    @property
-    def n(self) -> int:
-        return int(self._y.size)
-
-    @property
     def work(self) -> dict:
         """Deterministic work counts since construction: substeps taken,
         re-sorts of the state after an update, the prefix particles moved
         by the exact flow, and the particles that dissolved inside a
         substep."""
         return dict(self._work)
-
-    def mean_field(self) -> tuple[float, float]:
-        """Self-consistent mean field u and the critical radius R_c = 1/u."""
-        u = self._field(np.cbrt(self._y))
-        return u, 1.0 / u
-
-    def total_volume(self) -> float:
-        """(4/3) pi sum(R^3) of the particles currently present."""
-        return FOUR_THIRDS_PI * float(np.sum(self._y))
 
     def snapshot(self) -> Snapshot:
         """The current time, ids and radii, in id order."""
@@ -438,7 +421,7 @@ class Ensemble:
         of the growth law under the frozen field ``u`` for ``h``.  Returns
         the number ``k`` of particles that dissolve, the first ones, and
         the survivors' new volumes."""
-        p = 2 if self.regime.kind == "al" else 3
+        p = self.regime.growth_exponent + 1
         c = u**p * h  # the substep on the lifetime clock u**-p
         lifetime = _lifetime(r * u, p, c)
         k = int(lifetime.searchsorted(c, side="right"))
@@ -451,7 +434,7 @@ class Ensemble:
         y *= x
         return k, y
 
-    def _advance(self, t_target: float, recorder=None):
+    def _advance(self, t_target: float, recorder):
         # r = cbrt(y) and the mean field u are taken once per update and
         # reused by the step size, the stages, the flow and the recorder.
         # Every full-size array a substep writes is a buffer allocated
@@ -461,9 +444,11 @@ class Ensemble:
         # lines.  The prefix below R_c/2 (a few percent of the state) and a
         # re-sort allocate.
         al = self.regime.kind == "al"
-        # The step step_fraction / (scale u**p) bounds every suffix
-        # particle's |dR|/R by step_fraction (see the module docstring).
-        p, scale = (2, 2.0) if al else (3, 4.0)
+        # The suffix's relative volume rate peaks at R_c/2, 3 scale u**p: the
+        # step step_fraction / (scale u**p) bounds its |dR|/R by
+        # step_fraction (see the module docstring).
+        p = self.regime.growth_exponent + 1
+        scale = 2.0 ** (p - 1)
         y = self._y
         n = y.size
         r_buf, hk1_buf, hk2_buf = (_aligned(n) for _ in range(3))
@@ -539,8 +524,7 @@ class Ensemble:
             self._work["substeps"] += 1
             r = np.cbrt(y, out=r_buf[:n])
             u = self._field(r, hk2_buf[:n])
-            if recorder is not None:
-                recorder(t_next, n, 1.0 / u, float(_sum(y)))
+            recorder(t_next, n, 1.0 / u, float(_sum(y)))
 
     def run(self, t_end: float, snapshot_times=()):
         """Advance to ``t_end``, returning snapshots at the requested times
@@ -565,7 +549,8 @@ class Ensemble:
             raise DomainError(
                 f"snapshot times must lie within [{self._t!r}, {t_end!r}]"
             )
-        rows = [(self._t, self.n, self.mean_field()[1], float(np.sum(self._y)))]
+        rows = [(self._t, self._y.size, 1.0 / self._field(np.cbrt(self._y)),
+                 float(np.sum(self._y)))]
         record = lambda *row: rows.append(row)
         snapshots = []
         for ts in times:
@@ -843,11 +828,12 @@ def simulate_late_stage(
     ens = init_ensemble(regime, n, r_c0, seed, step_fraction=step_fraction)
     # The ensemble's clock counts from 0 at t0; every result reads t0's.
     base = replace(ens.snapshot(), t=t0)
-    start_total = ens.total_volume()
 
     offsets = [ts - t0 for ts in times]
     snapshots, series = ens.run(t_end - t0, offsets)
-    residual = abs(ens.total_volume() - start_total) / start_total
+    # The series' first and last rows are the run's start and end states.
+    v0, v1 = (FOUR_THIRDS_PI * series.total_r3[[0, -1]]).tolist()
+    residual = abs(v1 - v0) / v0
     snapshots = [replace(snap, t=ts) for snap, ts in zip(snapshots, times)]
     # The run stops exactly on each offset and on t_end - t0, but
     # t0 + (ts - t0) need not round to ts: those rows take the times asked.

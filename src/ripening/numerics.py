@@ -32,7 +32,6 @@ from .errors import (
 
 __all__ = [
     "Tolerance",
-    "DEFAULT_ROOT_TOL",
     "DEFAULT_QUAD_TOL",
     "DEFAULT_ODE_TOL",
     "find_root",
@@ -43,16 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Convergence budget for an iterative routine.
+    """Convergence budget of :func:`integrate` and :func:`solve_ode`.
 
     Attributes
     ----------
     abs_tol, rel_tol:
-        Absolute and relative parts of the acceptance test of :func:`integrate`
-        and :func:`solve_ode` (not :func:`find_root`); at least one is > 0.
+        Absolute and relative parts of the acceptance test; at least one
+        is > 0.
     max_iter:
-        Hard cap on iterations (bisection steps, subdivision depth, or
-        accepted+rejected ODE steps, depending on the consumer).
+        Hard cap on iterations (subdivision depth, or accepted+rejected ODE
+        steps, depending on the consumer).
     """
 
     abs_tol: float = 1e-14
@@ -74,7 +73,6 @@ class Tolerance:
         return self.abs_tol + self.rel_tol * abs(scale)
 
 
-DEFAULT_ROOT_TOL = Tolerance(abs_tol=1e-14, rel_tol=1e-12, max_iter=200)
 DEFAULT_QUAD_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_iter=60)
 DEFAULT_ODE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-10, max_iter=1_000_000)
 
@@ -88,7 +86,7 @@ def find_root(
     f: Callable,
     lo,
     hi,
-    tol: Tolerance = DEFAULT_ROOT_TOL,
+    max_iter: int = 200,
 ):
     """Locate a root of ``f`` inside the bracket ``[lo, hi]`` by bisection.
 
@@ -98,8 +96,8 @@ def find_root(
     arithmetic costs a fraction of a 0-d array's, and gives a float.  The
     endpoints must straddle a sign change.  An entry stops only at an exact
     zero, or when its bracket closes to two adjacent floats; its lower end
-    is returned.  Of ``tol`` only ``max_iter`` is read, as the step budget:
-    closing a bracket takes about ``log2((hi - lo) / ulp(root))`` steps.
+    is returned.  ``max_iter`` is the step budget: closing a bracket takes
+    about ``log2((hi - lo) / ulp(root))`` steps.
     The functions inverted in this package are monotone but extremely flat
     near their roots, which rules out secant-type accelerations that assume
     a usable local slope.
@@ -115,12 +113,15 @@ def find_root(
     Raises
     ------
     DomainError
-        If a bracket is empty/inverted or ``f`` returns a NaN.
+        If ``max_iter < 1``, a bracket is empty/inverted or ``f`` returns a
+        NaN.
     BracketError
         If ``f(lo)`` and ``f(hi)`` have the same sign.
     ConvergenceError
-        If ``tol.max_iter`` bisections do not close every bracket.
+        If ``max_iter`` bisections do not close every bracket.
     """
+    if max_iter < 1:
+        raise DomainError("max_iter must be a positive integer")
     lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
     bad = ~(lo < hi)
     if bad.any():
@@ -145,8 +146,8 @@ def find_root(
     np.copyto(hi, lo, where=at_lo | at_hi)
     sign = np.sign(fhi)  # f * sign is positive above each root
     mid = np.empty_like(lo)
-    last = tol.max_iter - 1
-    for step in range(tol.max_iter):
+    last = max_iter - 1
+    for step in range(max_iter):
         np.add(lo, hi, out=mid)
         mid *= 0.5
         if ((step % 8 == 0 or step == last)
@@ -160,7 +161,7 @@ def find_root(
     if np.isnan(f(mid[()])).any():
         raise DomainError(f"f is NaN inside the bracket, near x={mid!r}")
     raise ConvergenceError(
-        f"bisection did not converge in {tol.max_iter} iterations "
+        f"bisection did not converge in {max_iter} iterations "
         f"(bracket [{lo!r}, {hi!r}])"
     )
 

@@ -29,7 +29,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 # and the benchmark calls the rest as the package's callers do.
 PARAMETERS = {
     "regime._tau_closed_form": ["regime", "z"],
-    "numerics.find_root": ["f", "lo", "hi", "tol"],
+    "numerics.find_root": ["f", "lo", "hi", "max_iter"],
     "numerics.integrate": ["f", "a", "b", "tol"],
     "return_map.initial_size_for_ratio": ["regime", "s"],
     "return_map.return_size": ["regime", "z0"],

@@ -21,6 +21,8 @@ from ripening.distribution import (
 from ripening.errors import DomainError
 from ripening.regime import ATTACHMENT_LIMITED, DIFFUSION_LIMITED
 
+import mp_oracle
+
 BOTH = (DIFFUSION_LIMITED, ATTACHMENT_LIMITED)
 
 # Pinned at 40-digit precision.
@@ -161,13 +163,7 @@ class TestMoments:
         mp = pytest.importorskip("mpmath").mp
         with mp.workdps(30):
             zm = mp.mpf(regime.z_max)
-            if regime.kind == "dl":
-                h = lambda z: (81 * mp.e * mp.power(2, mp.mpf(-5) / 3) * z**2
-                               * mp.power(z + 3, mp.mpf(-7) / 3)
-                               * mp.power(zm - z, mp.mpf(-11) / 3)
-                               * mp.exp(-3 / (3 - 2 * z)))
-            else:
-                h = lambda z: 24 * z * mp.power(2 - z, -5) * mp.exp(-3 * z / (2 - z))
+            h = mp_oracle.density(mp, regime)
             d = size_distribution(regime)
             for k in range(4):
                 want = mp.quad(lambda z: h(z) * z**k, [0, 1, zm])

@@ -72,24 +72,26 @@ class TestConstruction:
     def test_initial_state(self):
         # The clock counts the time since the state was given.
         ens = Ensemble(DIFFUSION_LIMITED, [1.0, 2.0, 3.0])
-        assert ens.t == 0.0
-        assert ens.n == 3
         snap = ens.snapshot()
+        assert snap.t == 0.0
+        assert snap.n == 3
         assert list(snap.ids) == [0, 1, 2]
         assert snap.radii == pytest.approx([1.0, 2.0, 3.0])
 
 
 class TestMeanField:
+    # A run's first series row holds R_c = 1/u of the state it was given.
     def test_dl_is_mean_radius(self):
         ens = Ensemble(DIFFUSION_LIMITED, [1.0, 2.0, 3.0])
-        u, rc = ens.mean_field()
-        assert rc == pytest.approx(2.0)
+        u = ens._field(np.cbrt(ens._y))
+        _, series = ens.run(1e-6)
+        assert series.rc_estimate[0] == pytest.approx(2.0)
         assert u == pytest.approx(0.5)
 
     def test_al_is_moment_ratio(self):
         ens = Ensemble(ATTACHMENT_LIMITED, [1.0, 2.0, 3.0])
-        _, rc = ens.mean_field()
-        assert rc == pytest.approx(14.0 / 6.0)
+        _, series = ens.run(1e-6)
+        assert series.rc_estimate[0] == pytest.approx(14.0 / 6.0)
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_rates_sum_to_zero(self, regime):
@@ -103,17 +105,18 @@ class TestMeanField:
 class TestStepping:
     def test_uniform_population_is_stationary(self):
         ens = Ensemble(DIFFUSION_LIMITED, [1.0, 1.0, 1.0])
-        ens.run(ens.t + 2.0)
-        assert ens.snapshot().radii == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
-        assert ens.t == 2.0
+        ens.run(2.0)
+        snap = ens.snapshot()
+        assert snap.radii == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
+        assert snap.t == 2.0
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_volume_conserved_with_deletions(self, regime):
         ens = init_ensemble(regime, 600, 1.0, seed=2)
-        start = ens.total_volume()
-        ens.run(ens.t + 3.0)
-        assert ens.work["dissolved"] == 600 - ens.n > 0
-        drift = abs(ens.total_volume() - start) / start
+        _, series = ens.run(3.0)
+        assert ens.work["dissolved"] == 600 - ens.snapshot().n > 0
+        start, end = series.total_r3[[0, -1]]
+        drift = abs(end - start) / start
         assert drift < 1e-12
 
     @pytest.mark.parametrize("tiny", [1e-9, 2.9e-103])
@@ -122,16 +125,17 @@ class TestStepping:
         # Its lifetime is far shorter than a substep, so the flow dissolves
         # it in the first one and its volume goes to the survivors.
         ens = Ensemble(regime, [tiny, 1.0, 1.0, 2.0])
-        start = ens.total_volume()
-        ens.run(ens.t + 1e-3)
+        _, series = ens.run(1e-3)
         assert ens.work["dissolved"] == 1
-        assert ens.n == 3 and list(ens.snapshot().ids) == [1, 2, 3]
-        assert abs(ens.total_volume() - start) <= 4e-16 * start
+        snap = ens.snapshot()
+        assert snap.n == 3 and list(snap.ids) == [1, 2, 3]
+        start, end = series.total_r3[[0, -1]]
+        assert abs(end - start) <= 4e-16 * start
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_big_grow_small_shrink(self, regime):
         ens = Ensemble(regime, [0.5, 1.0, 2.0])
-        ens.run(ens.t + 1e-2)
+        ens.run(1e-2)
         snap = ens.snapshot()
         assert list(snap.ids) == [0, 1, 2]
         r = snap.radii
@@ -144,13 +148,15 @@ class TestStepping:
         ens = Ensemble(DIFFUSION_LIMITED, [0.5, 2.0])
         with pytest.raises(StateError, match="collapses to 1 particle"):
             ens.run(5.0)
-        t, radii = ens.t, ens.snapshot().radii
+        snap = ens.snapshot()
+        t, radii = snap.t, snap.radii
         assert 0.0 < t < 5.0
-        assert ens.n == 2 and ens.work["dissolved"] == 0
+        assert snap.n == 2 and ens.work["dissolved"] == 0
         with pytest.raises(StateError, match=f"after t={t!r}"):
             ens.run(6.0)
-        assert ens.t == t
-        assert np.array_equal(ens.snapshot().radii, radii)
+        snap = ens.snapshot()
+        assert snap.t == t
+        assert np.array_equal(snap.radii, radii)
 
     def test_step_that_does_not_advance_is_refused(self):
         # h = step_fraction / (4 u**3) is about 1e-302 here, below half an
@@ -160,9 +166,10 @@ class TestStepping:
         ens._t = 1.0
         radii = ens.snapshot().radii
         with pytest.raises(StateError, match="does not advance t=1.0"):
-            ens.run(ens.t + 1.0)
-        assert ens.t == 1.0
-        assert np.array_equal(ens.snapshot().radii, radii)
+            ens.run(2.0)
+        snap = ens.snapshot()
+        assert snap.t == 1.0
+        assert np.array_equal(snap.radii, radii)
 
     def test_substeps_shrink_with_step_fraction(self):
         radii = init_ensemble(DIFFUSION_LIMITED, 200, 1.0, seed=3).snapshot().radii
@@ -311,7 +318,7 @@ class _AllocatingEnsemble(Ensemble):
         self._y = self._y[keep].copy()
         self._ids = self._ids[keep].copy()
 
-    def _advance(self, t_target, recorder=None):
+    def _advance(self, t_target, recorder):
         al = self.regime.kind == "al"
         p = 2 if al else 3
         r = np.cbrt(self._y)
@@ -370,9 +377,7 @@ class _AllocatingEnsemble(Ensemble):
             self._work["substeps"] += 1
             r = np.cbrt(self._y)
             u = self._ref_field(r)
-            if recorder is not None:
-                recorder(t_next, self._y.size, 1.0 / u,
-                         float(np.sum(self._y)))
+            recorder(t_next, self._y.size, 1.0 / u, float(np.sum(self._y)))
 
 
 class TestSortedState:
@@ -384,8 +389,8 @@ class TestSortedState:
             assert list(snap.ids) == [0, 1, 2]
             r = snap.radii
             assert r[0] > r[2] > r[1]
-            ens.run(ens.t + 0.01)
-        assert ens.n == 3
+            ens.run(snap.t + 0.01)
+        assert ens.snapshot().n == 3
         assert Ensemble(regime, [3.0, 1.0, 2.0]).snapshot().radii == (
             pytest.approx([3.0, 1.0, 2.0])
         )
@@ -410,7 +415,7 @@ class TestSortedState:
         ens._advance(0.5 * t0, check)
         assert len(checked) == ens.work["substeps"] > 100
         assert all(checked)
-        assert ens.n + ens.work["dissolved"] == 2000
+        assert ens.snapshot().n + ens.work["dissolved"] == 2000
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_matches_reference_stepper(self, regime):
@@ -419,7 +424,7 @@ class TestSortedState:
         substeps, ids, radii = _reference_run(
             regime, ens.snapshot().radii, t0, step_fraction=ens.step_fraction
         )
-        ens.run(ens.t + t0)
+        ens.run(t0)
         snap = ens.snapshot()
         assert ens.work["substeps"] == substeps
         assert np.array_equal(snap.ids, ids)
@@ -441,7 +446,7 @@ class TestSortedState:
             regime, ens.snapshot().radii, t0, step_fraction=ens.step_fraction,
             folded=False,
         )
-        ens.run(ens.t + t0)
+        ens.run(t0)
         snap = ens.snapshot()
         assert ens.work["substeps"] == substeps
         assert np.array_equal(snap.ids, ids)
@@ -561,7 +566,7 @@ class TestStepRule:
         # from them (in dl the first alone would give a step of 11
         # step_fraction).
         ens = Ensemble(regime, [1.0, 1.2])
-        u = ens.mean_field()[0]
+        u = ens._field(np.cbrt(ens._y))
         _, series = ens.run(1.0)
         assert series.t[1] == self._step(regime, ens.step_fraction, u)
 
@@ -715,22 +720,22 @@ class TestExactFlow:
         # x = u R starts below 0.75 (the inverse's range) even under a
         # wild field rate; seeds 1-2 at N = 20 000 reach 1.00027 u.
         ens = init_ensemble(regime, 500, 1.0, seed=1)
-        start = ens.total_volume()
         seen = []
         flow = Ensemble._flow
 
         def spy(self, r, u, h):
-            u0 = self.mean_field()[0]
+            u0 = self._field(np.cbrt(self._y))
             seen.append((u / u0, float(r.max()) * u))
             return flow(self, r, u, h)
 
         monkeypatch.setattr(Ensemble, "_flow", spy)
         ens._field_rate = 1e6
-        ens.run(ens.t + 0.5)
+        _, series = ens.run(0.5)
         assert seen[0][0] == 1.5
         assert max(x for _, x in seen) <= 0.75 * (1.0 + 1e-15)
         assert np.all(ens._y[1:] >= ens._y[:-1])
-        assert abs(ens.total_volume() - start) <= 1e-13 * start
+        start, end = series.total_r3[[0, -1]]
+        assert abs(end - start) <= 1e-13 * start
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_second_order(self, regime):
@@ -782,6 +787,9 @@ class TestExactFlow:
                                   seed=1)
         assert res.work["dissolved"] > 0
         assert res.conservation_residual <= 1e-15
+        # The residual is read from the series' first and last rows.
+        v0, v1 = FOUR_THIRDS_PI * res.series.total_r3[[0, -1]]
+        assert res.conservation_residual == abs(v1 - v0) / v0
 
 
 class TestRun:
@@ -800,12 +808,24 @@ class TestRun:
         r3 = series.total_r3
         assert np.max(np.abs(r3 - r3[0])) / r3[0] < 1e-12
 
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_first_row_is_the_given_state(self, regime):
+        # Row 0 holds the state the run starts from, summed in the stored
+        # (ascending volume) order, as every later row is.
+        radii = np.random.default_rng(7).uniform(0.2, 2.0, size=300)
+        y = np.sort(radii**3)
+        ens = Ensemble(regime, radii)
+        _, series = ens.run(0.1)
+        assert series.t[0] == 0.0 and series.n[0] == 300
+        assert series.rc_estimate[0] == 1.0 / ens._field(np.cbrt(y))
+        assert series.total_r3[0] == float(np.sum(y))
+
     def test_snapshots_at_requested_times(self):
         ens = init_ensemble(DIFFUSION_LIMITED, 300, 1.0, seed=6)
         snaps, _ = ens.run(1.0, snapshot_times=[0.0, 0.5, 1.0])
         assert [s.t for s in snaps] == [0.0, 0.5, 1.0]
         assert snaps[0].n == 300
-        assert ens.t == 1.0
+        assert ens.snapshot().t == 1.0
 
     def test_snapshot_time_validation(self):
         ens = init_ensemble(DIFFUSION_LIMITED, 300, 1.0, seed=6)
@@ -832,7 +852,7 @@ class TestRun:
         ens = init_ensemble(DIFFUSION_LIMITED, 300, 1.0, seed=6)
         with pytest.raises(DomainError, match=message):
             ens.run(t_end, snapshot_times=times)
-        assert ens.t == 0.0
+        assert ens.snapshot().t == 0.0
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_coarsening_rate(self, regime):

@@ -170,14 +170,25 @@ class TestFindRoot:
         ulp = math.ulp(1.0)
         f = lambda x: np.where(x >= 1.0 + 1001 * ulp, 1.0, -1.0)
         hi = 1.0 + 2**11 * ulp
-        assert find_root(f, 1.0, hi, tol=Tolerance(max_iter=12)) == 1.0 + 1000 * ulp
+        assert find_root(f, 1.0, hi, max_iter=12) == 1.0 + 1000 * ulp
         with pytest.raises(ConvergenceError):
-            find_root(f, 1.0, hi, tol=Tolerance(max_iter=11))
+            find_root(f, 1.0, hi, max_iter=11)
 
     def test_iteration_budget(self):
-        tight = Tolerance(abs_tol=1e-14, rel_tol=0.0, max_iter=3)
         with pytest.raises(ConvergenceError):
-            find_root(lambda x: x - math.pi / 6.0, 0.0, 1e6, tol=tight)
+            find_root(lambda x: x - math.pi / 6.0, 0.0, 1e6, max_iter=3)
+
+    def test_empty_budget_is_refused_before_f_runs(self):
+        # With no step the loop would read an unset midpoint.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.5
+
+        with pytest.raises(DomainError, match="max_iter"):
+            find_root(f, 0.0, 1.0, max_iter=0)
+        assert calls == []
 
 
 class TestToleranceValidation:

@@ -30,6 +30,8 @@ from ripening.return_map import (
     return_size,
 )
 
+import mp_oracle
+
 BOTH = (DIFFUSION_LIMITED, ATTACHMENT_LIMITED)
 
 # Pinned at 40-digit precision.
@@ -48,21 +50,11 @@ def _volume_cdf(regime):
 
 
 def _mp_oracle(mp, regime):
-    """The density of test_distribution's mpmath oracle, the closed-form
-    alpha = ln z + tau(z), and m3, all in mpmath."""
-    zm = mp.mpf(regime.z_max)
-    if regime.kind == "dl":
-        h = lambda z: (81 * mp.e * mp.power(2, mp.mpf(-5) / 3) * z**2
-                       * mp.power(z + 3, mp.mpf(-7) / 3)
-                       * mp.power(zm - z, mp.mpf(-11) / 3)
-                       * mp.exp(-3 / (3 - 2 * z)))
-        alpha = lambda z: (mp.log(z) + 1 / (2 * z - 3)
-                           - mp.mpf(5) / 9 * mp.log(3 - 2 * z)
-                           - mp.mpf(4) / 9 * mp.log(z + 3))
-    else:
-        h = lambda z: 24 * z * mp.power(2 - z, -5) * mp.exp(-3 * z / (2 - z))
-        alpha = lambda z: mp.log(z) + 2 / (z - 2) - mp.log(2 - z)
-    return h, alpha, mp.quad(lambda z: h(z) * z**3, [0, 1, zm])
+    """The density h, alpha = ln z + tau(z) and m3 = int h z^3, all in
+    mpmath."""
+    h = mp_oracle.density(mp, regime)
+    m3 = mp.quad(lambda z: h(z) * z**3, [0, 1, mp.mpf(regime.z_max)])
+    return h, mp_oracle.alpha(mp, regime), m3
 
 
 class TestPinnedValues:

@@ -25,6 +25,8 @@ from ripening.regime import (
     return_invariant,
 )
 
+import mp_oracle
+
 BOTH = (DIFFUSION_LIMITED, ATTACHMENT_LIMITED)
 
 
@@ -218,17 +220,6 @@ class TestLifetimeAgainstMpmath:
     series (``_lifetime_drop``), above it from the differenced closed forms
     (``_flow_time_down``), each with ``d = z``."""
 
-    @staticmethod
-    def _oracle(mp, regime, z):
-        # L(z) = int_0^z x^lam / (nu (1 - x) + x^(lam+1)) dx, scaled to
-        # x = z u so that the quadrature sees [0, 1] at every z; over
-        # [0, z] itself mp.quad misreads z = 1e-60 by 5e-11 relative (dl).
-        lam, nu = regime.growth_exponent, regime.rate_constant
-        z = mp.mpf(z)
-        return z ** (lam + 1) * mp.quad(
-            lambda u: u**lam / (nu * (1 - z * u) + (z * u) ** (lam + 1)),
-            [0, 1])
-
     # The largest errors on 300-point grids: 2.9e-16 (series, both
     # regimes), 4.2e-15 (closed forms, dl, near z = 0.5) and 6.4e-16 (al).
     @pytest.mark.parametrize("regime, series_bound, closed_bound", [
@@ -244,7 +235,7 @@ class TestLifetimeAgainstMpmath:
                     (_flow_time_down, np.linspace(0.5, 1.4, 40),
                      closed_bound)):
                 for z in zs:
-                    want = self._oracle(mp, regime, z)
+                    want = mp_oracle.lifetime(mp, regime, z)
                     got = mp.mpf(float(drop(regime, z, z)))
                     assert abs(got - want) <= bound * want, (drop, z)
 
@@ -301,11 +292,7 @@ class TestEvolveScaled:
         # solved at 40 digits, for every offset below the lifetime.
         mp = pytest.importorskip("mpmath").mp
         with mp.workdps(40):
-            if regime.kind == "dl":
-                tau = lambda z: (1 / (2 * z - 3) - mp.mpf(5) / 9 * mp.log(3 - 2 * z)
-                                 - mp.mpf(4) / 9 * mp.log(z + 3))
-            else:
-                tau = lambda z: 2 / (z - 2) - mp.log(2 - z)
+            tau = mp_oracle.tau(mp, regime)
             for z_start in (0.3, 1.0, 1.3, 1.45):
                 lifetime = tau(mp.mpf(0)) - tau(mp.mpf(z_start))
                 for delta in (1e-12, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.3):
@@ -322,13 +309,10 @@ class TestEvolveScaled:
         # quadrature at 50 digits over x = z u, solved in the scale of
         # z_start.  An offset beyond L(z_start) must be refused, naming
         # L(z_start).
-        lam, nu = regime.growth_exponent, regime.rate_constant
         small = {"dl": ((1e-60, 1e-78), (1e-10, 1e-33)),
                  "al": ((1e-60, 1e-78), (1e-10, 1e-21))}[regime.kind]
         with mp.workdps(50):
-            life = lambda z: z ** (lam + 1) * mp.quad(
-                lambda u: u**lam / (nu * (1 - z * u) + (z * u) ** (lam + 1)),
-                [0, 1])
+            life = lambda z: mp_oracle.lifetime(mp, regime, z)
             for z_start, delta in small:
                 total = life(mp.mpf(z_start))
                 if delta < total:
