@@ -20,12 +20,15 @@ Families, each in both regimes:
   (``r_c0`` 0 and 0.7) on 2 000 times from 1 to 1e300, as scalar and as
   array calls;
 * every file of ``simulate --seed {1,2}`` and of six table commands
-  (``TABLE_COMMANDS``); CI checks the CSV fields of all of them.
+  (``TABLE_COMMANDS``); CI checks the CSV fields of all of them.  Each
+  ``simulate`` line also prints its run's work counts from ``report.json``
+  (substeps, re-sorts, flowed and dissolved particles).
 
 Floats are hashed as ``float.hex``, files as their bytes.
 """
 
 import hashlib
+import json
 import os
 import sys
 
@@ -130,7 +133,11 @@ def families():
             out_dir = os.path.join(OUT, f"sim-{kind}-{seed}")
             run(["simulate", "--regime", kind, "--seed", str(seed),
                  "--out-dir", out_dir])
-            yield f"simulate/{kind}/seed={seed}", digest_files(out_dir)
+            with open(os.path.join(out_dir, "report.json"),
+                      encoding="utf-8") as fh:
+                work = json.load(fh)["work"]
+            counts = " ".join(f"{k}={v}" for k, v in work.items())
+            yield f"simulate/{kind}/seed={seed}  {counts}", digest_files(out_dir)
     for name, argv in TABLE_COMMANDS.items():
         out_dir = os.path.join(OUT, name)
         os.makedirs(out_dir, exist_ok=True)

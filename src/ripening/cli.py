@@ -42,8 +42,8 @@ from .return_map import return_point_for_ratio, solve_return_point
 __all__ = ["main"]
 
 MAX_COUNT = 1_000_000  # largest --count: rows are all kept before writing
-# Largest simulate --n.  `simulate --regime dl --n 1000000` took 3.6 s wall
-# and 118 MB peak resident in a fresh process (2-core Xeon).
+# Largest simulate --n.  `simulate --regime dl --n 1000000` took 4.0 s wall
+# and 117 MB peak resident in a fresh process (2-core Xeon).
 MAX_PARTICLES = 1_000_000
 
 

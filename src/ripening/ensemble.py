@@ -19,8 +19,10 @@ particle volume is a linear first integral, and the stepper below keeps
 Each substep splits the state, sorted by radius, at R_c/2 with one
 ``searchsorted``.
 
-* **The suffix** (R >= R_c/2) takes a Heun step of the size the mean field
-  sets alone.  With ``x = u R``, the relative volume rate ``|k1|/y`` is
+* **The suffix** (R >= R_c/2) takes a third-order
+  strong-stability-preserving Runge-Kutta step (SSPRK3; Shu & Osher,
+  J. Comput. Phys. 77, 1988) of the size the mean field sets alone.  With
+  ``x = u R``, the relative volume rate ``|k1|/y`` is
   ``3 |x - 1| u**3 / x**3`` in dl and ``3 |x - 1| u**2 / x**2`` in al.
   Over ``x >= 1/2`` it is largest at ``x = 1/2``, ``12 u**3`` (dl) or
   ``6 u**2`` (al): ``(1 - x)/x**p`` falls on ``[1/2, 1]``, and above 1
@@ -30,8 +32,15 @@ Each substep splits the state, sorted by radius, at R_c/2 with one
   ``3 step_fraction``, with no particle read.
   Each stage is the increment ``h k`` with the step and the rate constants
   folded into two scalars: ``h k = R (3hu) - 3h`` in dl, and in al the
-  completed square ``(3hu) (R - R_c/2)**2 - 3h R_c/4``.  The update is
-  ``y += (h k1 + h k2)/2``, one rounded increment per volume.
+  completed square ``(3hu) (R - R_c/2)**2 - 3h R_c/4``.  In Butcher form,
+  ``k1`` is taken at ``y`` under ``u``; ``k2`` at ``y + h k1``, under the
+  field of that state with the prefix flowed to ``t + h``; ``k3`` at
+  ``y + h (k1 + k2)/4``, under the multiplier below.  The update is
+  ``y += (h (k1 + k2) + 4 h k3)/6``, one rounded increment per volume, the
+  4 folded into stage 3's scalars exactly.  Each stage state is a convex
+  combination of ``y`` and forward-Euler steps of size h from the earlier
+  states (the SSP coefficient is 1), so the step rule sized for one
+  forward-Euler step sizes every stage.
 * **The prefix** (R < R_c/2) is in free fall toward dissolution: its
   relative rates diverge as R -> 0, and nothing that shrinks past R_c/2
   ever comes back, so a step cap on it would grind the step to zero.  It
@@ -53,22 +62,26 @@ Each substep splits the state, sorted by radius, at R_c/2 with one
   Theory and Approximation Practice*, 2013, ch. 8): within 1e-15 relative
   of 50-digit references for x from 1e-90 to 0.75.  The frozen field is
   the mid-step field ``u + (h/2) du/dt``, its rate taken from the last
-  full substep: the stage-2 field below less the stage-1 one, over h.
-  (The first substep freezes ``u``.)  A field exact to O(h**2) at
-  mid-step makes the flow second order, as for exponential integrators
-  (Hochbruck & Ostermann, Acta Numerica 19, 2010).  The field is capped
-  at ``1.5 u``: a prefix particle has ``u R < 1/2``, so it starts below
-  ``x = 0.75`` and the flow only shrinks it.  The cap does not bind in
-  practice; over seeds 1–2 at N = 20 000 and ``step_fraction`` 1.6e-2 and
-  0.1, the largest mid-step field is 1.00027 u.
-* **The multiplier.**  The suffix's stage 2 is taken under the one field
-  for which its increments sum to minus the prefix's volume change.  Both
-  stage sums are linear in that field: ``sum(h k2) = 3h (u S1 - m)`` in dl
-  and ``3h (u S2 - S1)`` in al, with ``S1``, ``S2`` the sums of the
-  stage-2 radii and their squares over the ``m`` suffix particles.  So
-  the particle volume stays conserved to rounding, and the multiplier is
-  the field at the end of the step to O(h**2), as the field at a trial
-  state is.
+  full substep: the stage-2 field, that of the state at ``t + h``, less
+  ``u``, over h.  (The first substep freezes ``u``.)  A field exact to
+  O(h**2) at mid-step makes the flow second order, as for exponential
+  integrators (Hochbruck & Ostermann, Acta Numerica 19, 2010).  The field
+  is capped at ``1.5 u``: a prefix particle has ``u R < 1/2``, so it starts
+  below ``x = 0.75`` and the flow only shrinks it.  The cap does not bind in
+  practice: the field falls as R_c grows, and over seeds 1–2 at
+  N = 20 000 and ``step_fraction`` 4.2e-2 and 0.1 the mid-step field lies
+  within 0.993 u to u.
+* **The multiplier.**  The suffix's stage 3 is taken under the one field
+  for which the update's increments sum to minus the prefix's volume
+  change.  Stage 3's sum is linear in that field: ``sum(h k3) =
+  3h (u S1 - m)`` in dl and ``3h (u S2 - S1)`` in al, with ``S1``, ``S2``
+  the sums of the stage-3 radii and their squares over the ``m`` suffix
+  particles.  So the particle volume stays conserved to rounding.  With no
+  prefix, ``h k1`` and ``h k2`` each sum to zero under the fields of their
+  own states, and the multiplier is the field of the stage-3 state: the
+  step is SSPRK3 on the whole ensemble, third order.  A prefix moves by its
+  flow, second order in its mid-step field, and the multiplier meets the
+  field of the stage-3 state to O(h**2).
 
 A particle leaves only by dissolving inside a substep, its volume going to
 the survivors through the multiplier; no cut below some fraction of R_c is
@@ -78,19 +91,30 @@ least about one ulp of ``u**p h``, so its ``x = u R`` is at least about
 every time ``simulate_late_stage`` accepts.  Such a particle, and one
 given to the constructor far below R_c, has a lifetime shorter than a
 full substep, so the flow dissolves it within the next one.  (From t0 to
-2 t0 at N = 20 000, seed 1, the smallest survivor had x = 0.011 (dl) and
-0.0011 (al).)
+2 t0 at N = 20 000, seed 1, the smallest survivor had x = 0.013 (dl) and
+0.0019 (al).)
 
-Against a run at ``step_fraction`` 5e-4 from the same draws (N = 20 000,
-seeds 1–3, ``t0`` to ``3 t0``), the largest phi step error at s = 1.5, 2, 3
-is 1.0e-8–1.2e-8 / 1.9e-7 / 7.7e-7–8.0e-7 / 3.0e-6–3.1e-6 in dl and
-5.7e-8–5.8e-8 / 9.7e-7–9.9e-7 / 3.9e-6–4.0e-6 / 1.6e-5 in al at
-``step_fraction`` 2e-3 / 8e-3 / 1.6e-2 / 3.2e-2: order 2.0 over 16x.  The
-Heun step that also stepped the prefix, its dissolving particles handed to
-the survivors inside the substep, was of order about 1.3, and at its
-default 2e-3 erred by up to 1.6e-6–3.2e-6 (dl) and 1.0e-5 (al) against the
-same fine runs, more than this scheme does at its default 1.6e-2 with an
-eighth of the substeps.
+Against a run of the Heun step this scheme replaced (stage 2 under the
+multiplier, ``y += (h k1 + h k2)/2``) at ``step_fraction`` 5e-4 from the
+same draws (N = 20 000, seeds 1–3, ``t0`` to ``3 t0``), the largest phi
+step error at s = 1.5, 2, 3 is:
+
+==================  ===========  ===================  ===================
+``step_fraction``   substeps     dl                   al
+==================  ===========  ===================  ===================
+1e-2                990 / 442    1.2e-8 to 3.1e-8     3.0e-8 to 4.6e-8
+2e-2                496 / 222    2.2e-8 to 6.4e-8     9.0e-8 to 1.3e-7
+4.2e-2 (default)    237 / 106    9.4e-8 to 2.5e-7     2.4e-7 to 3.3e-7
+8e-2                125 / 57     1.7e-7 to 7.2e-7     2.4e-7 to 5.5e-7
+Heun, 1.6e-2        619 / 276    7.5e-7 to 7.9e-7     3.9e-6 to 4.0e-6
+==================  ===========  ===================  ===================
+
+(substeps at seed 1, dl / al).  The Heun step was second order.  These
+errors are not: a particle that dissolves, or crosses R_c/2, inside a
+substep bends the convergence, and between 3.8e-2 and 4.3e-2 the dl error
+moves between 7.8e-8 and 3.2e-7 with no trend.  Where no particle flows,
+the step is third order: 2.97–3.00 for 2 000 particles above 0.95 R_c
+over ``t0`` to ``1.1 t0``.
 
 The volumes are stored sorted by radius, with particle ids carried in the
 same order; ``Ensemble.snapshot`` presents them in id order, so outputs do
@@ -113,19 +137,24 @@ The exact dynamics preserve the order of radii (every particle obeys one
 growth law, monotone in R, under one mean field), but the discrete step
 need not.  The suffix update keeps the order: in dl every operation is
 monotone in y under one scalar field (``cbrt``, ``R (3hu) - 3h``, the
-trial, the sum of two monotone increments, its half and the update, and
-rounding is monotone).  In al so is every operation of the completed
-square ``(3hu) (R - a)**2 - b`` while ``R >= a``; stage 1 has
-``a = R_c/2``, which holds over the suffix, and stage 2 ``a = 1/(2 u_m)``
-of the multiplier ``u_m``, which fails for the few stage radii just below
-it, a run at the start of the sorted stage.  (The product form
+stage states, sums of monotone increments, their quarter and sixth and the
+update, and rounding is monotone).  In al so is every operation of the
+completed square ``(3hu) (R - a)**2 - b`` while ``R >= a``.  Stage 1 has
+``a = R_c/2``, which holds over the suffix.  Stage 2 has ``a = 1/(2 u2)``
+of its field ``u2``, which fails for the few stage-2 radii just below it,
+a run at the start of the sorted stage.  Past that run the stage-3 state
+is sorted, and stage 3's ``a = 1/(2 u_m)`` of the multiplier fails for the
+stage-3 radii below it, which lengthen the run.  (The product form
 ``R (R (3hu) - 3h)`` is not monotone under rounding below R_c, where a
 rounded negative factor can repeat while ``R`` grows.)  The flowed prefix
 is not proven in order (the rounding of its lifetimes and their inverse),
-nor is the seam where the flow meets the Heun step.  So the prefix, the
-seam and, in al, that run are checked, and when out of order the whole
-state is re-sorted with a stable argsort.  This is a safety net: in the
-default runs at N = 20 000, seeds 1–5, no update needed one.
+nor is the seam where the flow meets the suffix's step: the two differ by
+their step errors.  So the prefix, the seam and, in al, that run are
+checked, and when out of order the whole state is re-sorted with a stable
+argsort.  This is a safety net: in the default runs at N = 20 000, seeds
+1–5, no dl update needed one.  al needed one at seeds 1, 3 and 4, each in
+the first substep, whose flow freezes ``u``: a flowed particle ended 7e-5
+to 3e-4 (relative volume) above its suffix neighbour at the seam.
 ``Ensemble.work`` counts the re-sorts.
 """
 
@@ -198,6 +227,7 @@ _INVERSE = {
 # than a 0-d array costs; the flow makes about 45 such calls per substep.
 # The values, and so every result, are the same.
 _HALF, _ONE, _ZERO = np.array(0.5), np.array(1.0), np.array(0.0)
+_QUARTER, _SIXTH = np.array(0.25), np.array(1.0 / 6.0)
 _P_0D = {p: np.array(float(p)) for p in (2, 3)}
 # The series coefficients 1/(k + p), k = _SERIES_TERMS - 1 down to 0.
 _SERIES = {
@@ -206,14 +236,15 @@ _SERIES = {
 }
 _INVERSE_0D = {p: tuple(map(np.array, c)) for p, c in _INVERSE.items()}
 # simulate_late_stage's times lie in [_T_MIN, _T_MAX].  The slope fit sums
-# t**2 over the series rows, and the multiplier divides by about
-# 0.02 n R_c**4, with R_c**4 = (t/2)**2 in al and (4t/9)**(4/3) in dl; over
-# this range both stay normal floats for n up to 1e6 and 1e5 rows.
+# (t - tm)**2, at most t**2, over the series rows, and the multiplier
+# divides by 3 step_fraction n R_c**4 (dl) or 6 step_fraction n R_c**4
+# (al), with R_c**4 = (4t/9)**(4/3) in dl and (t/2)**2 in al; over this
+# range both stay normal floats for n up to 1e6 and 1e5 rows.
 _T_MIN, _T_MAX = 1e-150, 1e150
 # The stepper works on the volumes y = R**3, each a positive normal float.
 _Y_MIN, _Y_MAX = np.finfo(float).tiny, np.finfo(float).max
 # The default step_fraction, shared by every entry to the ensemble.
-_STEP_FRACTION = 1.6e-2
+_STEP_FRACTION = 4.2e-2
 
 
 @dataclass(frozen=True)
@@ -287,17 +318,18 @@ class Ensemble:
 
     1. splits the state at R_c/2, takes the step size from the mean field
        alone, ``step_fraction / (4 u**3)`` (dl) or
-       ``step_fraction / (2 u**2)`` (al), and stage 1 of the Heun step of
-       the suffix at or above R_c/2;
+       ``step_fraction / (2 u**2)`` (al), and stage 1 of the SSPRK3 step
+       of the suffix at or above R_c/2;
     2. moves the prefix below R_c/2 by the exact flow of its growth law
        under the predicted mid-step field, capped at ``1.5 u``: its first
        ``k`` particles, whose lifetime ``u**-p g_p(u R)`` ends within the
        step, dissolve and are dropped by slicing, and the rest invert
        ``g_p`` at their remaining lifetime by one fixed polynomial, within
        1e-15 relative on the flow's range ``u R <= 0.75``;
-    3. finishes the suffix's step with stage 2 under the multiplier, the
-       one field for which the suffix's increments sum to minus the
-       prefix's volume change (dissolved volume included);
+    3. takes stage 2 of the suffix under the field of the stage-2 state
+       with the flowed prefix, and stage 3 under the multiplier, the one
+       field for which the suffix's increments sum to minus the prefix's
+       volume change (dissolved volume included);
     4. checks the order over the flowed prefix and the seam, and re-sorts
        the whole state when it finds an inversion.
 
@@ -330,10 +362,10 @@ class Ensemble:
         rate is largest at ``R = R_c/2``, ``12 u**3`` (dl) or ``6 u**2``
         (al), so the substep is ``step_fraction / (4 u**3)`` or
         ``step_fraction / (2 u**2)``, or the time left to the next
-        snapshot when that is shorter.  The default 1.6e-2 keeps the
-        step error of phi below 1e-6 (dl) and 4e-6 (al) at N = 20 000 in
-        about 620 (dl) and 280 (al) substeps over ``t0`` to ``3 t0``; the
-        error is second order in it (see the module docstring).
+        snapshot when that is shorter.  The default 4.2e-2 keeps the
+        step error of phi below 2.5e-7 (dl) and 3.5e-7 (al) at N = 20 000
+        in about 240 (dl) and 110 (al) substeps over ``t0`` to ``3 t0``
+        (see the module docstring).
     """
 
     def __init__(
@@ -420,7 +452,7 @@ class Ensemble:
         """Move the prefix of radii ``r`` (below R_c/2) by the exact flow
         of the growth law under the frozen field ``u`` for ``h``.  Returns
         the number ``k`` of particles that dissolve, the first ones, and
-        the survivors' new volumes."""
+        the survivors' new radii."""
         p = self.regime.growth_exponent + 1
         c = u**p * h  # the substep on the lifetime clock u**-p
         lifetime = _lifetime(r * u, p, c)
@@ -430,9 +462,7 @@ class Ensemble:
         np.maximum(remaining, _ZERO, out=remaining)
         x = _inverse_lifetime(remaining, p)
         x *= 1.0 / u
-        y = np.multiply(x, x)
-        y *= x
-        return k, y
+        return k, x
 
     def _advance(self, t_target: float, recorder):
         # r = cbrt(y) and the mean field u are taken once per update and
@@ -451,17 +481,16 @@ class Ensemble:
         scale = 2.0 ** (p - 1)
         y = self._y
         n = y.size
-        r_buf, hk1_buf, hk2_buf = (_aligned(n) for _ in range(3))
+        r_buf, hk_buf, stage_buf = (_aligned(n) for _ in range(3))
         r = np.cbrt(y, out=r_buf)
-        u = self._field(r, hk2_buf)
+        u = self._field(r, stage_buf)
         while self._t < t_target:
             remaining = t_target - self._t
             # The prefix j below R_c/2 moves by its exact flow; the suffix
-            # takes the Heun step, whose size the mean field alone sets.
+            # takes the SSPRK3 step, whose size the mean field alone sets.
             j = int(y.searchsorted((0.5 / u) ** 3))
             ys, rs = y[j:], r[j:]
             m = n - j
-            hk1, hk2 = hk1_buf[:m], hk2_buf[:m]
             h = min(self.step_fraction / (scale * u**p), remaining)
             if not self._t + h > self._t:
                 raise StateError(
@@ -471,46 +500,71 @@ class Ensemble:
             # Stage 1 of the suffix, with h and the rate constants folded
             # in: h k1 = r (3hu) - 3h in dl, and in al the completed square
             # (3hu) (r - R_c/2)**2 - 3h R_c/4, each operation monotone in r
-            # above R_c/2.
-            _stage(rs, u, h3, al, hk1)
-            trial = np.add(ys, hk1, out=hk2)
-            stage = np.cbrt(trial, out=trial)
+            # above R_c/2.  Stage 2 is read at y + h k1.
+            hk = _stage(rs, u, h3, al, hk_buf[:m])
+            stage = np.add(ys, hk, out=stage_buf[:m])
+            stage = np.cbrt(stage, out=stage)
             s1 = float(_sum(stage))
-            sum_hk1 = float(_sum(hk1))
-            dissolved, dy = 0, 0.0
+            dissolved, dy, q1, q2 = 0, 0.0, 0.0, 0.0
             if j:
-                # The prefix flows under the mid-step field, the end of the
-                # step's field predicted by an Euler step of the field at
-                # the last full substep's rate (see the module docstring),
-                # capped at 1.5 u so that u R stays within the inverse
-                # lifetime's range.
+                # The prefix flows to t + h under the mid-step field, the
+                # end of the step's field predicted by an Euler step of the
+                # field at the last full substep's rate (see the module
+                # docstring), capped at 1.5 u so that u R stays within the
+                # inverse lifetime's range.
                 yp = y[:j]
-                dissolved, flowed = self._flow(
+                dissolved, x = self._flow(
                     r[:j], min(u + 0.5 * h * self._field_rate, _FIELD_CAP * u),
                     h)
                 if n - dissolved < 2:  # refused before the substep writes
                     raise StateError(f"ensemble collapses to {n - dissolved} "
                                      f"particle(s) after t={self._t!r}")
+                flowed = np.multiply(x, x)
+                q1 = float(_sum(x))
+                if al:
+                    q2 = float(_sum(flowed))
+                flowed *= x
                 dy = float(_sum(flowed)) - float(_sum(yp))
                 yp[dissolved:] = flowed
-            # Stage 2 of the suffix takes the one field under which the
-            # suffix's increments sum to minus the prefix's: conserved.
+            # Stage 2 takes the field of its own state: the flowed prefix's
+            # radii and the stage radii, all at t + h.  Its rate predicts
+            # the next substep's mid-step field.
             seam = j - dissolved + 1
             if al:
                 # r is not read again before the update: its buffer is free.
                 s2 = float(_sum(np.multiply(stage, stage, out=r_buf[:m])))
-                um = (h3 * s1 - sum_hk1 - 2.0 * dy) / (h3 * s2)
-                # al's stage 2 falls with R below 1/(2 um): a run at the
+                u2 = (q1 + s1) / (q2 + s2)
+                # al's stage 2 falls with R below 1/(2 u2): a run at the
                 # start of the sorted stage, checked with the seam.
-                seam += int(stage.searchsorted(0.5 / um))
+                i2 = int(stage.searchsorted(0.5 / u2))
             else:
-                um = (h3 * m - sum_hk1 - 2.0 * dy) / (h3 * s1)
+                u2 = (n - dissolved) / (q1 + s1)
             if h < remaining:
-                self._field_rate = (um - u) / h
-            hk2 = _stage(stage, um, h3, al, stage)
-            hk2 += hk1
-            hk2 *= _HALF
-            ys += hk2
+                self._field_rate = (u2 - u) / h
+            hk2 = _stage(stage, u2, h3, al, stage)
+            hk += hk2  # h (k1 + k2), all the update needs of either
+            sum_hk = float(_sum(hk))
+            # Stage 3 is read at y + h (k1 + k2)/4 and takes the one field
+            # under which the update's increments sum to minus the
+            # prefix's: conserved.
+            stage = np.multiply(hk, _QUARTER, out=stage)
+            stage += ys
+            stage = np.cbrt(stage, out=stage)
+            s1 = float(_sum(stage))
+            h12 = 4.0 * h3  # stage 3's weight 4 folded in, exactly
+            if al:
+                s2 = float(_sum(np.multiply(stage, stage, out=r_buf[:m])))
+                um = (h12 * s1 - sum_hk - 6.0 * dy) / (h12 * s2)
+                # Past stage 2's run the stage-3 radii are sorted; those
+                # below 1/(2 um) extend the run that is checked.
+                seam += i2 + int(stage[i2:].searchsorted(0.5 / um))
+            else:
+                um = (h12 * m - sum_hk - 6.0 * dy) / (h12 * s1)
+            # 4 h k3, then y += h (k1 + k2 + 4 k3)/6.
+            hk3 = _stage(stage, um, h12, al, stage)
+            hk3 += hk
+            hk3 *= _SIXTH
+            ys += hk3
             t_next = t_target if h >= remaining else self._t + h
             if dissolved:
                 self._drop(dissolved)
@@ -523,7 +577,7 @@ class Ensemble:
             self._t = t_next
             self._work["substeps"] += 1
             r = np.cbrt(y, out=r_buf[:n])
-            u = self._field(r, hk2_buf[:n])
+            u = self._field(r, stage_buf[:n])
             recorder(t_next, n, 1.0 / u, float(_sum(y)))
 
     def run(self, t_end: float, snapshot_times=()):
@@ -645,13 +699,23 @@ def _horner(x, coeffs, out=None) -> np.ndarray:
 # The series' largest value, at x = 0.05, with a margin for its rounding:
 # a step c on the lifetime clock at least this dissolves every particle
 # the series would be summed for.  In a full substep c is about
-# step_fraction/4 (dl) or /2 (al), 4e-3 or 8e-3 at the default step,
+# step_fraction/4 (dl) or /2 (al), 1.05e-2 or 2.1e-2 at the default step,
 # above g_3(0.05) = 4.3e-5 and g_2(0.05) = 1.3e-3.
 _SERIES_MAX = {
     p: float(_horner(_SERIES_TOP, _SERIES[p]) * np.power(_SERIES_TOP, _P_0D[p]))
     * (1.0 + 1e-9)
     for p in (2, 3)
 }
+
+
+def _slope(x, y) -> float:
+    """The least-squares slope of ``y`` on ``x``, centered:
+    ``sum((x - xm) (y - ym)) / sum((x - xm)**2)`` with ``xm``, ``ym`` the
+    means.  Its sums are numpy's pairwise adds; ``np.polyfit`` calls LAPACK,
+    whose bits move with the BLAS build and the CPU it selects."""
+    dx = x - _sum(x) / x.size
+    dy = y - _sum(y) / y.size
+    return float(_sum(dx * dy) / _sum(dx * dx))
 
 
 def _aligned(n: int) -> np.ndarray:
@@ -842,8 +906,7 @@ def simulate_late_stage(
     series.t[stops] = times
     series.t[-1] = t_end
 
-    gamma = regime.coarsening_exponent
-    slope = float(np.polyfit(series.t, series.rc_estimate**gamma, 1)[0])
+    slope = _slope(series.t, series.rc_estimate**regime.coarsening_exponent)
 
     ratios = [ts / t0 for ts in times]
     # One solve for every snapshot's phi and one for its boundary radius;

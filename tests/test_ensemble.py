@@ -7,6 +7,7 @@ accordingly (the acceptance suite runs the full-size version).
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from ripening.distribution import size_distribution
 from ripening.ensemble import (
     _INVERSE,
     _SERIES_MAX,
+    _STEP_FRACTION,
     FOUR_THIRDS_PI,
     _align,
     _inverse_lifetime,
     _lifetime,
+    _slope,
     Ensemble,
     NewVolume,
     Snapshot,
@@ -218,25 +221,36 @@ def _rates(regime, r, u):
     return 3.0 * (r * r * u - r)
 
 
-def _reference_run(regime, radii, duration, step_fraction=1.6e-2,
-                   folded=True):
-    """The stepper on id-ordered state with masks for every set: the prefix
-    below R_c/2 moved by the exact flow under the predicted mid-step field,
-    its dissolving particles, and the suffix's Heun step under the
-    volume-conserving multiplier.  Returns (substeps, ids, radii).
+def _reference_run(regime, radii, duration, step_fraction=_STEP_FRACTION,
+                   folded=True, heun=False, stops=()):
+    """The stepper with masks for every set: the prefix below R_c/2 moved
+    by the exact flow under the predicted mid-step field, its dissolving
+    particles, and the suffix's SSPRK3 step, its last stage under the
+    volume-conserving multiplier.  Runs to each of ``stops`` and
+    then to ``duration``, as :meth:`Ensemble.run` does, and returns
+    (substeps, states) with one (ids, radii) per stop and one at the end.
 
-    With ``folded`` the suffix's stages take the folded arithmetic of the
-    package: the increments ``h k`` of :func:`_ref_stage`, the update
-    ``y + (h k1 + h k2)/2``, the multiplier from
-    ``sum(h k2) = 3h (u S1 - m)`` (dl) or ``3h (u S2 - S1)`` (al), and the
-    flowed volume ``x' x' x'`` of ``x' = x (1/u)``.  Without, they take
-    the arithmetic from before h and the rate constants were folded in:
-    ``h k`` with ``k = 3 (r u - 1)`` (dl) or ``3 (r r u - r)`` (al), the
-    update ``y + (h/2) (k1 + k2)``, the multiplier from
-    ``sum(k2) = 3 (u S1 - m)`` or ``3 (u S2 - S1)``, and ``(x/u)**3``.
+    The SSPRK3 step reads stage 2 at ``y + h k1`` under the field of that
+    state with the flowed prefix, stage 3 at ``y + h (k1 + k2)/4`` and
+    updates ``y + h (k1 + k2 + 4 k3)/6``; stage 2's field sets the rate of
+    the next mid-step field.  With ``heun`` the suffix takes the plain Heun
+    step instead, an independent scheme of order 2: stage 2 at ``y + h k1``
+    under the multiplier and the update ``y + h (k1 + k2)/2``; the
+    multiplier sets the field rate.  Either way the multiplier solves
+    ``sum(h k_last) = 3h (u a - b)``, with ``(a, b)`` the last stage's
+    ``(S1, m)`` in dl and ``(S2, S1)`` in al, for the increment that makes
+    the update's sum minus the prefix's volume change.
 
-    Its sums run over the particles in ascending volume, as the sorted
-    state's do, so the two steppers round alike."""
+    With ``folded`` the stage increments ``h k`` take the folded arithmetic
+    of the package (:func:`_ref_stage`) and a flowed radius is
+    ``x (1/u)``.  Without, they take the arithmetic from before h and the
+    rate constants were folded in: ``h k`` with ``k = 3 (r u - 1)`` (dl)
+    or ``3 (r r u - r)`` (al), and a flowed radius ``x/u``.
+
+    The state is sorted by volume with a stable argsort at the start of
+    every substep, so its sums run over the particles in ascending volume,
+    as the sorted state's do, and the two steppers round alike up to the
+    grouping of their sums."""
     al = regime.kind == "al"
     p = 2 if al else 3
     y = np.asarray(radii, dtype=float) ** 3
@@ -244,63 +258,71 @@ def _reference_run(regime, radii, duration, step_fraction=1.6e-2,
     t = 0.0
     rate = 0.0
     substeps = 0
+    states = []
 
-    def ordered_sum(a, y):
-        return float(np.sum(a[np.argsort(y, kind="stable")]))
-
-    def field(r, y):
+    def field(r):
         if regime.kind == "dl":
-            return r.size / ordered_sum(r, y)
-        return ordered_sum(r, y) / ordered_sum(r * r, y)
+            return r.size / float(np.sum(r))
+        return float(np.sum(r)) / float(np.sum(r * r))
 
-    while t < duration:
-        remaining = duration - t
-        r = np.cbrt(y)
-        u = field(r, y)
-        prefix = y < (0.5 / u) ** 3
-        ys, rs = y[~prefix], r[~prefix]
-        k1 = _rates(regime, rs, u)
-        h = min(step_fraction / (2.0 * u**2 if al else 4.0 * u**3),
-                remaining)
-        h3 = 3.0 * h
-        hk1 = _ref_stage(rs, u, h3, al) if folded else h * k1
-        stage = np.cbrt(ys + hk1)
-        s1 = ordered_sum(stage, ys)
-        s2 = ordered_sum(stage * stage, ys)
-        dy = 0.0
-        dissolved = np.zeros(y.size, dtype=bool)
-        flowed = y.copy()
-        if prefix.any():
-            ub = min(u + 0.5 * h * rate, 1.5 * u)
-            c = ub**p * h
-            life = _ref_lifetime(r[prefix] * ub, p)
-            dying = life <= c
-            x = _ref_inverse_lifetime(np.maximum(life[~dying] - c, 0.0), p)
-            survivors = np.flatnonzero(prefix)[~dying]
-            if folded:
-                x = x * (1.0 / ub)
+    for target in (*stops, duration):
+        while t < target:
+            remaining = target - t
+            order = np.argsort(y, kind="stable")
+            y, ids = y[order], ids[order]
+            r = np.cbrt(y)
+            u = field(r)
+            prefix = y < (0.5 / u) ** 3
+            ys, rs = y[~prefix], r[~prefix]
+            h = min(step_fraction / (2.0 * u**2 if al else 4.0 * u**3),
+                    remaining)
+
+            def hk(r, u):
+                if folded:
+                    return _ref_stage(r, u, 3.0 * h, al)
+                return h * _rates(regime, r, u)
+
+            hk1 = hk(rs, u)
+            stage = np.cbrt(ys + hk1)
+            dy = 0.0
+            dissolved = np.zeros(y.size, dtype=bool)
+            flowed = y.copy()
+            x = np.empty(0)
+            if prefix.any():
+                ub = min(u + 0.5 * h * rate, 1.5 * u)
+                c = ub**p * h
+                life = _ref_lifetime(r[prefix] * ub, p)
+                dying = life <= c
+                x = _ref_inverse_lifetime(np.maximum(life[~dying] - c, 0.0), p)
+                x = x * (1.0 / ub) if folded else x / ub
+                survivors = np.flatnonzero(prefix)[~dying]
                 flowed[survivors] = x * x * x
+                dissolved[np.flatnonzero(prefix)[dying]] = True
+                dy = float(np.sum(flowed[survivors])) - float(np.sum(y[prefix]))
+            if heun:
+                weights, stages, last = (0.5, 0.5), [hk1], stage
             else:
-                flowed[survivors] = (x / ub) ** 3
-            dissolved[np.flatnonzero(prefix)[dying]] = True
-            dy = (ordered_sum(flowed[survivors], y[survivors])
-                  - ordered_sum(y[prefix], y[prefix]))
-        a, b = (s1, s2) if al else (ys.size, s1)
-        if folded:
-            um = (h3 * a - ordered_sum(hk1, ys) - 2.0 * dy) / (h3 * b)
-        else:
-            # sum((h/2) (k1 + k2)) = -dy, with sum(k2) linear in the field
-            um = ((-2.0 * dy / h - ordered_sum(k1, ys)) / 3.0 + a) / b
-        if h < remaining:
-            rate = (um - u) / h
-        if folded:
-            flowed[~prefix] = ys + 0.5 * (hk1 + _ref_stage(stage, um, h3, al))
-        else:
-            flowed[~prefix] = ys + (0.5 * h) * (k1 + _rates(regime, stage, um))
-        y, ids = flowed[~dissolved], ids[~dissolved]
-        t = duration if h >= remaining else t + h
-        substeps += 1
-    return substeps, ids, np.cbrt(y)
+                # stage 2 under the field of its own state, prefix included
+                u2 = field(np.concatenate([x, stage]))
+                hk2 = hk(stage, u2)
+                weights, stages = (1.0 / 6.0, 1.0 / 6.0, 4.0 / 6.0), [hk1, hk2]
+                last = np.cbrt(ys + 0.25 * (hk1 + hk2))
+            a, b = ((float(np.sum(last * last)), float(np.sum(last)))
+                    if al else (float(np.sum(last)), ys.size))
+            # the last increment's sum that makes the update conserving
+            want = (-dy - sum(w * float(np.sum(k))
+                              for w, k in zip(weights, stages))) / weights[-1]
+            um = (want / (3.0 * h) + b) / a
+            if h < remaining:
+                rate = ((um if heun else u2) - u) / h
+            update = sum(w * k for w, k in zip(weights, stages + [hk(last, um)]))
+            flowed[~prefix] = ys + update
+            y, ids = flowed[~dissolved], ids[~dissolved]
+            t = target if h >= remaining else t + h
+            substeps += 1
+        by_id = np.argsort(ids)
+        states.append((ids[by_id], np.cbrt(y[by_id])))
+    return substeps, states
 
 
 class _AllocatingEnsemble(Ensemble):
@@ -334,11 +356,9 @@ class _AllocatingEnsemble(Ensemble):
             hk1 = _ref_stage(rs, u, h3, al)
             stage = np.cbrt(ys + hk1)
             s1 = float(np.sum(stage))
-            s2 = float(np.sum(stage * stage)) if al else 0.0
-            sum_hk1 = float(np.sum(hk1))
             new = y.copy()
             keep = np.ones(y.size, dtype=bool)
-            dy = 0.0
+            dy = q1 = q2 = 0.0
             if prefix.any():
                 ub = min(u + 0.5 * h * self._field_rate, 1.5 * u)
                 c = ub**p * h
@@ -351,18 +371,30 @@ class _AllocatingEnsemble(Ensemble):
                     np.maximum(life[~dying] - c, 0.0), p)
                 x = x * (1.0 / ub)
                 flowed = x * x * x
+                q1 = float(np.sum(x))
+                q2 = float(np.sum(x * x))
                 dy = float(np.sum(flowed)) - float(np.sum(y[prefix]))
                 new[np.flatnonzero(prefix)[~dying]] = flowed
                 keep[np.flatnonzero(prefix)[dying]] = False
                 self._work["dissolved"] += int(np.count_nonzero(dying))
                 self._work["flowed"] += int(np.count_nonzero(~dying))
             if al:
-                um = (h3 * s1 - sum_hk1 - 2.0 * dy) / (h3 * s2)
+                u2 = (q1 + s1) / (q2 + float(np.sum(stage * stage)))
             else:
-                um = (h3 * ys.size - sum_hk1 - 2.0 * dy) / (h3 * s1)
+                u2 = int(np.count_nonzero(keep)) / (q1 + s1)
             if h < remaining:
-                self._field_rate = (um - u) / h
-            new[~prefix] = ys + (hk1 + _ref_stage(stage, um, h3, al)) * 0.5
+                self._field_rate = (u2 - u) / h
+            hk = hk1 + _ref_stage(stage, u2, h3, al)
+            sum_hk = float(np.sum(hk))
+            stage = np.cbrt(hk * 0.25 + ys)
+            s1 = float(np.sum(stage))
+            if al:
+                um = ((4.0 * h3 * s1 - sum_hk - 6.0 * dy)
+                      / (4.0 * h3 * float(np.sum(stage * stage))))
+            else:
+                um = (4.0 * h3 * ys.size - sum_hk - 6.0 * dy) / (4.0 * h3 * s1)
+            new[~prefix] = ys + (hk + _ref_stage(stage, um, 4.0 * h3, al)) * (
+                1.0 / 6.0)
             self._y = new
             t_next = t_target if h >= remaining else self._t + h
             if not keep.all():
@@ -412,7 +444,9 @@ class TestSortedState:
             checked.append(bool(np.all(ens._y[1:] >= ens._y[:-1])))
             assert ens._y[0] >= np.finfo(float).tiny
 
-        ens._advance(0.5 * t0, check)
+        # t0 to 3 t0, the default run's span: over 100 substeps in either
+        # regime.
+        ens._advance(2.0 * t0, check)
         assert len(checked) == ens.work["substeps"] > 100
         assert all(checked)
         assert ens.snapshot().n + ens.work["dissolved"] == 2000
@@ -421,7 +455,7 @@ class TestSortedState:
     def test_matches_reference_stepper(self, regime):
         t0 = 225.0 if regime.kind == "dl" else 200.0
         ens = init_ensemble(regime, 1000, critical_radius(regime, 0.0, t0), seed=1)
-        substeps, ids, radii = _reference_run(
+        substeps, [(ids, radii)] = _reference_run(
             regime, ens.snapshot().radii, t0, step_fraction=ens.step_fraction
         )
         ens.run(t0)
@@ -442,7 +476,7 @@ class TestSortedState:
         # drops the same particles.
         t0 = 225.0 if regime.kind == "dl" else 200.0
         ens = init_ensemble(regime, 1000, critical_radius(regime, 0.0, t0), seed=1)
-        substeps, ids, radii = _reference_run(
+        substeps, [(ids, radii)] = _reference_run(
             regime, ens.snapshot().radii, t0, step_fraction=ens.step_fraction,
             folded=False,
         )
@@ -582,13 +616,27 @@ class TestStepRule:
         times = [0.5 * t0, t0, 2.0 * t0]
         _, series = ens.run(2.0 * t0, times)
         t = series.t
-        h = self._step(regime, 1.6e-2, 1.0 / series.rc_estimate[:-1])
+        h = self._step(regime, ens.step_fraction, 1.0 / series.rc_estimate[:-1])
         dt = np.diff(t)
         slack = 1e-14 * h + np.spacing(t[1:])
         cut = np.isin(t[1:], times)
         assert np.count_nonzero(cut) == 3
         assert np.all(np.abs(dt - h)[~cut] <= slack[~cut])
         assert np.all(dt[cut] <= h[cut] + slack[cut])
+
+    @pytest.mark.parametrize("regime, substeps, dissolved", [
+        (DIFFUSION_LIMITED, 237, 13357),
+        (ATTACHMENT_LIMITED, 106, 16167),
+    ])
+    def test_default_substep_counts(self, regime, substeps, dissolved):
+        # The default simulate run at seed 1, N = 20 000 from t0 to 3 t0:
+        # the substeps the default step_fraction takes, and the particles
+        # that dissolve.
+        t0 = 225.0 if regime.kind == "dl" else 200.0
+        res = simulate_late_stage(regime, 20000, t0, 3.0 * t0,
+                                  [1.5 * t0, 2.0 * t0, 3.0 * t0], seed=1)
+        assert res.work["substeps"] == substeps
+        assert res.work["dissolved"] == dissolved
 
 
 class TestDefaultStep:
@@ -619,8 +667,8 @@ def _phi_at_snapshots(ens, t0):
 
 class TestExactFlow:
     """The prefix below R_c/2 moves by the exact flow of its growth law
-    under the mid-step field; the suffix's Heun step takes the
-    volume-conserving multiplier."""
+    under the mid-step field; the suffix's SSPRK3 step takes the
+    volume-conserving multiplier in its last stage."""
 
     @staticmethod
     def _g(mp, x, p):
@@ -694,13 +742,13 @@ class TestExactFlow:
         else:
             assert np.all(want[below] <= c) and np.all(got[below] == 0.0)
             assert np.array_equal(got[~below], want[~below])
-        k, y = Ensemble(regime, [1.0, 2.0])._flow(x, 1.0, c)
+        k, flowed = Ensemble(regime, [1.0, 2.0])._flow(x, 1.0, c)
         dying = int(np.searchsorted(want, c, side="right"))
         assert k == dying
         # At half the threshold some series lifetimes outlast the step.
         assert np.any(x[k:] < 0.05) == (scale == 0.5)
         survivors = _ref_inverse_lifetime(np.maximum(want[dying:] - c, 0.0), p)
-        assert np.array_equal(y, survivors * survivors * survivors)
+        assert np.array_equal(flowed, survivors)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_inverse_at_the_range_bound(self, p):
@@ -718,7 +766,8 @@ class TestExactFlow:
     def test_flow_field_capped(self, regime, monkeypatch):
         # The predicted mid-step field is capped at 1.5 u, so the flow's
         # x = u R starts below 0.75 (the inverse's range) even under a
-        # wild field rate; seeds 1-2 at N = 20 000 reach 1.00027 u.
+        # wild field rate; at seeds 1-2 and N = 20 000 the field falls, and
+        # the mid-step field stays within 0.993 u to u.
         ens = init_ensemble(regime, 500, 1.0, seed=1)
         seen = []
         flow = Ensemble._flow
@@ -738,34 +787,58 @@ class TestExactFlow:
         assert abs(end - start) <= 1e-13 * start
 
     @pytest.mark.parametrize("regime", BOTH)
-    def test_second_order(self, regime):
-        # phi against a run at 1e-3 from the same draws: an 8x step makes
-        # the error about 64x larger (order 1.9-2.1 over seeds 1-4 at
-        # N = 2 000; the Heun step over the unresolved prefix had 1.3).
-        # At order 2 the 1e-3 run is within about 1/256 of the default's
-        # error of the limit, so the default's gap to it is its step error:
-        # 7.6e-7 (dl) and 3.7e-6 (al) here.
+    def test_third_order_without_dissolution(self, regime):
+        # 2 000 particles drawn above z = 0.95 stay above R_c/2 from t0 to
+        # 1.1 t0, so no particle flows or dissolves and the suffix's step
+        # runs alone.  Against a run at 2.5e-3, a 4x step makes the errors
+        # of phi and of the radii about 64x larger: order 2.99-3.00 at
+        # seeds 1-3 (the plain Heun step of _reference_run: 2.03).
+        t0 = 225.0 if regime.kind == "dl" else 200.0
+        z = size_distribution(regime).sample(8000, 1)
+        z = z[z > 0.95][:2000]
+        assert z.size == 2000
+        radii = critical_radius(regime, 0.0, t0) * z
+        runs = []
+        for frac in (2.5e-3, 1e-2, 4e-2):
+            ens = Ensemble(regime, radii, step_fraction=frac)
+            base = ens.snapshot()
+            (snap,), _ = ens.run(0.1 * t0, [0.1 * t0])
+            assert ens.work["flowed"] == ens.work["dissolved"] == 0
+            runs.append((measure_new_volume(base, snap).fraction, snap.radii))
+        (phi, r), *coarse = runs
+        phi_err = [abs(c_phi - phi) for c_phi, _ in coarse]
+        r_err = [float(np.max(np.abs(c_r - r) / r)) for _, c_r in coarse]
+        for err in (phi_err, r_err):
+            assert math.log(err[1] / err[0]) / math.log(4.0) >= 2.8
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_meets_heun_oracle(self, regime):
+        # phi at s = 1.5 and 2 at the default step against the plain Heun
+        # step of _reference_run at 1e-3, an independent second-order scheme
+        # whose own step error is about 3e-9 (dl) and 1.5e-8 (al) there.
+        # Measured: 2.2e-7 (dl) and 2.1e-7 (al) at seed 1, 1.7e-7 to 3.6e-7
+        # over seeds 1-3.  Full runs converge irregularly: a particle that
+        # dissolves, or crosses R_c/2, inside a substep bends the order.
         t0 = 225.0 if regime.kind == "dl" else 200.0
         radii = init_ensemble(
             regime, 2000, critical_radius(regime, 0.0, t0), seed=1
         ).snapshot().radii
-        fine = _phi_at_snapshots(Ensemble(regime, radii, step_fraction=1e-3), t0)
-        err = [
-            float(np.max(np.abs(_phi_at_snapshots(
-                Ensemble(regime, radii, step_fraction=frac), t0) - fine)))
-            for frac in (4e-3, 3.2e-2)
-        ]
-        assert math.log(err[1] / err[0]) / math.log(8.0) >= 1.8
-        default = _phi_at_snapshots(Ensemble(regime, radii), t0)
-        assert float(np.max(np.abs(default - fine))) <= (
-            2e-6 if regime.kind == "dl" else 5e-6)
+        _, states = _reference_run(regime, radii, t0, step_fraction=1e-3,
+                                   heun=True, stops=[0.5 * t0])
+        base = Snapshot(0.0, np.arange(radii.size), radii)
+        oracle = np.array([
+            measure_new_volume(base, Snapshot(t, ids, r)).fraction
+            for t, (ids, r) in zip((0.5 * t0, t0), states)
+        ])
+        phi = _phi_at_snapshots(Ensemble(regime, radii), t0)
+        assert float(np.max(np.abs(phi - oracle))) <= 5e-7
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_quantile_start_meets_closed_form(self, regime):
         # N = 5 000 particles at the midpoint quantiles of the stationary
         # density have no sampling spread, so phi at the default step meets
         # the closed form to within the step error and the finite-N bias:
-        # signed errors -5.6e-7 to -1.3e-6 (dl) and -3.5e-6 to -1.0e-5 (al)
+        # signed errors 9.0e-8 to -5.3e-7 (dl) and -2.9e-7 to -6.4e-6 (al)
         # over s = 1.5-4.
         t0 = 225.0 if regime.kind == "dl" else 200.0
         n = 5000
@@ -1122,9 +1195,49 @@ class TestLateStage:
         assert np.array_equal(res.series.rc_estimate, series.rc_estimate)
         for snap, got in zip(snaps, res.snapshots):
             assert np.array_equal(got.radii, snap.radii)
-        assert res.rc_power_slope == float(np.polyfit(
-            t0 + series.t, series.rc_estimate**regime.coarsening_exponent,
+        assert res.rc_power_slope == _slope(
+            t0 + series.t, series.rc_estimate**regime.coarsening_exponent)
+
+    @pytest.mark.parametrize("regime", BOTH)
+    def test_slope_meets_polyfit(self, regime):
+        # The closed-form centered fit against numpy's least squares on the
+        # default run's series: 1.2e-16 (dl) and 0 (al) relative at seed 1.
+        t0 = 225.0 if regime.kind == "dl" else 200.0
+        res = simulate_late_stage(regime, 20000, t0, 3.0 * t0,
+                                  [1.5 * t0, 2.0 * t0, 3.0 * t0], seed=1)
+        want = float(np.polyfit(
+            res.series.t, res.series.rc_estimate**regime.coarsening_exponent,
             1)[0])
+        assert abs(res.rc_power_slope - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("t0", [1e-150, 225.0, 1e150 / 3.0])
+    def test_slope_of_a_line(self, t0):
+        # On a line sampled like a run's series the fit is its slope to a
+        # few ulps, at both ends of the accepted time range too.
+        t = t0 * np.linspace(1.0, 3.0, 601)
+        for slope in (0.448, 0.5, 3.0):
+            got = _slope(t, slope * t + 2.0 * t0)
+            assert abs(got - slope) <= 4.0 * math.ulp(slope), (slope, got)
+
+    def test_slope_calls_no_lapack(self, monkeypatch):
+        # np.polyfit solves by LAPACK's lstsq, whose bits move with the BLAS
+        # build; the run's fit must not reach it.  Every numpy module that
+        # binds lstsq gets one that raises, and np.polyfit now fails.
+        lstsq = np.linalg.lstsq
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "numpy"
+                    and vars(module).get("lstsq") is lstsq):
+                monkeypatch.setattr(module, "lstsq", refuse)
+        with pytest.raises(AssertionError, match="lstsq called"):
+            np.polyfit([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], 1)
+        res = simulate_late_stage(DIFFUSION_LIMITED, 500, 225.0, 450.0,
+                                  [337.5], seed=1)
+        assert res.rc_power_slope == pytest.approx(
+            res.rc_power_slope_expected, rel=0.1)
 
     @pytest.mark.parametrize("regime", BOTH)
     def test_series_rows_at_requested_times(self, regime):
